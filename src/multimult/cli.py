@@ -1,12 +1,10 @@
 """Command-line driver: run the requests of an instance file and report.
 
 Usage:
-    multimult run <file> [--json out.json] [--no-cache] [--window-cap N]
-                         [--band-cap N] [--jobs K]
+    multimult run <file> [--json out.json]
 
-Exit codes: 0 when no verified claim produced a MISMATCH verdict, 1 when any
-did, and 2 on usage or parse errors.  The cache directory is taken from the
-MULTIMULT_CACHE_DIR environment variable (default ~/.cache/multimult).
+Requests run serially, in file order.  Exit codes: 0 when no verified claim
+produced a MISMATCH verdict, 1 when any did, and 2 on usage or parse errors.
 """
 
 from __future__ import annotations
@@ -15,11 +13,8 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
-from . import hilbert as hilbert_mod
-from . import koszul as koszul_mod
-from .hilbert import MixedType, MultiDegree, interpolate, mixed_multiplicity, table_on_window
+from .hilbert import MixedType, MultiDegree, interpolate, mixed_multiplicity
 from .instances import InstanceFile, InstanceParseError, parse_instance
 from .koszul import ReesDatum, euler_char_direct, euler_char_via_difference
 from .multiplicity import (
@@ -44,13 +39,10 @@ from .reductions import (
 from .instances import parse_monomial
 from .reports import (
     SCHEMA_VERSION,
-    cache_tables,
     certificate_payload,
     fraction_str,
-    load_tables,
     poly_payload,
     report_payload,
-    table_key,
 )
 
 
@@ -61,18 +53,6 @@ def _request_type(inst: InstanceFile, req: dict) -> MixedType:
     return MixedType(int(obj["k0"]), tuple(int(x) for x in obj["k"]))
 
 
-def _window_table(fam, which, base, extent, use_cache):
-    if use_cache:
-        key = table_key(fam, which, base, extent)
-        cached = load_tables(key)
-        if cached is not None:
-            return cached, True
-    table = table_on_window(fam, which, base, extent)
-    if use_cache:
-        cache_tables(key, table)
-    return table, False
-
-
 def _default_recursion_axis(cand) -> int | None:
     for idx, ki in enumerate(cand.declared_type.k):
         if ki > 0:
@@ -80,7 +60,7 @@ def _default_recursion_axis(cand) -> int | None:
     return None
 
 
-def run_request(inst: InstanceFile, req: dict, use_cache: bool = True) -> dict:
+def run_request(inst: InstanceFile, req: dict) -> dict:
     """Execute one request and return its deterministic result payload."""
     fam = inst.family
     command = req["command"]
@@ -89,13 +69,8 @@ def run_request(inst: InstanceFile, req: dict, use_cache: bool = True) -> dict:
     if command == "hilbert":
         which = req.get("which", "P")
         fit = interpolate(fam, which)
-        table, hit = _window_table(fam, which, fit.base, fit.extent, use_cache)
         out["polynomial"] = poly_payload(fit.poly)
-        out["table"] = {
-            "base": list(table.base),
-            "values": table.values.tolist(),
-            "cache_hit": hit,
-        }
+        out["table"] = {"base": list(fit.table.base), "values": fit.table.values.tolist()}
         out["provenance"] = fit.provenance()
     elif command == "mixed":
         mt = _request_type(inst, req)
@@ -187,16 +162,10 @@ def _count_mismatches(payload) -> int:
     return 0
 
 
-def run_instance(inst: InstanceFile, use_cache: bool = True, jobs: int = 1) -> dict:
+def run_instance(inst: InstanceFile) -> dict:
     """Run every request, in order, and assemble the report document."""
     started = time.monotonic()
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(
-                pool.map(lambda r: run_request(inst, r, use_cache), inst.requests)
-            )
-    else:
-        results = [run_request(inst, req, use_cache) for req in inst.requests]
+    results = [run_request(inst, req) for req in inst.requests]
     doc = {
         "schema_version": SCHEMA_VERSION,
         "instance": inst.raw,
@@ -213,10 +182,6 @@ def main(argv=None) -> int:
     runp = sub.add_parser("run", help="run the requests of an instance file")
     runp.add_argument("file")
     runp.add_argument("--json", dest="json_out", metavar="OUT")
-    runp.add_argument("--no-cache", action="store_true")
-    runp.add_argument("--window-cap", type=int, metavar="N")
-    runp.add_argument("--band-cap", type=int, metavar="N")
-    runp.add_argument("--jobs", type=int, default=1, metavar="K")
     try:
         args = parser.parse_args(argv)
     except SystemExit:
@@ -224,10 +189,6 @@ def main(argv=None) -> int:
     if args.subcommand != "run":
         parser.print_usage(sys.stderr)
         return 2
-    if args.window_cap is not None:
-        hilbert_mod.WINDOW_CAP_FACTOR = args.window_cap
-    if args.band_cap is not None:
-        koszul_mod.BAND_DOUBLINGS = args.band_cap
     try:
         with open(args.file) as fh:
             text = fh.read()
@@ -236,7 +197,7 @@ def main(argv=None) -> int:
         return 2
     try:
         inst = parse_instance(text, name=args.file)
-        doc = run_instance(inst, use_cache=not args.no_cache, jobs=max(1, args.jobs))
+        doc = run_instance(inst)
     except InstanceParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -7,12 +7,13 @@ cyclic module M = A/Q:
 * ``hf_F`` counts the length of I^n * M / J^n0 * I^n * M,
 
 where I^n abbreviates the product I_1^{n_1} ... I_d^{n_d}.  For all large
-(n0, n) each function agrees with a polynomial; we recover that polynomial by
-exact linear solving over the rationals on the binomial-coefficient basis
+(n0, n) each function agrees with a polynomial.  We recover it from a box of
+grid values by exact integer forward differences, rewritten on the
+binomial-coefficient basis
 
     binom(n0 + k0, k0) * binom(n1 + k1, k1) * ... * binom(nd + kd, kd),
 
-certifying the fit on a disjoint verification band of grid values.  The mixed
+and certify the fit on a disjoint verification band of grid values.  The mixed
 multiplicity of type (k0, k) is the basis coefficient at (k0, k); it is
 *defined* exactly when every coefficient at a componentwise-larger index
 vanishes.
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -264,10 +264,6 @@ class HilbertTable:
     base: tuple[int, ...]
     values: np.ndarray  # shape = per-axis extents
 
-    @property
-    def extents(self) -> tuple[int, ...]:
-        return tuple(self.values.shape)
-
     def difference(self, mt: MixedType) -> HilbertTable:
         steps = mt.as_tuple()
         vals = self.values
@@ -286,54 +282,7 @@ class HilbertTable:
         return bool(self.values.size) and bool((self.values == self.values.flat[0]).all())
 
 
-def difference(obj, mt: MixedType):
-    """Forward differencing of a polynomial or a Hilbert table."""
-    return obj.difference(mt)
-
-
 # -- exact interpolation ---------------------------------------------------
-
-
-def _basis_indices(num_axes: int, max_total: int):
-    ranges = [range(max_total + 1)] * num_axes
-    out = [idx for idx in itertools.product(*ranges) if sum(idx) <= max_total]
-    return sorted(out)
-
-
-def _solve_exact(rows, rhs):
-    """Solve an overdetermined integer system exactly over the rationals.
-
-    Returns the solution vector or None when inconsistent.  The column space
-    must have full rank (guaranteed by the box evaluation grids used here).
-    """
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    aug = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if aug[i][c] != 0), None)
-        if pivot is None:
-            raise RuntimeError("evaluation grid is not unisolvent")
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        pr = aug[r]
-        inv = 1 / pr[c]
-        aug[r] = pr = [x * inv for x in pr]
-        for i in range(nrows):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], pr)]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if aug[i][ncols] != 0:
-            return None
-    sol = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        sol[c] = aug[i][ncols]
-    return sol
 
 
 @dataclass(frozen=True)
@@ -360,9 +309,106 @@ def _box(num_axes: int, base: int, extent: int):
     return itertools.product(*(range(base, base + extent) for _ in range(num_axes)))
 
 
-def _evaluate_grid(fam: IdealFamily, which: str, points):
+def _grid(value, num_axes: int, base: int, extent: int) -> np.ndarray:
+    """The values on the box base + [0, extent)^num_axes, as exact ints."""
+    values = [value(pt) for pt in _box(num_axes, base, extent)]
+    return np.array(values, dtype=object).reshape((extent,) * num_axes)
+
+
+def _hilbert_function(fam: IdealFamily, which: str):
     hf = hf_P if which == "P" else hf_F
-    return {pt: hf(fam, MultiDegree(pt[0], pt[1:])) for pt in points}
+    return lambda pt: hf(fam, MultiDegree(pt[0], pt[1:]))
+
+
+def _binom_negative(b: int, m: int) -> int:
+    """binom(-b, m) for b >= 0."""
+    return 1 if m == 0 else (-1) ** m * comb(b + m - 1, m)
+
+
+def _shift_matrix(base: int, degree: int) -> list[list[int]]:
+    """Row j holds the coefficients of binom(v - base, j) on binom(v + k, k).
+
+    binom(v - b, j) = sum_i binom(-b, j - i) binom(v, i) (Vandermonde), and
+    binom(v, i) = sum_k (-1)^(i - k) binom(i, k) binom(v + k, k); both steps
+    are unitriangular over the integers.
+    """
+    return [
+        [
+            sum(
+                _binom_negative(base, j - i) * (-1) ** (i - k) * comb(i, k)
+                for i in range(k, j + 1)
+            )
+            for k in range(degree + 1)
+        ]
+        for j in range(degree + 1)
+    ]
+
+
+def _binomial_coefficients(values: np.ndarray, base: int, degree: int):
+    """The binomial-basis coefficients of the polynomial of total degree at
+    most ``degree`` through a box of values at ``base``, or None when no such
+    polynomial exists.
+
+    Forward differences at the box corner give the Newton coefficients on
+    products of binom(v - base, j); the box is consistent exactly when every
+    one with |j| > degree vanishes.
+    """
+    newton = values.copy()
+    for axis in range(newton.ndim):
+        view = np.moveaxis(newton, axis, 0)
+        for step in range(1, view.shape[0]):
+            view[step:] = view[step:] - view[step - 1 : -1]
+    coeffs = {}
+    for idx, c in np.ndenumerate(newton):
+        if c:
+            if sum(idx) > degree:
+                return None
+            coeffs[idx] = c
+    shift = _shift_matrix(base, degree)
+    for axis in range(newton.ndim):
+        moved = {}
+        for idx, c in coeffs.items():
+            for k, t in enumerate(shift[idx[axis]]):
+                if t:
+                    tgt = idx[:axis] + (k,) + idx[axis + 1 :]
+                    moved[tgt] = moved.get(tgt, 0) + c * t
+        coeffs = moved
+    return coeffs
+
+
+def _fit_window(value, num_axes: int, degree: int, start: int) -> FitResult:
+    """Fit the polynomial of total degree ``degree`` that ``value`` (a map
+    from points to ints) eventually agrees with.
+
+    The box of extent degree + 2 at base ``start`` is interpolated exactly
+    and certified on a disjoint band; the base doubles on failure up to
+    WINDOW_CAP_FACTOR * start, past which StabilizationError is raised.
+    """
+    extent = degree + 2
+    base = start
+    residual_log = []
+    while base <= WINDOW_CAP_FACTOR * start:
+        values = _grid(value, num_axes, base, extent)
+        coeffs = _binomial_coefficients(values, base, degree)
+        if coeffs is not None:
+            poly = BinomialBasisPolynomial(num_axes, coeffs)
+            band_base = base + extent
+            residuals = []
+            for pt in _box(num_axes, band_base, BAND_EXTENT):
+                fitted = poly.evaluate(pt)
+                actual = value(pt)
+                if fitted != actual:
+                    residuals.append((pt, actual - fitted))
+            if not residuals:
+                table = HilbertTable((base,) * num_axes, values.astype(np.int64))
+                return FitResult(poly, base, extent, band_base, BAND_EXTENT, table)
+            residual_log.append((base, residuals))
+        else:
+            residual_log.append((base, "inconsistent fit system"))
+        base *= 2
+    raise StabilizationError(
+        f"no stable window up to base {WINDOW_CAP_FACTOR * start}", residual_log
+    )
 
 
 def initial_offset(fam: IdealFamily) -> int:
@@ -380,9 +426,9 @@ def initial_offset(fam: IdealFamily) -> int:
 def interpolate(fam: IdealFamily, which: str = "P") -> FitResult:
     """Fit the Hilbert polynomial of ``hf_P`` or ``hf_F`` exactly.
 
-    The fit is retried on doubled base offsets until the solved polynomial
-    reproduces every value of the evaluation box and of a disjoint
-    verification band; failure past the cap raises StabilizationError.
+    The fit is retried on doubled base offsets until the polynomial through
+    the evaluation box reproduces a disjoint verification band; failure past
+    the cap raises StabilizationError.
     """
     if which not in ("P", "F"):
         raise ValueError("which must be 'P' or 'F'")
@@ -394,72 +440,29 @@ def interpolate(fam: IdealFamily, which: str = "P") -> FitResult:
     degree = int(qdim) - 1 if which == "P" else int(qdim)
     if degree < 0:
         return _fit_zero(fam, which, num_axes)
-    n_start = initial_offset(fam)
-    base = n_start
-    indices = _basis_indices(num_axes, degree)
-    residual_log = []
-    while base <= WINDOW_CAP_FACTOR * n_start:
-        extent = degree + 2
-        fit_points = list(_box(num_axes, base, extent))
-        values = _evaluate_grid(fam, which, fit_points)
-        rows = [
-            [int(np.prod([comb(v + k, k) for v, k in zip(pt, idx)])) for idx in indices]
-            for pt in fit_points
-        ]
-        rhs = [values[pt] for pt in fit_points]
-        sol = _solve_exact(rows, rhs)
-        if sol is not None:
-            poly = BinomialBasisPolynomial(
-                num_axes, {idx: c for idx, c in zip(indices, sol)}
-            )
-            band_base = base + extent
-            band_points = list(_box(num_axes, band_base, BAND_EXTENT))
-            band_values = _evaluate_grid(fam, which, band_points)
-            residuals = [
-                (pt, band_values[pt] - poly.evaluate(pt))
-                for pt in band_points
-                if poly.evaluate(pt) != band_values[pt]
-            ]
-            if not residuals:
-                shape = (extent,) * num_axes
-                arr = np.zeros(shape, dtype=np.int64)
-                for pt in fit_points:
-                    arr[tuple(v - base for v in pt)] = values[pt]
-                table = HilbertTable((base,) * num_axes, arr)
-                return FitResult(poly, base, extent, band_base, BAND_EXTENT, table)
-            residual_log.append((base, residuals))
-        else:
-            residual_log.append((base, "inconsistent fit system"))
-        base *= 2
-    raise StabilizationError(
-        f"no stable window up to base {WINDOW_CAP_FACTOR * n_start}", residual_log
-    )
+    return _fit_window(_hilbert_function(fam, which), num_axes, degree, initial_offset(fam))
 
 
 def _fit_zero(fam: IdealFamily, which: str, num_axes: int) -> FitResult:
     base = initial_offset(fam)
     extent = 2
-    points = list(_box(num_axes, base, extent))
-    values = _evaluate_grid(fam, which, points)
-    poly = BinomialBasisPolynomial.zero(num_axes)
-    residuals = [(pt, v) for pt, v in values.items() if v != 0]
+    table = table_on_window(fam, which, base, extent)
+    residuals = [
+        (tuple(base + i for i in idx), int(v))
+        for idx, v in np.ndenumerate(table.values)
+        if v != 0
+    ]
     if residuals:
         raise StabilizationError("zero module produced nonzero Hilbert values", residuals)
-    arr = np.zeros((extent,) * num_axes, dtype=np.int64)
-    return FitResult(
-        poly, base, extent, base + extent, BAND_EXTENT, HilbertTable((base,) * num_axes, arr)
-    )
+    poly = BinomialBasisPolynomial.zero(num_axes)
+    return FitResult(poly, base, extent, base + extent, BAND_EXTENT, table)
 
 
 def table_on_window(fam: IdealFamily, which: str, base: int, extent: int) -> HilbertTable:
     """Evaluate a dense Hilbert window at an arbitrary base/extent."""
     num_axes = fam.d + 1
-    points = list(_box(num_axes, base, extent))
-    values = _evaluate_grid(fam, which, points)
-    arr = np.zeros((extent,) * num_axes, dtype=np.int64)
-    for pt in points:
-        arr[tuple(v - base for v in pt)] = values[pt]
-    return HilbertTable((base,) * num_axes, arr)
+    values = _grid(_hilbert_function(fam, which), num_axes, base, extent)
+    return HilbertTable((base,) * num_axes, values.astype(np.int64))
 
 
 # -- mixed multiplicities --------------------------------------------------
@@ -485,27 +488,3 @@ def mixed_multiplicity(fam: IdealFamily, mt: MixedType):
         _index_strictly_above(idx, target) for idx in fit.poly.coeffs
     )
     return value, defined
-
-
-class Consistency(Enum):
-    CONSISTENT = "CONSISTENT"
-    INCONSISTENT = "INCONSISTENT"
-    INCONCLUSIVE = "INCONCLUSIVE"
-
-
-def defined_iff_joint_reduction(fam: IdealFamily, mt: MixedType, search_budget=None):
-    """Cross-check the defined-flag against an explicit joint-reduction search.
-
-    A certificate plus a true flag (or no certificate plus a false flag when
-    the search is exhaustive) is CONSISTENT; a certificate alongside a false
-    flag is INCONSISTENT; a fruitless budget-limited search with a true flag
-    is INCONCLUSIVE, since the monomial candidate pool may simply be too small.
-    """
-    from .reductions import PoolPolicy, search_joint_reduction
-
-    _, defined = mixed_multiplicity(fam, mt)
-    policy = search_budget if search_budget is not None else PoolPolicy()
-    cand = search_joint_reduction(fam, mt, policy)
-    if cand is not None:
-        return (Consistency.CONSISTENT, cand) if defined else (Consistency.INCONSISTENT, cand)
-    return (Consistency.INCONCLUSIVE, None) if defined else (Consistency.CONSISTENT, None)

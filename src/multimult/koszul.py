@@ -73,9 +73,6 @@ class StrandHomologyProfile:
     dims: tuple[tuple[tuple[int, tuple[int, ...]], int], ...]
     band_certified: bool
 
-    def dimension(self, index: int, a: tuple[int, ...]) -> int:
-        return dict(self.dims).get((index, a), 0)
-
 
 @dataclass(frozen=True)
 class EulerValue:
@@ -211,17 +208,18 @@ def strand_profile(datum: ReesDatum, deg: MultiDegree, band: int, buffer: int) -
     return StrandHomologyProfile(deg, band, tuple(sorted(dims.items())), certified)
 
 
-def euler_char_direct(datum: ReesDatum, deg: MultiDegree, band: int | None = None) -> EulerValue:
+def euler_char_direct(datum: ReesDatum, deg: MultiDegree) -> EulerValue:
     """Chi at one multidegree by summing strand alternating sums.
 
-    Internal degrees are truncated at a band that must be followed by a
+    Internal degrees are truncated at a band, starting at (n0 + |n| + 1)
+    times the maximal generator degree, that must be followed by a
     homology-free buffer of width the maximal generator degree; the band
     doubles a bounded number of times, and a value whose buffer never comes
     up empty is returned flagged as uncertified.
     """
     fam = datum.fam
     maxgd = max(1, fam.max_generator_degree())
-    b = band if band is not None else (deg.n0 + sum(deg.n) + 1) * maxgd
+    b = (deg.n0 + sum(deg.n) + 1) * maxgd
     profile = None
     for _ in range(BAND_DOUBLINGS + 1):
         profile = strand_profile(datum, deg, b, maxgd)

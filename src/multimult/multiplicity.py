@@ -21,14 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import comb
 
 from .hilbert import (
-    BAND_EXTENT,
     IdealFamily,
     MixedType,
     StabilizationError,
-    _solve_exact,
+    _fit_window,
     interpolate,
     mixed_multiplicity,
 )
@@ -94,28 +92,14 @@ def hilbert_samuel(module: QuotientModule, a: MonomialIdeal) -> int:
         + module.relations.max_generator_degree()
         + module.top.max_generator_degree(),
     )
-    base = degree + maxdeg
-    cap = 64 * base
-    while base <= cap:
-        points = list(range(base, base + degree + 2))
-        values = [
-            module.quotient_by(ideal_power(a, n + 1)).length() for n in points
-        ]
-        rows = [[comb(n + k, k) for k in range(degree + 1)] for n in points]
-        sol = _solve_exact(rows, values)
-        if sol is not None:
-            band = list(range(base + degree + 2, base + degree + 2 + BAND_EXTENT))
-            ok = all(
-                module.quotient_by(ideal_power(a, n + 1)).length()
-                == sum(c * comb(n + k, k) for k, c in enumerate(sol))
-                for n in band
-            )
-            if ok:
-                value = sol[degree]
-                assert value == int(value) and value >= 0
-                return int(value)
-        base *= 2
-    raise StabilizationError("Hilbert-Samuel window never stabilized")
+
+    def value(pt):
+        return int(module.quotient_by(ideal_power(a, pt[0] + 1)).length())
+
+    fit = _fit_window(value, 1, degree, degree + maxdeg)
+    top = fit.poly.coefficient((degree,))
+    assert top >= 0
+    return int(top)
 
 
 # -- verification reports --------------------------------------------------

@@ -258,18 +258,16 @@ class PoolPolicy:
     """Bounds on the joint-reduction search: pool degree and verify budget."""
 
     max_degree: int = 2
-    include_products: bool = True
     budget: int = 2000
 
 
 def _element_pool(source_ideal: MonomialIdeal, policy: PoolPolicy) -> list[Monomial]:
     gens = [Monomial(g) for g in source_ideal.gens]
     pool = {g for g in gens if g.degree <= policy.max_degree}
-    if policy.include_products:
-        for a, b in itertools.combinations_with_replacement(gens, 2):
-            p = a * b
-            if p.degree <= policy.max_degree:
-                pool.add(p)
+    for a, b in itertools.combinations_with_replacement(gens, 2):
+        p = a * b
+        if p.degree <= policy.max_degree:
+            pool.add(p)
     return sorted(pool, key=lambda u: _grlex_key(u.exponents))
 
 

@@ -1,30 +1,15 @@
-"""Report assembly and the on-disk cache of Hilbert tables.
+"""Report assembly: the JSON payloads of fits, certificates and verdicts.
 
 Reports are deterministic JSON documents (modulo the timing field): every
 numeric result carries the window and band metadata that produced it, and
 every asserted equality names the two computation paths behind its sides.
-
-The cache stores Hilbert value windows keyed by a canonical hash of the data
-that determine them; entries carry a checksum and are discarded with a
-warning when it fails.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
-import sys
 from fractions import Fraction
-from pathlib import Path
 
-import numpy as np
-
-from .hilbert import HilbertTable, IdealFamily
-
-SCHEMA_VERSION = 1
-
-CACHE_DIR_ENV = "MULTIMULT_CACHE_DIR"
+SCHEMA_VERSION = 2
 
 
 def fraction_str(value) -> str:
@@ -66,69 +51,3 @@ def certificate_payload(cert) -> dict:
         degree = deg if isinstance(deg, tuple) else (deg.n0,) + deg.n
         out["witness"] = {"multidegree": list(degree), "monomial": str(mono)}
     return out
-
-
-# -- cache -----------------------------------------------------------------
-
-
-def cache_dir() -> Path:
-    env = os.environ.get(CACHE_DIR_ENV)
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "multimult"
-
-
-def table_key(fam: IdealFamily, which: str, base: int, extent: int) -> str:
-    """Canonical hash of everything that determines a Hilbert window."""
-    payload = {
-        "num_vars": fam.ctx.num_vars,
-        "relations": sorted(fam.module.relations.gens),
-        "top": sorted(fam.module.top.gens),
-        "J": sorted(fam.j.gens),
-        "ideals": [sorted(i.gens) for i in fam.ideals],
-        "which": which,
-        "base": base,
-        "extent": extent,
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def _checksum(values) -> str:
-    return hashlib.sha256(json.dumps(values).encode()).hexdigest()
-
-
-def cache_tables(key: str, table: HilbertTable, directory: Path | None = None) -> None:
-    directory = directory or cache_dir()
-    directory.mkdir(parents=True, exist_ok=True)
-    values = table.values.tolist()
-    doc = {
-        "key": key,
-        "base": list(table.base),
-        "values": values,
-        "checksum": _checksum(values),
-    }
-    path = directory / f"{key}.json"
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(json.dumps(doc))
-    tmp.replace(path)
-
-
-def load_tables(key: str, directory: Path | None = None) -> HilbertTable | None:
-    """The cached table, or None on a miss; corrupt entries are discarded."""
-    directory = directory or cache_dir()
-    path = directory / f"{key}.json"
-    if not path.exists():
-        return None
-    try:
-        doc = json.loads(path.read_text())
-        if doc["key"] != key or doc["checksum"] != _checksum(doc["values"]):
-            raise ValueError("checksum mismatch")
-        return HilbertTable(tuple(doc["base"]), np.asarray(doc["values"], dtype=np.int64))
-    except (ValueError, KeyError, json.JSONDecodeError):
-        print(f"warning: discarding corrupt cache entry {path}", file=sys.stderr)
-        try:
-            path.unlink()
-        except OSError:
-            pass
-        return None

@@ -1,18 +1,18 @@
-"""Tests for instance parsing, report assembly, the cache, and the CLI."""
+"""Tests for instance parsing, report assembly, and the CLI."""
 
 import json
+import re
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from multimult.cli import main, run_instance, run_request
-from multimult.hilbert import HilbertTable
+from multimult.hilbert import table_on_window
 from multimult.instances import InstanceParseError, parse_instance, parse_monomial
 from multimult.monomials import RingContext
-from multimult.reports import cache_tables, load_tables, table_key
 
-SAMPLE = Path(__file__).resolve().parent.parent / "docs" / "instances" / "dim4_joint_reduction.json"
+ROOT = Path(__file__).resolve().parent.parent
+SAMPLE = ROOT / "docs" / "instances" / "dim4_joint_reduction.json"
 
 MINIMAL = """
 {
@@ -93,33 +93,50 @@ class TestInstanceParsing:
 class TestRequests:
     def test_mixed_request(self):
         inst = parse_instance(MINIMAL)
-        out = run_request(inst, {"command": "mixed", "type": {"k0": 0, "k": [1]}}, False)
+        out = run_request(inst, {"command": "mixed", "type": {"k0": 0, "k": [1]}})
         assert out["value"] == "1"
         assert out["defined"] is True
 
     def test_verify_jr_request(self):
         inst = parse_instance(MINIMAL)
-        out = run_request(inst, {"command": "verify-jr", "candidate": "c"}, False)
+        out = run_request(inst, {"command": "verify-jr", "candidate": "c"})
         assert out["certificate"]["holds"] is True
 
     def test_chi_request_both_methods(self):
         inst = parse_instance(MINIMAL)
-        out = run_request(inst, {"command": "chi", "candidate": "c", "direct": True}, False)
+        out = run_request(inst, {"command": "chi", "candidate": "c", "direct": True})
         assert out["difference"]["value"] == 1
         assert out["direct"]["value"] == 1
         assert out["methods_agree"] is True
 
     def test_search_request(self):
         inst = parse_instance(MINIMAL)
-        out = run_request(inst, {"command": "search-jr", "type": {"k0": 0, "k": [1]}}, False)
+        out = run_request(inst, {"command": "search-jr", "type": {"k0": 0, "k": [1]}})
         assert out["found"] is not None
 
     def test_hilbert_request(self):
         inst = parse_instance(MINIMAL)
-        out = run_request(inst, {"command": "hilbert", "which": "P"}, False)
+        out = run_request(inst, {"command": "hilbert", "which": "P"})
         assert out["polynomial"]["total_degree"] == 1
 
-    def test_determinism_and_jobs(self):
+    def test_hilbert_table_is_the_fit_window(self):
+        # M = A/(x1) is killed by saturating with I1 = (x1): a zero fit.
+        zero = json.loads(MINIMAL)
+        zero["module_relations"] = ["x1"]
+        zero["ideals"] = {"I1": ["x1"]}
+        zero["candidates"] = {}
+        for text in (MINIMAL, json.dumps(zero)):
+            inst = parse_instance(text)
+            for which in ("P", "F"):
+                out = run_request(inst, {"command": "hilbert", "which": which})
+                prov = out["provenance"]
+                table = table_on_window(
+                    inst.family, which, prov["window_base"], prov["window_extent"]
+                )
+                assert out["table"]["values"] == table.values.tolist()
+                assert out["table"]["base"] == list(table.base)
+
+    def test_determinism(self):
         doc = json.loads(MINIMAL)
         doc["requests"] = [
             {"command": "mixed", "type": {"k0": 0, "k": [1]}},
@@ -127,47 +144,21 @@ class TestRequests:
             {"command": "mult-symbol", "candidate": "c"},
         ]
         inst = parse_instance(json.dumps(doc))
-        serial = run_instance(inst, use_cache=False, jobs=1)
-        parallel = run_instance(inst, use_cache=False, jobs=3)
-        serial.pop("timing_seconds")
-        parallel.pop("timing_seconds")
-        assert serial == parallel
-
-
-class TestCache:
-    def test_round_trip(self, tmp_path):
-        inst = parse_instance(MINIMAL)
-        key = table_key(inst.family, "P", 3, 2)
-        table = HilbertTable((3, 3), np.arange(4).reshape(2, 2))
-        cache_tables(key, table, tmp_path)
-        loaded = load_tables(key, tmp_path)
-        assert loaded.base == table.base
-        assert (loaded.values == table.values).all()
-
-    def test_key_depends_on_window(self):
-        inst = parse_instance(MINIMAL)
-        assert table_key(inst.family, "P", 3, 2) != table_key(inst.family, "P", 4, 2)
-
-    def test_corrupt_entry_discarded(self, tmp_path, capsys):
-        inst = parse_instance(MINIMAL)
-        key = table_key(inst.family, "P", 3, 2)
-        table = HilbertTable((3, 3), np.arange(4).reshape(2, 2))
-        cache_tables(key, table, tmp_path)
-        path = tmp_path / f"{key}.json"
-        doc = json.loads(path.read_text())
-        doc["values"][0][0] = 99
-        path.write_text(json.dumps(doc))
-        assert load_tables(key, tmp_path) is None
-        assert "corrupt" in capsys.readouterr().err
-        assert not path.exists()
+        first = run_instance(inst)
+        second = run_instance(inst)
+        first.pop("timing_seconds")
+        second.pop("timing_seconds")
+        assert first == second
 
 
 class TestCliEntry:
     def test_parse_error_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
-        assert main(["run", str(bad), "--no-cache"]) == 2
-        assert "error" in capsys.readouterr().err
+        assert main(["run", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "error" in err
+        assert "line" in err
 
     def test_missing_file_exit_2(self, capsys):
         assert main(["run", "/nonexistent.json"]) == 2
@@ -175,8 +166,7 @@ class TestCliEntry:
     def test_usage_exit_2(self, capsys):
         assert main([]) == 2
 
-    def test_small_run_exit_0(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("MULTIMULT_CACHE_DIR", str(tmp_path / "cache"))
+    def test_small_run_exit_0(self, tmp_path, capsys):
         doc = json.loads(MINIMAL)
         doc["requests"] = [
             {"command": "mixed", "type": {"k0": 0, "k": [1]}},
@@ -187,11 +177,20 @@ class TestCliEntry:
         out_path = tmp_path / "report.json"
         assert main(["run", str(f), "--json", str(out_path)]) == 0
         report = json.loads(out_path.read_text())
-        assert report["schema_version"] == 1
+        assert report["schema_version"] == 2
         assert report["mismatch_count"] == 0
-        # Second run hits the cache and must be observationally identical.
         assert main(["run", str(f), "--json", str(out_path)]) == 0
         report2 = json.loads(out_path.read_text())
-        r1 = json.dumps(report["results"], sort_keys=True).replace('"cache_hit": false', '"cache_hit": true')
-        r2 = json.dumps(report2["results"], sort_keys=True)
-        assert r1 == r2
+        report.pop("timing_seconds")
+        report2.pop("timing_seconds")
+        assert report == report2
+
+    def test_help_matches_readme_synopsis(self, capsys):
+        main(["run", "--help"])
+        usage = capsys.readouterr().out.split("\n\n")[0]
+        readme = (ROOT / "README.md").read_text()
+        synopsis = re.search(r"```sh\n(multimult run .*?)```", readme, re.S).group(1)
+        assert set(re.findall(r"--[\w-]+", usage)) - {"--help"} == set(
+            re.findall(r"--[\w-]+", synopsis)
+        )
+        assert "file" in usage and "<file>" in synopsis

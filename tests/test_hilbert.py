@@ -1,6 +1,9 @@
 """Unit tests for Hilbert functions, interpolation, and mixed multiplicities."""
 
+import itertools
+import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -10,6 +13,7 @@ from multimult.hilbert import (
     IdealFamily,
     MixedType,
     MultiDegree,
+    _fit_window,
     interpolate,
     hf_F,
     hf_P,
@@ -157,6 +161,51 @@ class TestInterpolation:
             diff = tbl_f.difference(MixedType(1, (0,) * fam.d))
             sliced = tbl_p.values[tuple(slice(0, s) for s in diff.values.shape)]
             assert (diff.values == sliced).all()
+
+
+class TestIntegerFit:
+    """The forward-difference fit against polynomials built on the binomial
+    basis, where the answer is known by construction."""
+
+    @staticmethod
+    def _cases():
+        rng = random.Random(20210309)
+        for _ in range(200):
+            num_axes, degree, base = rng.randint(1, 3), rng.randint(0, 4), rng.randint(1, 12)
+            indices = [
+                idx
+                for idx in itertools.product(range(degree + 1), repeat=num_axes)
+                if sum(idx) <= degree
+            ]
+            coeffs = {idx: rng.randint(-6, 6) for idx in indices}
+            yield rng, num_axes, degree, base, coeffs
+
+    @staticmethod
+    def _evaluate(coeffs, pt):
+        total = 0
+        for idx, c in coeffs.items():
+            for v, k in zip(pt, idx):
+                c *= comb(v + k, k)
+            total += c
+        return total
+
+    def test_recovers_coefficients(self):
+        for _, num_axes, degree, base, coeffs in self._cases():
+            fit = _fit_window(lambda pt: self._evaluate(coeffs, pt), num_axes, degree, base)
+            assert fit.base == base
+            assert fit.poly.coeffs == {idx: c for idx, c in coeffs.items() if c}
+
+    def test_bumped_box_value_rejects_window(self):
+        for rng, num_axes, degree, base, coeffs in self._cases():
+            bumped = tuple(rng.randrange(base, base + degree + 2) for _ in range(num_axes))
+            delta = rng.choice((-1, 1))
+
+            def value(pt):
+                return self._evaluate(coeffs, pt) + (delta if pt == bumped else 0)
+
+            fit = _fit_window(value, num_axes, degree, base)
+            assert fit.base > base
+            assert fit.poly.coeffs == {idx: c for idx, c in coeffs.items() if c}
 
 
 class TestMixedMultiplicity:

@@ -184,8 +184,9 @@ def main(argv=None) -> int:
     runp.add_argument("--json", dest="json_out", metavar="OUT")
     try:
         args = parser.parse_args(argv)
-    except SystemExit:
-        return 2
+    except SystemExit as exc:
+        # argparse exits 0 after --help and 2 on a usage error.
+        return exc.code
     if args.subcommand != "run":
         parser.print_usage(sys.stderr)
         return 2

@@ -143,8 +143,6 @@ def parse_instance(text: str, name: str = "<instance>") -> InstanceFile:
     ctx = RingContext(len(variables))
 
     relations = _parse_ideal(raw.get("module_relations", []), variables, ctx, "module_relations")
-    if not relations.gens:
-        relations = MonomialIdeal.zero(ctx)
     module = QuotientModule(ctx, relations)
 
     if "J" not in raw:

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .hilbert import (
+    HilbertTable,
     IdealFamily,
     MixedType,
     MultiDegree,
@@ -252,7 +253,10 @@ def euler_char_via_difference(datum: ReesDatum) -> EulerValue:
         )
     value = dp.coefficient(origin)
     extent = max(mt.as_tuple()) + 2
-    table = table_on_window(fam, "P", fit.base, max(extent, 2))
+    if extent <= fit.extent:
+        table = HilbertTable(fit.table.base, fit.table.values[(slice(extent),) * num_axes])
+    else:
+        table = table_on_window(fam, "P", fit.base, extent)
     diffed = table.difference(mt)
     if not diffed.is_constant() or (diffed.values.size and diffed.values.flat[0] != value):
         raise NonConstantDifferenceError("difference table disagrees with the fit")

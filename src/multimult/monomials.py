@@ -9,6 +9,15 @@ All values are immutable; all operations are pure functions of their inputs.
 Monomials are ordered globally by graded lexicographic order (total degree
 first, then lexicographic on the exponent vector), so every generator list
 and every enumeration below is deterministic.
+
+A :class:`MonomialIdeal` keeps its minimal generators as one read-only
+(n, m) int64 matrix in grlex order, with the vector of their total degrees.
+The arithmetic works on these matrices directly: every result goes through
+one minimalizer, ``_minimal_rows``, and membership of many monomials at once
+is one broadcast comparison, ``_members_mask``.  The ideal's hash is computed
+once from the matrix bytes, so the lru caches below look ideals up in
+constant time.  ``gens``, the generators as exponent tuples, is a view made
+on first use.
 """
 
 from __future__ import annotations
@@ -108,64 +117,94 @@ class Monomial:
         return "*".join(parts)
 
 
-def _minimal_rows(rows: list[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
-    """Drop every exponent vector divisible by another one in the list.
+def _grlex_unique(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of an (n, m) int64 exponent matrix in grlex order,
+    and their total degrees: one lexsort on (degree, exponents), then
+    adjacent duplicates are dropped."""
+    degs = rows.sum(axis=1)
+    order = np.lexsort(np.vstack((rows[:, ::-1].T, degs)))
+    rows = rows[order]
+    degs = degs[order]
+    fresh = np.ones(len(rows), dtype=bool)
+    fresh[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows[fresh], degs[fresh]
 
-    Rows of equal total degree cannot properly divide each other, so only
-    strictly-lower-degree kept rows need to be consulted for each degree block.
+
+def _minimal_rows(rows: np.ndarray) -> np.ndarray:
+    """The minimal rows of an (n, m) int64 exponent matrix, in grlex order.
+
+    Rows of equal total degree cannot properly divide each other, so each
+    degree block is tested only against the kept rows of strictly lower
+    degree.
     """
-    unique = sorted(set(rows), key=_grlex_key)
-    if not unique:
-        return ()
-    arr = np.asarray(unique, dtype=np.int64)
-    degs = arr.sum(axis=1)
-    kept_blocks: list[np.ndarray] = []
-    kept: np.ndarray | None = None
-    start = 0
-    while start < len(arr):
-        end = start
-        while end < len(arr) and degs[end] == degs[start]:
-            end += 1
-        block = arr[start:end]
-        if kept is not None and len(kept):
-            dominated = (kept[None, :, :] <= block[:, None, :]).all(axis=2).any(axis=1)
-            block = block[~dominated]
-        if len(block):
-            kept_blocks.append(block)
-            kept = np.concatenate(kept_blocks)
-        start = end
-    assert kept is not None
-    return tuple(tuple(int(x) for x in row) for row in kept)
+    rows, degs = _grlex_unique(rows)
+    starts = np.flatnonzero(np.diff(degs)) + 1
+    keep = np.ones(len(rows), dtype=bool)
+    for start, end in zip(starts, [*starts[1:], len(rows)]):
+        below = rows[:start][keep[:start]]
+        block = rows[start:end]
+        keep[start:end] = ~(below[None, :, :] <= block[:, None, :]).all(axis=2).any(axis=1)
+    return rows[keep]
 
 
-@dataclass(frozen=True)
 class MonomialIdeal:
     """A finitely generated monomial ideal, stored by its minimal generators.
 
-    The zero ideal has no generators; the unit ideal has the single generator 1.
-    Construct through :func:`ideal` so the generator set is always minimalized.
+    ``matrix`` is the read-only (n, m) int64 matrix of minimal generators in
+    grlex order and ``degrees`` their total degrees.  The zero ideal has no
+    generators; the unit ideal has the single generator 1.  The constructor
+    trusts its matrix to be minimal and grlex-sorted, and makes it read-only:
+    build ideals through :func:`ideal` or the arithmetic below.
     """
 
-    ctx: RingContext
-    gens: tuple[tuple[int, ...], ...]
+    __slots__ = ("ctx", "matrix", "degrees", "_key", "_hash", "_gens")
+
+    def __init__(self, ctx: RingContext, matrix: np.ndarray):
+        matrix.flags.writeable = False
+        degrees = matrix.sum(axis=1)
+        degrees.flags.writeable = False
+        self.ctx = ctx
+        self.matrix = matrix
+        self.degrees = degrees
+        self._key = (ctx.num_vars, matrix.tobytes())
+        self._hash = hash(self._key)
+        self._gens = None
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MonomialIdeal):
+            return NotImplemented
+        return self._key == other._key
+
+    def __repr__(self) -> str:
+        return f"MonomialIdeal({self.ctx!r}, {self.gens!r})"
+
+    @property
+    def gens(self) -> tuple[tuple[int, ...], ...]:
+        """The generators as exponent tuples, in grlex order."""
+        if self._gens is None:
+            self._gens = tuple(map(tuple, self.matrix.tolist()))
+        return self._gens
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero(ctx: RingContext) -> MonomialIdeal:
-        return MonomialIdeal(ctx, ())
+        return MonomialIdeal(ctx, np.zeros((0, ctx.num_vars), dtype=np.int64))
 
     @staticmethod
     def unit(ctx: RingContext) -> MonomialIdeal:
-        return MonomialIdeal(ctx, ((0,) * ctx.num_vars,))
+        return MonomialIdeal(ctx, np.zeros((1, ctx.num_vars), dtype=np.int64))
 
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.gens
+        return len(self.matrix) == 0
 
     def is_unit(self) -> bool:
-        return bool(self.gens) and sum(self.gens[0]) == 0
+        return len(self.matrix) > 0 and int(self.degrees[0]) == 0
 
     def is_proper(self) -> bool:
         return not self.is_unit()
@@ -174,20 +213,25 @@ class MonomialIdeal:
         return tuple(Monomial(g) for g in self.gens)
 
     def max_generator_degree(self) -> int:
-        return max((sum(g) for g in self.gens), default=0)
+        return int(self.degrees[-1]) if len(self.degrees) else 0
 
     def contains(self, mono: Monomial) -> bool:
         if len(mono.exponents) != self.ctx.num_vars:
             raise ContextMismatchError("monomial has wrong variable count")
-        if not self.gens:
-            return False
-        arr = _gens_array(self)
         target = np.asarray(mono.exponents, dtype=np.int64)
-        return bool((arr <= target).all(axis=1).any())
+        return bool((self.matrix <= target).all(axis=1).any())
+
+    def first_outside(self, other: MonomialIdeal) -> Monomial | None:
+        """The first generator of `other`, in grlex order, that lies outside
+        this ideal, or None when `other` is contained in it."""
+        _check_ctx(self, other)
+        outside = np.flatnonzero(~_members_mask(self, other.matrix))
+        if not len(outside):
+            return None
+        return Monomial(tuple(other.matrix[outside[0]].tolist()))
 
     def contains_ideal(self, other: MonomialIdeal) -> bool:
-        _check_ctx(self, other)
-        return all(self.contains(Monomial(g)) for g in other.gens)
+        return self.first_outside(other) is None
 
     def __le__(self, other: MonomialIdeal) -> bool:
         return other.contains_ideal(self)
@@ -197,17 +241,15 @@ class MonomialIdeal:
         if some variable has no pure power here (ideal not primary to the
         maximal ideal)."""
         m = self.ctx.num_vars
-        bounds = [None] * m
-        for g in self.gens:
-            supp = [i for i, e in enumerate(g) if e > 0]
-            if len(supp) == 0:
-                return (0,) * m
-            if len(supp) == 1:
-                i = supp[0]
-                if bounds[i] is None or g[i] < bounds[i]:
-                    bounds[i] = g[i]
-        if any(b is None for b in bounds):
+        if self.is_unit():
+            return (0,) * m
+        # A minimal generating set holds at most one pure power per variable.
+        pure = self.matrix[np.count_nonzero(self.matrix, axis=1) == 1]
+        if len(pure) < m:
             return None
+        bounds = [0] * m
+        for var, exp in zip(pure.argmax(axis=1).tolist(), pure.max(axis=1).tolist()):
+            bounds[var] = exp
         return tuple(bounds)
 
     def is_primary_to_max_ideal(self) -> bool:
@@ -254,7 +296,8 @@ def ideal(ctx: RingContext, monomials) -> MonomialIdeal:
         if any(e < 0 for e in exps):
             raise ValueError(f"negative exponent in {exps}")
         rows.append(exps)
-    return MonomialIdeal(ctx, _minimal_rows(rows))
+    matrix = np.array(rows, dtype=np.int64).reshape(len(rows), ctx.num_vars)
+    return MonomialIdeal(ctx, _minimal_rows(matrix))
 
 
 def _check_ctx(a: MonomialIdeal, b: MonomialIdeal) -> None:
@@ -262,40 +305,51 @@ def _check_ctx(a: MonomialIdeal, b: MonomialIdeal) -> None:
         raise ContextMismatchError("ideals live in different rings")
 
 
-@lru_cache(maxsize=None)
-def _gens_array(a: MonomialIdeal) -> np.ndarray:
-    """Generator matrix sorted by total degree (rows already grlex-sorted)."""
-    return np.asarray(a.gens, dtype=np.int64).reshape(len(a.gens), a.ctx.num_vars)
+def _rows_in(points: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Boolean mask: which rows of `points` equal a row of `rows`, whose
+    rows are distinct.
 
-
-@lru_cache(maxsize=None)
-def _gens_degrees(a: MonomialIdeal) -> np.ndarray:
-    return _gens_array(a).sum(axis=1)
+    One stable sort of both matrices together puts each row of `rows` first
+    in its run of equal rows, so a point matches when its run starts with
+    a row of `rows`.
+    """
+    both = np.concatenate((rows, points))
+    order = np.lexsort(both.T)
+    srt = both[order]
+    starts = np.ones(len(both), dtype=bool)
+    starts[1:] = (srt[1:] != srt[:-1]).any(axis=1)
+    matched = (order[starts] < len(rows))[np.cumsum(starts) - 1]
+    is_point = order >= len(rows)
+    mask = np.zeros(len(points), dtype=bool)
+    mask[order[is_point] - len(rows)] = matched[is_point]
+    return mask
 
 
 def _members_mask(a: MonomialIdeal, points: np.ndarray) -> np.ndarray:
     """Boolean mask: which rows of `points` lie in the ideal `a`.
 
-    Prunes by total degree: a generator can only divide points of at least
-    its own degree.
+    A generator divides a point of its own total degree only when the two
+    are equal, so points equal to a generator are found by one sort, and
+    the divisibility test for the rest consults, per chunk of points in
+    degree order, only the generators of lower degree.
     """
     n = len(points)
     if a.is_zero() or n == 0:
         return np.zeros(n, dtype=bool)
-    gens = _gens_array(a)
-    gdeg = _gens_degrees(a)
-    pdeg = points.sum(axis=1)
-    mask = np.zeros(n, dtype=bool)
-    order = np.argsort(pdeg, kind="stable")
+    mask = _rows_in(points, a.matrix)
+    rest = np.flatnonzero(~mask)
+    pdeg = points[rest].sum(axis=1)
+    by_degree = np.argsort(pdeg, kind="stable")
+    rest = rest[by_degree]
+    pdeg = pdeg[by_degree]
     chunk = 1024
-    for s in range(0, n, chunk):
-        idx = order[s : s + chunk]
-        pts = points[idx]
-        hi = int(np.searchsorted(gdeg, pts.sum(axis=1).max(), side="right"))
+    for s in range(0, len(rest), chunk):
+        idx = rest[s : s + chunk]
+        hi = int(np.searchsorted(a.degrees, pdeg[s : s + chunk][-1], side="left"))
         if hi == 0:
             continue
-        sub = gens[:hi]
-        mask[idx] = (sub[None, :, :] <= pts[:, None, :]).all(axis=2).any(axis=1)
+        sub = a.matrix[:hi]
+        mask[idx] = (sub[None, :, :] <= points[idx][:, None, :]).all(axis=2).any(axis=1)
     return mask
 
 
@@ -305,24 +359,19 @@ def _members_mask(a: MonomialIdeal, points: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=None)
 def ideal_sum(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
     _check_ctx(a, b)
-    return MonomialIdeal(a.ctx, _minimal_rows(list(a.gens) + list(b.gens)))
+    return MonomialIdeal(a.ctx, _minimal_rows(np.concatenate((a.matrix, b.matrix))))
 
 
 @lru_cache(maxsize=None)
 def _ideal_product_cached(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
-    if a.is_zero() or b.is_zero():
-        return MonomialIdeal.zero(a.ctx)
-    ga = _gens_array(a)
-    gb = _gens_array(b)
-    prods = (ga[:, None, :] + gb[None, :, :]).reshape(-1, a.ctx.num_vars)
-    rows = [tuple(int(x) for x in row) for row in prods]
-    return MonomialIdeal(a.ctx, _minimal_rows(rows))
+    prods = a.matrix[:, None, :] + b.matrix[None, :, :]
+    return MonomialIdeal(a.ctx, _minimal_rows(prods.reshape(-1, a.ctx.num_vars)))
 
 
 def ideal_product(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
     """The product ideal a*b, minimalized."""
     _check_ctx(a, b)
-    if len(b.gens) > len(a.gens):
+    if len(b.matrix) > len(a.matrix):
         a, b = b, a
     return _ideal_product_cached(a, b)
 
@@ -344,25 +393,16 @@ def colon_by_monomial(q: MonomialIdeal, u: Monomial) -> MonomialIdeal:
     """The colon ideal q : u = { v : u*v in q }."""
     if len(u.exponents) != q.ctx.num_vars:
         raise ContextMismatchError("monomial has wrong variable count")
-    if q.is_zero():
-        return q
-    ua = np.asarray(u.exponents, dtype=np.int64)
-    shifted = np.maximum(_gens_array(q) - ua, 0)
-    rows = [tuple(int(x) for x in row) for row in shifted]
-    return MonomialIdeal(q.ctx, _minimal_rows(rows))
+    shifted = np.maximum(q.matrix - np.asarray(u.exponents, dtype=np.int64), 0)
+    return MonomialIdeal(q.ctx, _minimal_rows(shifted))
 
 
 @lru_cache(maxsize=None)
 def ideal_intersection(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
     """Intersection, generated by pairwise lcms of generators."""
     _check_ctx(a, b)
-    if a.is_zero() or b.is_zero():
-        return MonomialIdeal.zero(a.ctx)
-    ga = _gens_array(a)
-    gb = _gens_array(b)
-    lcms = np.maximum(ga[:, None, :], gb[None, :, :]).reshape(-1, a.ctx.num_vars)
-    rows = [tuple(int(x) for x in row) for row in lcms]
-    return MonomialIdeal(a.ctx, _minimal_rows(rows))
+    lcms = np.maximum(a.matrix[:, None, :], b.matrix[None, :, :])
+    return MonomialIdeal(a.ctx, _minimal_rows(lcms.reshape(-1, a.ctx.num_vars)))
 
 
 def colon_by_ideal(q: MonomialIdeal, i: MonomialIdeal) -> MonomialIdeal:
@@ -392,13 +432,13 @@ def saturation(q: MonomialIdeal, i: MonomialIdeal) -> MonomialIdeal:
 # -- length counting -------------------------------------------------------
 
 
-def _colon_pure_bounds(bot: MonomialIdeal, g: tuple[int, ...]) -> list[int | None]:
+def _colon_pure_bounds(bot: MonomialIdeal, g: np.ndarray) -> list[int | None]:
     """Per-variable least pure-power exponent of (bot : x^g), without
     materializing the colon.  None marks a variable with no pure power."""
     m = bot.ctx.num_vars
     if bot.is_zero():
         return [None] * m
-    gens = _gens_array(bot)
+    gens = bot.matrix
     garr = np.asarray(g, dtype=np.int64)
     bounds: list[int | None] = []
     for j in range(m):
@@ -413,21 +453,27 @@ def _colon_pure_bounds(bot: MonomialIdeal, g: tuple[int, ...]) -> list[int | Non
     return bounds
 
 
+def _box(bounds) -> np.ndarray:
+    """All exponent vectors v with 0 <= v < bounds, one per row."""
+    return np.indices(bounds, dtype=np.int64).reshape(len(bounds), -1).T
+
+
+def _standard_rows(w: MonomialIdeal) -> np.ndarray:
+    """The monomials outside `w`, one per row, for `w` containing a power of
+    every variable."""
+    bounds = w.pure_power_bounds()
+    if bounds is None:
+        raise ValueError("ideal is not primary to the maximal ideal")
+    pts = _box(bounds)
+    return pts[~_members_mask(w, pts)]
+
+
 def standard_monomials(w: MonomialIdeal) -> list[tuple[int, ...]]:
     """All monomials outside `w`, for `w` containing a power of every variable.
 
     Enumerated in the global graded lexicographic order.
     """
-    bounds = w.pure_power_bounds()
-    if bounds is None:
-        raise ValueError("ideal is not primary to the maximal ideal")
-    box = list(itertools.product(*(range(b) for b in bounds)))
-    if not box:
-        return []
-    pts = np.asarray(box, dtype=np.int64)
-    inside = _members_mask(w, pts)
-    out = [tuple(int(x) for x in row) for row in pts[~inside]]
-    return sorted(out, key=_grlex_key)
+    return sorted(map(tuple, _standard_rows(w).tolist()), key=_grlex_key)
 
 
 def _count_difference(top: MonomialIdeal, bot: MonomialIdeal,
@@ -443,32 +489,25 @@ def _count_difference(top: MonomialIdeal, bot: MonomialIdeal,
     with colon_floor * top contained in bot; its standard monomials then bound
     every bot : g and the per-generator colon analysis is skipped.
     """
-    if top.is_zero():
+    if top.is_zero() or bot.is_unit():
         return 0
-    if bot.is_unit():
-        return 0
-    m = top.ctx.num_vars
-    candidates: list[tuple[int, ...]] = []
     if colon_floor is not None:
-        std = standard_monomials(colon_floor)
-        garr = _gens_array(top)
-        sarr = np.asarray(std, dtype=np.int64).reshape(len(std), m)
-        cands = (garr[:, None, :] + sarr[None, :, :]).reshape(-1, m)
-        candidates = [tuple(int(x) for x in row) for row in cands]
+        std = _standard_rows(colon_floor)
+        cands = (top.matrix[:, None, :] + std[None, :, :]).reshape(-1, top.ctx.num_vars)
     else:
-        for g in top.gens:
+        blocks = []
+        for g in top.matrix:
             bounds = _colon_pure_bounds(bot, g)
             if all(b == 0 for b in bounds):
                 continue  # g already lies in bot
             if any(b is None for b in bounds):
                 return INFINITE
-            for v in itertools.product(*(range(b) for b in bounds)):
-                candidates.append(tuple(a + b for a, b in zip(g, v)))
-    if not candidates:
-        return 0
-    pts = np.asarray(sorted(set(candidates)), dtype=np.int64)
-    inside = _members_mask(bot, pts)
-    return int((~inside).sum())
+            blocks.append(_box(bounds) + g)
+        if not blocks:
+            return 0
+        cands = np.concatenate(blocks)
+    pts, _ = _grlex_unique(cands)
+    return int(np.count_nonzero(~_members_mask(bot, pts)))
 
 
 def graded_quotient_length(top: MonomialIdeal, bottom: MonomialIdeal,

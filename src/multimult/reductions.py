@@ -136,10 +136,9 @@ def _rhs_pure(fam: IdealFamily, cand: JointReductionCandidate, n: tuple[int, ...
 def _check_window(lhs_of, rhs_of, degrees, base, extent) -> ContainmentCertificate:
     for deg in degrees:
         lhs = lhs_of(deg)
-        rhs = rhs_of(deg)
-        for g in lhs.gens:
-            if not rhs.contains(Monomial(g)):
-                return ContainmentCertificate(False, base, extent, (deg, Monomial(g)))
+        witness = rhs_of(deg).first_outside(lhs)
+        if witness is not None:
+            return ContainmentCertificate(False, base, extent, (deg, witness))
     return ContainmentCertificate(True, base, extent)
 
 
@@ -189,9 +188,9 @@ def is_reduction(i: MonomialIdeal, gens, module: QuotientModule) -> ContainmentC
     for n in range(base, base + extent):
         lhs = ideal_sum(ideal_product(ideal_power(i, n + 1), t), q)
         rhs = ideal_sum(ideal_product(sub, ideal_product(ideal_power(i, n), t)), q)
-        for g in lhs.gens:
-            if not rhs.contains(Monomial(g)):
-                return ContainmentCertificate(False, base, extent, ((n,), Monomial(g)))
+        witness = rhs.first_outside(lhs)
+        if witness is not None:
+            return ContainmentCertificate(False, base, extent, ((n,), witness))
     return ContainmentCertificate(True, base, extent)
 
 
@@ -218,9 +217,9 @@ def is_rees_superficial(fam: IdealFamily, u: Monomial, i: int) -> ContainmentCer
             ideal_sum(ideal_product(blob, fam.ideals[i]), q),
         )
         rhs = ideal_sum(ideal_product(pu, blob), q)
-        for g in lhs.gens:
-            if not rhs.contains(Monomial(g)):
-                return ContainmentCertificate(False, base, extent, (n, Monomial(g)))
+        witness = rhs.first_outside(lhs)
+        if witness is not None:
+            return ContainmentCertificate(False, base, extent, (n, witness))
     return ContainmentCertificate(True, base, extent)
 
 

@@ -186,7 +186,7 @@ class TestCliEntry:
         assert report == report2
 
     def test_help_matches_readme_synopsis(self, capsys):
-        main(["run", "--help"])
+        assert main(["run", "--help"]) == 0
         usage = capsys.readouterr().out.split("\n\n")[0]
         readme = (ROOT / "README.md").read_text()
         synopsis = re.search(r"```sh\n(multimult run .*?)```", readme, re.S).group(1)
@@ -194,3 +194,12 @@ class TestCliEntry:
             re.findall(r"--[\w-]+", synopsis)
         )
         assert "file" in usage and "<file>" in synopsis
+
+    def test_sample_report_is_pinned(self, tmp_path, capsys):
+        out_path = tmp_path / "report.json"
+        code = main(["run", str(SAMPLE), "--json", str(out_path)])
+        report = json.loads(out_path.read_text())
+        assert code == 0
+        report.pop("timing_seconds")
+        pinned = json.loads((ROOT / "tests" / "data" / "dim4_report.json").read_text())
+        assert report == pinned

@@ -1,9 +1,20 @@
 """Unit tests for Koszul strand homology and Euler characteristics."""
 
+from pathlib import Path
+
 import pytest
 import sympy
 
-from multimult.hilbert import IdealFamily, MixedType, MultiDegree, initial_offset
+from multimult import koszul
+from multimult.hilbert import (
+    IdealFamily,
+    MixedType,
+    MultiDegree,
+    initial_offset,
+    interpolate,
+    table_on_window,
+)
+from multimult.instances import parse_instance
 from multimult.koszul import (
     EulerValue,
     ReesDatum,
@@ -28,6 +39,7 @@ from multimult.reductions import J_SOURCE, JointReductionCandidate
 
 C1 = RingContext(1)
 C2 = RingContext(2)
+SAMPLE = Path(__file__).resolve().parent.parent / "docs" / "instances" / "dim4_joint_reduction.json"
 
 
 def datum_1var():
@@ -170,6 +182,25 @@ class TestEulerDifference:
             diff = euler_char_via_difference(d)
             assert direct.certified
             assert direct.value == diff.value
+
+    def test_reuses_the_fitted_table(self, monkeypatch):
+        inst = parse_instance(SAMPLE.read_text())
+        sample = ReesDatum(inst.family, inst.candidates["x"])
+        data = (sample, datum_2var())
+        values = [euler_char_via_difference(d).value for d in data]
+        for d in data:
+            fit = interpolate(d.fam, "P")
+            extent = max(d.mixed_type.as_tuple()) + 2
+            assert extent <= fit.extent
+            window = table_on_window(d.fam, "P", fit.base, extent)
+            sliced = fit.table.values[(slice(extent),) * (d.fam.d + 1)]
+            assert sliced.tolist() == window.values.tolist()
+
+        def unexpected(*args):
+            raise AssertionError("the fitted table covers this window")
+
+        monkeypatch.setattr(koszul, "table_on_window", unexpected)
+        assert [euler_char_via_difference(d).value for d in data] == values
 
 
 class TestChiVerification:

@@ -1,0 +1,175 @@
+"""The matrix-backed ideal arithmetic against a pure-Python oracle.
+
+The oracle works on raw generator lists: it drops every row divisible by a
+different row, removes duplicates, and sorts in grlex order.  Every
+operation is checked on unminimalized inputs, so duplicate rows, the zero
+ideal (no rows), the unit ideal (a zero row), one variable and rows of equal
+degree all reach the minimalizer.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from multimult.monomials import (
+    ContextMismatchError,
+    Monomial,
+    MonomialIdeal,
+    RingContext,
+    _members_mask,
+    colon_by_monomial,
+    ideal,
+    ideal_intersection,
+    ideal_power,
+    ideal_product,
+    ideal_sum,
+)
+
+CONTEXTS = {m: RingContext(m) for m in (1, 2, 3, 4)}
+CASES = settings(max_examples=300, deadline=None)
+
+
+def divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def oracle(rows):
+    rows = set(map(tuple, rows))
+    minimal = [r for r in rows if not any(s != r and divides(s, r) for s in rows)]
+    return tuple(sorted(minimal, key=lambda r: (sum(r), r)))
+
+
+def oracle_product(xs, ys):
+    return [tuple(a + b for a, b in zip(x, y)) for x in xs for y in ys]
+
+
+@st.composite
+def row_lists(draw, m, max_rows=6):
+    """Rows with small exponents, often of one shared degree, with repeats."""
+    if draw(st.booleans()):
+        rows = draw(st.lists(st.tuples(*(st.integers(0, 3) for _ in range(m))), max_size=max_rows))
+    else:
+        degree = draw(st.integers(0, 3))
+        rows = draw(
+            st.lists(
+                st.lists(st.integers(0, m - 1), min_size=degree, max_size=degree).map(
+                    lambda vs: tuple(vs.count(i) for i in range(m))
+                ),
+                max_size=max_rows,
+            )
+        )
+    return rows + draw(st.lists(st.sampled_from(rows), max_size=2)) if rows else rows
+
+
+@st.composite
+def operands(draw):
+    m = draw(st.integers(1, 4))
+    return m, draw(row_lists(m)), draw(row_lists(m))
+
+
+class TestAgainstOracle:
+    @CASES
+    @given(operands())
+    def test_ideal(self, case):
+        m, xs, _ = case
+        got = ideal(CONTEXTS[m], xs)
+        assert got.gens == oracle(xs)
+        assert got.matrix.tolist() == [list(g) for g in got.gens]
+        assert got.degrees.tolist() == [sum(g) for g in got.gens]
+
+    @CASES
+    @given(operands())
+    def test_sum(self, case):
+        m, xs, ys = case
+        ctx = CONTEXTS[m]
+        assert ideal_sum(ideal(ctx, xs), ideal(ctx, ys)).gens == oracle(xs + ys)
+
+    @CASES
+    @given(operands())
+    def test_product(self, case):
+        m, xs, ys = case
+        ctx = CONTEXTS[m]
+        got = ideal_product(ideal(ctx, xs), ideal(ctx, ys))
+        assert got.gens == oracle(oracle_product(xs, ys))
+
+    @CASES
+    @given(operands(), st.integers(0, 3))
+    def test_power(self, case, n):
+        m, xs, _ = case
+        expected = [(0,) * m]
+        for _ in range(n):
+            expected = oracle(oracle_product(expected, xs))
+        assert ideal_power(ideal(CONTEXTS[m], xs), n).gens == oracle(expected)
+
+    @CASES
+    @given(operands())
+    def test_intersection(self, case):
+        m, xs, ys = case
+        ctx = CONTEXTS[m]
+        lcms = [tuple(map(max, x, y)) for x in xs for y in ys]
+        assert ideal_intersection(ideal(ctx, xs), ideal(ctx, ys)).gens == oracle(lcms)
+
+    @CASES
+    @given(operands(), st.data())
+    def test_colon_by_monomial(self, case, data):
+        m, xs, _ = case
+        u = data.draw(st.tuples(*(st.integers(0, 3) for _ in range(m))))
+        got = colon_by_monomial(ideal(CONTEXTS[m], xs), Monomial(u))
+        assert got.gens == oracle([tuple(max(a - b, 0) for a, b in zip(x, u)) for x in xs])
+
+    @CASES
+    @given(operands())
+    def test_first_outside_is_the_first_failing_generator(self, case):
+        m, xs, ys = case
+        ctx = CONTEXTS[m]
+        big, small = ideal(ctx, xs), ideal(ctx, ys)
+        loop = next(
+            (Monomial(g) for g in small.gens if not any(divides(x, g) for x in big.gens)),
+            None,
+        )
+        assert big.first_outside(small) == loop
+        assert big.contains_ideal(small) == (loop is None)
+        assert all(big.contains(Monomial(g)) == any(divides(x, g) for x in big.gens)
+                   for g in small.gens)
+
+    @CASES
+    @given(operands())
+    def test_members_mask(self, case):
+        # The points repeat rows and may equal generators of the ideal.
+        m, xs, ys = case
+        i = ideal(CONTEXTS[m], xs)
+        points = ys + xs[:2] + ys[:2]
+        mask = _members_mask(i, np.array(points, dtype=np.int64).reshape(len(points), m))
+        assert mask.tolist() == [any(divides(g, p) for g in i.gens) for p in points]
+
+
+class TestIdentity:
+    def test_permuted_and_duplicated_generators(self):
+        ctx = CONTEXTS[3]
+        rows = [(2, 0, 0), (0, 1, 1), (1, 1, 0), (0, 0, 3)]
+        a = ideal(ctx, rows)
+        b = ideal(ctx, rows[::-1] + rows[:2] + [(3, 0, 0)])
+        assert a == b
+        assert hash(a) == hash(b)
+        assert {a: 1}[b] == 1
+
+    def test_rings_of_different_sizes_differ(self):
+        # Equal matrix bytes: two generators in two variables, one in four.
+        a = ideal(CONTEXTS[2], [(1, 0), (0, 1)])
+        b = ideal(CONTEXTS[4], [(0, 1, 1, 0)])
+        assert a.matrix.tobytes() == b.matrix.tobytes()
+        assert a != b
+        assert MonomialIdeal.zero(CONTEXTS[2]) != MonomialIdeal.zero(CONTEXTS[3])
+        assert MonomialIdeal.unit(CONTEXTS[1]) != MonomialIdeal.unit(CONTEXTS[2])
+
+    def test_stored_arrays_are_read_only(self):
+        i = ideal(CONTEXTS[2], [(2, 0), (0, 1)])
+        with pytest.raises(ValueError):
+            i.matrix[0, 0] = 7
+        with pytest.raises(ValueError):
+            i.degrees[0] = 7
+        assert i.gens == ((0, 1), (2, 0))
+
+    def test_first_outside_checks_the_ring(self):
+        with pytest.raises(ContextMismatchError):
+            MonomialIdeal.unit(CONTEXTS[2]).first_outside(MonomialIdeal.unit(CONTEXTS[3]))

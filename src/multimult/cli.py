@@ -3,8 +3,13 @@
 Usage:
     multimult run <file> [--json out.json]
 
-Requests run serially, in file order.  Exit codes: 0 when no verified claim
-produced a MISMATCH verdict, 1 when any did, and 2 on usage or parse errors.
+Requests run serially, in file order.  A request that raises inside the
+engine is recorded as {"request": ..., "failure": {"type", "message"}}, its
+traceback goes to stderr, and the run goes on with the next request.
+
+Exit codes: 0 when every request ran and no verified claim produced a
+MISMATCH verdict, 1 when any did, 2 on usage or parse errors, and 3 when a
+request failed and no MISMATCH was found.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ import argparse
 import json
 import sys
 import time
+import traceback
 
 from .hilbert import MixedType, MultiDegree, interpolate, mixed_multiplicity
 from .instances import InstanceFile, InstanceParseError, parse_instance
@@ -165,7 +171,16 @@ def _count_mismatches(payload) -> int:
 def run_instance(inst: InstanceFile) -> dict:
     """Run every request, in order, and assemble the report document."""
     started = time.monotonic()
-    results = [run_request(inst, req) for req in inst.requests]
+    results = []
+    for req in inst.requests:
+        try:
+            results.append(run_request(inst, req))
+        except InstanceParseError:
+            raise
+        except Exception as exc:
+            traceback.print_exc(file=sys.stderr)
+            failure = {"type": type(exc).__name__, "message": str(exc)}
+            results.append({"request": req, "failure": failure})
     doc = {
         "schema_version": SCHEMA_VERSION,
         "instance": inst.raw,
@@ -207,7 +222,9 @@ def main(argv=None) -> int:
         with open(args.json_out, "w") as fh:
             fh.write(rendered + "\n")
     print(rendered)
-    return 1 if doc["mismatch_count"] else 0
+    if doc["mismatch_count"]:
+        return 1
+    return 3 if any("failure" in r for r in doc["results"]) else 0
 
 
 if __name__ == "__main__":

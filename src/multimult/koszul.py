@@ -8,6 +8,14 @@ its own exponent vector.  Fixing a multidegree and an internal degree cuts the
 Koszul complex down to a strand of finite-dimensional rational vector spaces
 whose homology is computed by exact rank.
 
+Each piece of a strand is spanned by at most one monomial, so a strand is
+determined by its support pattern: which exterior subsets have a nonzero
+piece.  The strands of a whole internal-degree band are built at once: one
+membership mask per piece ideal (and one for the relations) over the band,
+shifted into one column per exterior subset.  Homology is then computed once
+per distinct pattern, by fraction-free integer (Bareiss) rank, and scattered
+back to the internal degrees that share it.
+
 The Euler characteristic itself is defined operationally as the constant value
 of the (k0, k)-difference of the Hilbert polynomial P (the DIFFERENCE method);
 the strand computation (the DIRECT method) is an independent verification
@@ -21,6 +29,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .hilbert import (
     HilbertTable,
     IdealFamily,
@@ -33,6 +43,8 @@ from .hilbert import (
 from .monomials import (
     Monomial,
     QuotientModule,
+    _box,
+    _members_mask,
     ideal_power,
     ideal_product,
     ideal_sum,
@@ -118,52 +130,82 @@ def rees_piece_basis(datum: ReesDatum, deg: MultiDegree, a: tuple[int, ...]):
 
 
 def _rank_exact(rows: list[list[int]]) -> int:
-    """Rank over the rationals by fraction-free Gaussian elimination."""
+    """Rank over the rationals by fraction-free (Bareiss) integer elimination.
+
+    After each pivot step every entry below the pivot rows is a minor of the
+    input, so the division by the previous pivot is exact and the entries
+    stay integers bounded by Hadamard's inequality.
+    """
     if not rows or not rows[0]:
         return 0
-    mat = [[Fraction(x) for x in row] for row in rows]
+    mat = [[int(x) for x in row] for row in rows]
     nrows, ncols = len(mat), len(mat[0])
     rank = 0
+    prev = 1
     for c in range(ncols):
-        pivot = next((i for i in range(rank, nrows) if mat[i][c] != 0), None)
+        pivot = next((i for i in range(rank, nrows) if mat[i][c]), None)
         if pivot is None:
             continue
         mat[rank], mat[pivot] = mat[pivot], mat[rank]
         pr = mat[rank]
+        p = pr[c]
         for i in range(rank + 1, nrows):
-            if mat[i][c] != 0:
-                f = mat[i][c] / pr[c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], pr)]
+            f = mat[i][c]
+            mat[i] = [(p * x - f * y) // prev for x, y in zip(mat[i], pr)]
+        prev = p
         rank += 1
         if rank == nrows:
             break
     return rank
 
 
-def _strand_complex(datum: ReesDatum, deg: MultiDegree, a: tuple[int, ...]):
-    """Chain bases (per exterior subset) and differential matrices."""
+def _support_patterns(datum: ReesDatum, deg: MultiDegree, bounds: tuple[int, ...]):
+    """The exterior subsets, and which of them have a nonzero piece at each
+    internal degree a of the box ``_box(bounds)``: a boolean
+    (len(box), 2^n) matrix whose rows follow the box's rows.
+
+    Subset S sits at (deg, a) minus the shifts of its elements.  Its piece is
+    the one of :func:`rees_piece_basis` there: x^(a - e_S) when the shifted
+    multidegree and exponent are non-negative and the monomial lies in
+    I^n' * T but not in B.  Since a - e_S stays in the box, one membership
+    mask per distinct n' (and one for B) over the box serves every subset:
+    the subset's column is that mask shifted by e_S.
+    """
     fam = datum.fam
     shifts = _koszul_shifts(datum.cand, fam.d)
-    n = len(shifts)
-    point = (deg.n0,) + deg.n
+    # Columns: every subset of the elements, by size and then lexicographically.
+    count = len(shifts)
+    subsets = [s for p in range(count + 1) for s in itertools.combinations(range(count), p)]
+    bide_shift = np.array([b for b, _ in shifts], dtype=np.int64).reshape(-1, fam.d + 1)
+    exp_shift = np.array([e for _, e in shifts], dtype=np.int64).reshape(-1, fam.ctx.num_vars)
+    point = np.array(deg.as_tuple(), dtype=np.int64)
+    box = _box(bounds)
+    outside = ~_members_mask(fam.module.relations, box).reshape(bounds)
+    in_piece = {}
+    present = np.zeros(bounds + (len(subsets),), dtype=bool)
+    for col, subset in enumerate(subsets):
+        bide = point - bide_shift[list(subset)].sum(axis=0)
+        e = exp_shift[list(subset)].sum(axis=0).tolist()
+        if (bide < 0).any() or any(ei >= b for ei, b in zip(e, bounds)):
+            continue
+        n = tuple(bide[1:].tolist())
+        if n not in in_piece:
+            piece = ideal_product(weighted_power(fam, MultiDegree(0, n)), fam.module.top)
+            in_piece[n] = _members_mask(piece, box).reshape(bounds) & outside
+        src = tuple(slice(b - ei) for ei, b in zip(e, bounds))
+        dst = tuple(slice(ei, None) for ei in e)
+        present[dst + (col,)] = in_piece[n][src]
+    return subsets, present.reshape(len(box), len(subsets))
 
-    def spot(subset):
-        bide = list(point)
-        exps = list(a)
-        for idx in subset:
-            b, e = shifts[idx]
-            bide = [x - y for x, y in zip(bide, b)]
-            exps = [x - y for x, y in zip(exps, e)]
-        return MultiDegree(bide[0], tuple(bide[1:])), tuple(exps)
 
-    chains = []
-    for p in range(n + 1):
-        basis = []
-        for subset in itertools.combinations(range(n), p):
-            sub_deg, sub_a = spot(subset)
-            if rees_piece_basis(datum, sub_deg, sub_a):
-                basis.append(subset)
-        chains.append(basis)
+def _pattern_complex(subsets, present):
+    """Chain bases (per exterior degree) and differential matrices of the
+    strand whose nonzero pieces are the subsets marked in `present`."""
+    n = len(subsets[-1])
+    chains = [[] for _ in range(n + 1)]
+    for subset, here in zip(subsets, present.tolist()):
+        if here:
+            chains[len(subset)].append(subset)
     boundaries = []
     for p in range(1, n + 1):
         src, dst = chains[p], chains[p - 1]
@@ -180,33 +222,57 @@ def _strand_complex(datum: ReesDatum, deg: MultiDegree, a: tuple[int, ...]):
     return chains, boundaries
 
 
-def koszul_strand_homology(datum: ReesDatum, deg: MultiDegree, a: tuple[int, ...]) -> dict[int, int]:
-    """Homology dimensions of one strand, by exact rank over the rationals."""
-    chains, boundaries = _strand_complex(datum, deg, a)
-    n = len(chains) - 1
+def _homology(chains, boundaries) -> dict[int, int]:
+    """Nonzero homology dimensions of a complex, by exact rank."""
     ranks = [0] + [_rank_exact(mat) for mat in boundaries] + [0]
     dims = {}
-    for p in range(n + 1):
+    for p in range(len(chains)):
         h = len(chains[p]) - ranks[p] - ranks[p + 1]
         if h:
             dims[p] = h
     return dims
 
 
+def _strand_complex(datum: ReesDatum, deg: MultiDegree, a: tuple[int, ...]):
+    """Chain bases (per exterior degree) and differential matrices of the
+    strand at internal degree a, the last point of the box [0, a]."""
+    subsets, present = _support_patterns(datum, deg, tuple(x + 1 for x in a))
+    return _pattern_complex(subsets, present[-1])
+
+
+def koszul_strand_homology(datum: ReesDatum, deg: MultiDegree, a: tuple[int, ...]) -> dict[int, int]:
+    """Homology dimensions of one strand, by exact rank over the rationals."""
+    return _homology(*_strand_complex(datum, deg, a))
+
+
 def strand_profile(datum: ReesDatum, deg: MultiDegree, band: int, buffer: int) -> StrandHomologyProfile:
     """All strand homology up to internal degree band+buffer per axis, with
-    the homology-free-buffer certificate."""
-    m = datum.fam.ctx.num_vars
-    dims = {}
+    the homology-free-buffer certificate.
+
+    Every piece has dimension 0 or 1, so a strand's homology depends only on
+    its support pattern; it is computed once per distinct pattern on the
+    grid and scattered back to the internal degrees that have it.
+    """
+    bounds = (band + buffer + 1,) * datum.fam.ctx.num_vars
+    subsets, present = _support_patterns(datum, deg, bounds)
+    # A pattern's key is its packed bit row, so any element count fits.
+    packed = np.packbits(present, axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).reshape(-1)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    grid = _box(bounds)
+    in_buffer = grid.max(axis=1) > band
+    dims = []
     certified = True
-    for a in itertools.product(range(band + buffer + 1), repeat=m):
-        h = koszul_strand_homology(datum, deg, a)
-        in_buffer = max(a) > band
-        for p, dim in h.items():
-            dims[(p, a)] = dim
-            if in_buffer and dim:
-                certified = False
-    return StrandHomologyProfile(deg, band, tuple(sorted(dims.items())), certified)
+    for u, row in enumerate(first):
+        h = _homology(*_pattern_complex(subsets, present[row]))
+        if not h:
+            continue
+        where = np.flatnonzero(inverse == u)
+        if in_buffer[where].any():
+            certified = False
+        for a in map(tuple, grid[where].tolist()):
+            dims.extend(((p, a), dim) for p, dim in h.items())
+    return StrandHomologyProfile(deg, band, tuple(sorted(dims)), certified)
 
 
 def euler_char_direct(datum: ReesDatum, deg: MultiDegree) -> EulerValue:

@@ -369,8 +369,13 @@ def _ideal_product_cached(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
 
 
 def ideal_product(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
-    """The product ideal a*b, minimalized."""
+    """The product ideal a*b, minimalized; the other factor itself when one
+    factor is the unit ideal."""
     _check_ctx(a, b)
+    if a.is_unit():
+        return b
+    if b.is_unit():
+        return a
     if len(b.matrix) > len(a.matrix):
         a, b = b, a
     return _ideal_product_cached(a, b)

@@ -185,6 +185,49 @@ class TestCliEntry:
         report2.pop("timing_seconds")
         assert report == report2
 
+    def test_failed_requests_exit_3(self, tmp_path, capsys):
+        doc = json.loads(MINIMAL)
+        doc["candidates"]["u"] = {
+            "type": {"k0": 0, "k": [1]},
+            "elements": [
+                {"monomial": "x1", "source": "I1"},
+                {"monomial": "x1", "source": "J"},
+            ],
+        }
+        good = {"command": "mixed", "type": {"k0": 0, "k": [1]}}
+        uncertified = {"command": "chi", "candidate": "u"}
+        wrong_k = {"command": "mixed", "type": {"k0": 0, "k": [1, 1]}}
+        doc["requests"] = [uncertified, good, wrong_k]
+        f = tmp_path / "inst.json"
+        f.write_text(json.dumps(doc))
+        out_path = tmp_path / "report.json"
+        assert main(["run", str(f), "--json", str(out_path)]) == 3
+        assert "Traceback" in capsys.readouterr().err
+        report = json.loads(out_path.read_text())
+        assert report["schema_version"] == 2
+        assert report["mismatch_count"] == 0
+        first, second, third = report["results"]
+        assert first == {
+            "request": uncertified,
+            "failure": {
+                "type": "ValueError",
+                "message": "candidate failed joint-reduction certification",
+            },
+        }
+        assert second["value"] == "1" and "failure" not in second
+        assert third == {
+            "request": wrong_k,
+            "failure": {"type": "ValueError", "message": "type has wrong axis count"},
+        }
+
+    def test_parse_error_inside_a_request_exit_2(self, tmp_path, capsys):
+        doc = json.loads(MINIMAL)
+        doc["requests"] = [{"command": "verify-jr", "candidate": "nope"}]
+        f = tmp_path / "inst.json"
+        f.write_text(json.dumps(doc))
+        assert main(["run", str(f)]) == 2
+        assert "undeclared candidate" in capsys.readouterr().err
+
     def test_help_matches_readme_synopsis(self, capsys):
         assert main(["run", "--help"]) == 0
         usage = capsys.readouterr().out.split("\n\n")[0]

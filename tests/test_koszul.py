@@ -1,5 +1,8 @@
 """Unit tests for Koszul strand homology and Euler characteristics."""
 
+import itertools
+import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -35,7 +38,7 @@ from multimult.monomials import (
     ideal_sum,
 )
 from multimult.multiplicity import Verdict
-from multimult.reductions import J_SOURCE, JointReductionCandidate
+from multimult.reductions import J_SOURCE, JointReductionCandidate, PoolPolicy, search_joint_reduction
 
 C1 = RingContext(1)
 C2 = RingContext(2)
@@ -103,13 +106,22 @@ class TestRank:
         assert _rank_exact([[1, 0], [0, 1]]) == 2
 
     def test_against_sympy(self):
-        import random
-
         rng = random.Random(7)
-        for _ in range(50):
-            rows = rng.randrange(1, 5)
-            cols = rng.randrange(1, 5)
-            mat = [[rng.randrange(-1, 2) for _ in range(cols)] for _ in range(rows)]
+        for _ in range(300):
+            rows = rng.randrange(1, 9)
+            cols = rng.randrange(1, 9)
+            mat = [[rng.randrange(-3, 4) for _ in range(cols)] for _ in range(rows)]
+            assert _rank_exact(mat) == sympy.Matrix(mat).rank()
+
+    def test_rank_deficient_against_sympy(self):
+        # Products of thin factors: rank below min(rows, cols), with skipped
+        # pivot columns in the middle of the elimination.
+        rng = random.Random(8)
+        for _ in range(100):
+            rows, cols, inner = rng.randrange(2, 9), rng.randrange(2, 9), rng.randrange(1, 4)
+            left = sympy.Matrix(rows, inner, lambda i, j: rng.randrange(-3, 4))
+            right = sympy.Matrix(inner, cols, lambda i, j: rng.randrange(-3, 4))
+            mat = (left * right).tolist()
             assert _rank_exact(mat) == sympy.Matrix(mat).rank()
 
 
@@ -145,6 +157,173 @@ class TestStrandHomology:
             assert sum((-1) ** p * dim for p, dim in h.items()) == 0
 
 
+def _oracle_rank(rows):
+    """Rank by Gaussian elimination over Fraction."""
+    mat = [[Fraction(x) for x in row] for row in rows if row]
+    rank = 0
+    for c in range(len(mat[0]) if mat else 0):
+        pivot = next((i for i in range(rank, len(mat)) if mat[i][c] != 0), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        for i in range(rank + 1, len(mat)):
+            f = mat[i][c] / mat[rank][c]
+            mat[i] = [x - f * y for x, y in zip(mat[i], mat[rank])]
+        rank += 1
+    return rank
+
+
+def _oracle_complex(datum, deg, a):
+    """One strand built point by point: a rees_piece_basis call per exterior
+    subset at its shifted multidegree and exponent."""
+    shifts = koszul._koszul_shifts(datum.cand, datum.fam.d)
+    n = len(shifts)
+    chains = []
+    for p in range(n + 1):
+        basis = []
+        for subset in itertools.combinations(range(n), p):
+            bide = [deg.n0, *deg.n]
+            exps = list(a)
+            for idx in subset:
+                b, e = shifts[idx]
+                bide = [x - y for x, y in zip(bide, b)]
+                exps = [x - y for x, y in zip(exps, e)]
+            if rees_piece_basis(datum, MultiDegree(bide[0], tuple(bide[1:])), tuple(exps)):
+                basis.append(subset)
+        chains.append(basis)
+    boundaries = []
+    for p in range(1, n + 1):
+        index = {s: i for i, s in enumerate(chains[p - 1])}
+        mat = [[0] * len(chains[p]) for _ in chains[p - 1]]
+        for col, subset in enumerate(chains[p]):
+            for r in range(p):
+                row = index.get(subset[:r] + subset[r + 1:])
+                if row is not None:
+                    mat[row][col] = (-1) ** r
+        boundaries.append(mat)
+    return chains, boundaries
+
+
+def _oracle_profile(datum, deg, band, buffer):
+    """strand_profile, one strand per internal degree."""
+    dims = {}
+    certified = True
+    for a in itertools.product(range(band + buffer + 1), repeat=datum.fam.ctx.num_vars):
+        chains, boundaries = _oracle_complex(datum, deg, a)
+        ranks = [0] + [_oracle_rank(mat) for mat in boundaries] + [0]
+        for p in range(len(chains)):
+            h = len(chains[p]) - ranks[p] - ranks[p + 1]
+            if h:
+                dims[(p, a)] = h
+                certified = certified and max(a) <= band
+    return koszul.StrandHomologyProfile(deg, band, tuple(sorted(dims.items())), certified)
+
+
+C7 = JointReductionCandidate(
+    tuple((C2.monomial(*e), s) for e, s in [
+        ((1, 0), 0), ((0, 1), 0), ((1, 0), 0),
+        ((1, 0), J_SOURCE), ((0, 1), J_SOURCE), ((1, 0), J_SOURCE), ((0, 1), J_SOURCE),
+    ]),
+    MixedType(3, (3,)),
+)
+
+
+def datum_relations_top():
+    # B = (x1^3), T = (x1, x2), and J-sourced elements of degree 2.
+    fam = IdealFamily(
+        ideal(C2, [(2, 0), (0, 2)]),
+        (ideal(C2, [(1, 0), (0, 1)]),),
+        QuotientModule(C2, ideal(C2, [(3, 0)]), ideal(C2, [(1, 0), (0, 1)])),
+    )
+    cand = JointReductionCandidate(
+        ((C2.monomial(1, 0), 0), (C2.monomial(2, 0), J_SOURCE), (C2.monomial(0, 2), J_SOURCE)),
+        MixedType(1, (1,)),
+    )
+    return ReesDatum(fam, cand)
+
+
+def seeded_data(seed, count):
+    """Certified one-ideal families in one or two variables with generators
+    of degree at most 2, random relations and a searched candidate."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        m = rng.choice((1, 2))
+        ctx = RingContext(m)
+        monos = [e for e in itertools.product(range(3), repeat=m) if 0 < sum(e) <= 2]
+        j = ideal(ctx, [tuple(rng.randint(1, 2) if i == v else 0 for i in range(m)) for v in range(m)])
+        i1 = ideal(ctx, rng.sample(monos, rng.randint(1, 2)))
+        relations = ideal(ctx, rng.sample(monos, rng.randint(0, 1)))
+        fam = IdealFamily(j, (i1,), QuotientModule(ctx, relations))
+        mt = rng.choice((MixedType(0, (1,)), MixedType(1, (0,)), MixedType(1, (1,))))
+        cand = search_joint_reduction(fam, mt, PoolPolicy(max_degree=2, budget=200))
+        if cand is not None:
+            out.append(ReesDatum(fam, cand))
+    return out
+
+
+class TestVectorizedProfile:
+    """strand_profile and euler_char_direct against the point-by-point
+    construction of the same strands."""
+
+    def assert_matches(self, monkeypatch, datum, deg):
+        direct = euler_char_direct(datum, deg)
+        with monkeypatch.context() as patched:
+            patched.setattr(koszul, "strand_profile", _oracle_profile)
+            oracle = euler_char_direct(datum, deg)
+        assert direct == oracle
+        band, buffer = direct.provenance["band"], direct.provenance["buffer"]
+        assert strand_profile(datum, deg, band, buffer) == _oracle_profile(datum, deg, band, buffer)
+        return direct
+
+    def test_relations_top_and_degree_two_elements(self, monkeypatch):
+        d = datum_relations_top()
+        assert not d.fam.module.relations.is_zero() and not d.fam.module.top.is_unit()
+        for deg in (MultiDegree(1, (1,)), MultiDegree(2, (1,)), MultiDegree(4, (4,))):
+            self.assert_matches(monkeypatch, d, deg)
+
+    def test_negative_shifted_multidegrees(self, monkeypatch):
+        # Two J-sourced elements at n0 = 1 and one I-sourced at n = 0 put
+        # some subsets below the origin.
+        for d in (datum_2var(), datum_relations_top()):
+            self.assert_matches(monkeypatch, d, MultiDegree(1, (0,)))
+
+    def test_band_doubles(self, monkeypatch):
+        # At multidegree 0 the strands have homology at every internal
+        # degree, so every band's buffer fails and the band doubles to the cap.
+        for d in (datum_1var(), datum_relations_top()):
+            deg = MultiDegree(0, (0,))
+            ev = self.assert_matches(monkeypatch, d, deg)
+            first = max(1, d.fam.max_generator_degree())
+            assert ev.provenance["band"] == first * 2 ** koszul.BAND_DOUBLINGS
+            assert not ev.certified
+
+    def test_seven_elements_on_a_tiny_band(self):
+        # 2^7 exterior subsets: a pattern does not fit a 64-bit mask.  At
+        # (2, (2,)) on band 3 some internal degrees have patterns that
+        # differ only in subsets of four or more elements.
+        fam = IdealFamily(ideal(C2, [(1, 0), (0, 1)]), (ideal(C2, [(1, 0), (0, 1)]),),
+                          QuotientModule.free(C2))
+        d = ReesDatum(fam, C7)
+        for deg in (MultiDegree(1, (1,)), MultiDegree(2, (2,))):
+            profile = strand_profile(d, deg, 3, 1)
+            assert profile.dims
+            assert profile == _oracle_profile(d, deg, 3, 1)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_seeded_families(self, monkeypatch, seed):
+        for d in seeded_data(seed, 4):
+            base = initial_offset(d.fam)
+            for deg in (MultiDegree(base, (base,)), MultiDegree(1, (base,))):
+                self.assert_matches(monkeypatch, d, deg)
+
+    def test_single_strands(self):
+        d = datum_relations_top()
+        deg = MultiDegree(2, (2,))
+        for a in itertools.product(range(6), repeat=2):
+            assert _strand_complex(d, deg, a) == _oracle_complex(d, deg, a)
+
+
 class TestEulerDirect:
     def test_1var_zero(self):
         d = datum_1var()
@@ -166,6 +345,16 @@ class TestEulerDirect:
         ev = euler_char_direct(d, MultiDegree(base, (base,)))
         assert ev.certified
         assert ev.value == 0
+
+
+    def test_dim4_sample_candidate_x(self):
+        inst = parse_instance(SAMPLE.read_text())
+        d = ReesDatum(inst.family, inst.candidates["x"])
+        base = interpolate(inst.family, "P").base
+        ev = euler_char_direct(d, MultiDegree(base, (base,) * inst.family.d))
+        assert ev.certified
+        assert ev.value == euler_char_via_difference(d).value
+        assert ev.provenance == {"multidegree": (5, 5, 5), "band": 16, "buffer": 1}
 
 
 class TestEulerDifference:

@@ -83,6 +83,14 @@ class TestIdealArithmetic:
         i2 = ideal(C3, [(0, 0, 1)])
         assert gens_of(ideal_product(i1, i2)) == {(1, 0, 1), (0, 1, 1), (0, 0, 2)}
 
+    def test_product_with_unit_is_the_other_factor(self):
+        unit = MonomialIdeal.unit(C2)
+        for a in (ideal(C2, [(1, 0), (0, 2)]), MonomialIdeal.zero(C2)):
+            assert ideal_product(a, unit) is a
+            assert ideal_product(unit, a) is a
+        with pytest.raises(ContextMismatchError):
+            ideal_product(unit, ideal(C3, [(1, 0, 0)]))
+
     def test_power(self):
         m = ideal(C2, [(1, 0), (0, 1)])
         assert ideal_power(m, 0).is_unit()

@@ -21,7 +21,7 @@ import time
 import traceback
 
 from .hilbert import MixedType, MultiDegree, interpolate, mixed_multiplicity
-from .instances import InstanceFile, InstanceParseError, parse_instance
+from .instances import InstanceFile, InstanceParseError, _parse_type, parse_instance
 from .koszul import ReesDatum, euler_char_direct, euler_char_via_difference
 from .multiplicity import (
     NotMultiplicitySystemError,
@@ -53,10 +53,7 @@ from .reports import (
 
 
 def _request_type(inst: InstanceFile, req: dict) -> MixedType:
-    obj = req.get("type")
-    if not isinstance(obj, dict):
-        raise InstanceParseError("request needs a 'type'", "requests")
-    return MixedType(int(obj["k0"]), tuple(int(x) for x in obj["k"]))
+    return _parse_type(req.get("type"), inst.family.d, "request.type")
 
 
 def _default_recursion_axis(cand) -> int | None:

@@ -162,7 +162,10 @@ def hf_P(fam: IdealFamily, deg: MultiDegree) -> int:
         raise ValueError("multidegree has wrong axis count")
     q = fam.module.relations
     top = ideal_product(weighted_power(fam, deg), fam.module.top)
-    bottom = ideal_product(top, fam.j)
+    # J * top is the top of the next point in n0, built from the cached
+    # J^(n0+1) * I_1^(n1) product rather than by minimalizing top x J.
+    nxt = weighted_power(fam, MultiDegree(deg.n0 + 1, deg.n))
+    bottom = ideal_product(nxt, fam.module.top)
     return _checked_count(top, bottom, q, fam.j)
 
 

@@ -76,16 +76,21 @@ def _parse_ideal(entries, variables, ctx, location) -> MonomialIdeal:
     return ideal(ctx, monos)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_type(obj, d: int, location: str) -> MixedType:
     if not isinstance(obj, dict) or set(obj) != {"k0", "k"}:
         raise InstanceParseError('type must be {"k0": int, "k": [int, ...]}', location)
     k = obj["k"]
-    if not isinstance(obj["k0"], int) or not isinstance(k, list) or len(k) != d:
+    if (not _is_int(obj["k0"]) or not isinstance(k, list) or len(k) != d
+            or not all(map(_is_int, k))):
         raise InstanceParseError(
-            f"type needs integer k0 and a k-list of length {d}", location
+            f"type needs integer k0 and a k-list of {d} integers", location
         )
     try:
-        return MixedType(obj["k0"], tuple(int(x) for x in k))
+        return MixedType(obj["k0"], tuple(k))
     except ValueError as exc:
         raise InstanceParseError(str(exc), location) from exc
 
@@ -197,6 +202,8 @@ def parse_instance(text: str, name: str = "<instance>") -> InstanceFile:
     for i, req in enumerate(requests):
         if not isinstance(req, dict) or "command" not in req:
             raise InstanceParseError("request needs a 'command'", f"requests[{i}]")
+        if req["command"] in ("mixed", "search-jr"):
+            _parse_type(req.get("type"), len(ideal_names), f"requests[{i}].type")
 
     return InstanceFile(
         name=name,

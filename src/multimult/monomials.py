@@ -12,12 +12,23 @@ and every enumeration below is deterministic.
 
 A :class:`MonomialIdeal` keeps its minimal generators as one read-only
 (n, m) int64 matrix in grlex order, with the vector of their total degrees.
-The arithmetic works on these matrices directly: every result goes through
-one minimalizer, ``_minimal_rows``, and membership of many monomials at once
-is one broadcast comparison, ``_members_mask``.  The ideal's hash is computed
-once from the matrix bytes, so the lru caches below look ideals up in
-constant time.  ``gens``, the generators as exponent tuples, is a view made
-on first use.
+The arithmetic works on these matrices directly, and membership of many
+monomials at once is one broadcast comparison, ``_members_mask``.  The
+ideal's hash is computed once from the matrix bytes, so the lru caches below
+look ideals up in constant time.  ``gens``, the generators as exponent
+tuples, is a view made on first use.
+
+Every result that may hold redundant rows goes through one minimalizer,
+``_minimal_rows``.  It sorts by packed grlex keys (``_grlex_words``): the
+key (degree, x1, ..., xm) of each row is written, digit by digit with each
+column's maximum plus one as its radix, into as few int64 words as hold it
+exactly, so one lexsort of the words (usually one) orders the rows.  Results
+that are minimal by construction skip it: the product with a principal
+ideal (x^u) is the other factor's matrix plus u, which stays minimal,
+distinct and grlex-ordered; a sum with the zero ideal is the other operand
+and a product with the unit ideal the other factor.  Containment in a sum of
+ideals, ``first_outside_sum``, never builds the sum: a monomial lies in a
+sum of monomial ideals iff it lies in one of them.
 """
 
 from __future__ import annotations
@@ -117,17 +128,52 @@ class Monomial:
         return "*".join(parts)
 
 
+def _grlex_words(rows: np.ndarray) -> list[np.ndarray]:
+    """The grlex keys of the rows of an (n, m) int64 exponent matrix, packed
+    exactly into int64 words, most significant word first.
+
+    The key of a row is (degree, x1, ..., xm).  Each key column is a digit
+    whose radix is its own maximum plus one; from the least significant
+    end, columns join a word while the product of its radices stays at most
+    2**63, and each word is one matrix-vector product with its place
+    values.  The words, compared in order, compare the keys, and equal words
+    mean equal rows.  Exponents of moderate size give a single word.
+    """
+    keys = np.empty((len(rows), rows.shape[1] + 1), dtype=np.int64)
+    keys[:, 0] = rows.sum(axis=1)
+    keys[:, 1:] = rows
+    radices = keys.max(axis=0, initial=0).tolist()
+    places = [[0] * len(radices)]
+    span = 1
+    for col in range(len(radices) - 1, -1, -1):
+        radix = radices[col] + 1
+        if span * radix > 1 << 63:
+            places.append([0] * len(radices))
+            span = 1
+        places[-1][col] = span
+        span *= radix
+    return [keys.dot(np.array(p, dtype=np.int64)) for p in reversed(places)]
+
+
+def _grlex_runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A stable grlex sort of the rows: the order, and a mask over the
+    sorted rows marking each one that differs from its predecessor."""
+    words = _grlex_words(rows)
+    order = np.lexsort(words[::-1])
+    fresh = np.zeros(len(rows), dtype=bool)
+    fresh[:1] = True
+    for word in words:
+        word = word[order]
+        fresh[1:] |= word[1:] != word[:-1]
+    return order, fresh
+
+
 def _grlex_unique(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of an (n, m) int64 exponent matrix in grlex order,
-    and their total degrees: one lexsort on (degree, exponents), then
-    adjacent duplicates are dropped."""
-    degs = rows.sum(axis=1)
-    order = np.lexsort(np.vstack((rows[:, ::-1].T, degs)))
-    rows = rows[order]
-    degs = degs[order]
-    fresh = np.ones(len(rows), dtype=bool)
-    fresh[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    return rows[fresh], degs[fresh]
+    and their total degrees."""
+    order, fresh = _grlex_runs(rows)
+    rows = rows[order[fresh]]
+    return rows, rows.sum(axis=1)
 
 
 def _minimal_rows(rows: np.ndarray) -> np.ndarray:
@@ -224,11 +270,7 @@ class MonomialIdeal:
     def first_outside(self, other: MonomialIdeal) -> Monomial | None:
         """The first generator of `other`, in grlex order, that lies outside
         this ideal, or None when `other` is contained in it."""
-        _check_ctx(self, other)
-        outside = np.flatnonzero(~_members_mask(self, other.matrix))
-        if not len(outside):
-            return None
-        return Monomial(tuple(other.matrix[outside[0]].tolist()))
+        return first_outside_sum((self,), other)
 
     def contains_ideal(self, other: MonomialIdeal) -> bool:
         return self.first_outside(other) is None
@@ -297,7 +339,9 @@ def ideal(ctx: RingContext, monomials) -> MonomialIdeal:
             raise ValueError(f"negative exponent in {exps}")
         rows.append(exps)
     matrix = np.array(rows, dtype=np.int64).reshape(len(rows), ctx.num_vars)
-    return MonomialIdeal(ctx, _minimal_rows(matrix))
+    if len(rows) > 1:
+        matrix = _minimal_rows(matrix)
+    return MonomialIdeal(ctx, matrix)
 
 
 def _check_ctx(a: MonomialIdeal, b: MonomialIdeal) -> None:
@@ -309,15 +353,12 @@ def _rows_in(points: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Boolean mask: which rows of `points` equal a row of `rows`, whose
     rows are distinct.
 
-    One stable sort of both matrices together puts each row of `rows` first
-    in its run of equal rows, so a point matches when its run starts with
-    a row of `rows`.
+    One stable grlex sort of both matrices together puts each row of `rows`
+    first in its run of equal rows, so a point matches when its run starts
+    with a row of `rows`.
     """
     both = np.concatenate((rows, points))
-    order = np.lexsort(both.T)
-    srt = both[order]
-    starts = np.ones(len(both), dtype=bool)
-    starts[1:] = (srt[1:] != srt[:-1]).any(axis=1)
+    order, starts = _grlex_runs(both)
     matched = (order[starts] < len(rows))[np.cumsum(starts) - 1]
     is_point = order >= len(rows)
     mask = np.zeros(len(points), dtype=bool)
@@ -353,13 +394,40 @@ def _members_mask(a: MonomialIdeal, points: np.ndarray) -> np.ndarray:
     return mask
 
 
+def first_outside_sum(parts, other: MonomialIdeal) -> Monomial | None:
+    """The first generator of `other`, in grlex order, outside the sum of the
+    ideals `parts`, or None when `other` is contained in that sum.
+
+    A monomial lies in a sum of monomial ideals iff it lies in one of them,
+    so the sum is never built: each part tests only the generators that no
+    earlier part contains.
+    """
+    outside = np.arange(len(other.matrix))
+    for part in parts:
+        _check_ctx(part, other)
+        outside = outside[~_members_mask(part, other.matrix[outside])]
+    if not len(outside):
+        return None
+    return Monomial(tuple(other.matrix[outside[0]].tolist()))
+
+
 # -- ideal arithmetic ------------------------------------------------------
 
 
 @lru_cache(maxsize=None)
-def ideal_sum(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
-    _check_ctx(a, b)
+def _ideal_sum_cached(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
     return MonomialIdeal(a.ctx, _minimal_rows(np.concatenate((a.matrix, b.matrix))))
+
+
+def ideal_sum(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
+    """The sum ideal a+b, minimalized; the other operand itself when one
+    operand is the zero ideal."""
+    _check_ctx(a, b)
+    if a.is_zero():
+        return b
+    if b.is_zero():
+        return a
+    return _ideal_sum_cached(a, b)
 
 
 @lru_cache(maxsize=None)
@@ -370,12 +438,18 @@ def _ideal_product_cached(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
 
 def ideal_product(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
     """The product ideal a*b, minimalized; the other factor itself when one
-    factor is the unit ideal."""
+    factor is the unit ideal, and the other factor's generators times x^u
+    when one factor is the principal ideal (x^u)."""
     _check_ctx(a, b)
     if a.is_unit():
         return b
     if b.is_unit():
         return a
+    # Adding u keeps the rows minimal, distinct and in grlex order.
+    if len(a.matrix) == 1:
+        return MonomialIdeal(a.ctx, b.matrix + a.matrix[0])
+    if len(b.matrix) == 1:
+        return MonomialIdeal(a.ctx, a.matrix + b.matrix[0])
     if len(b.matrix) > len(a.matrix):
         a, b = b, a
     return _ideal_product_cached(a, b)

@@ -10,6 +10,12 @@ holds automatically from right to left, so certification only checks the left
 side generator-by-generator modulo the module relations, on a finite window of
 large multidegrees.  A holds-verdict is therefore "certified on window": the
 window base and extent travel with the certificate.
+
+The right side is never summed.  A monomial lies in a sum of monomial ideals
+iff it lies in one of the parts, so each left-side generator is tested
+against the relations, then against each u * piece in turn, and only the
+generators still outside go on to the next part.  The witness of a failure
+is the first such generator in grlex order, as it would be against the sum.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from .monomials import (
     QuotientModule,
     _grlex_key,
     colon_by_monomial,
+    first_outside_sum,
     graded_quotient_length,
     ideal,
     ideal_intersection,
@@ -110,33 +117,36 @@ def _module_piece(fam: IdealFamily, deg: MultiDegree) -> MonomialIdeal:
     return ideal_product(weighted_power(fam, deg), fam.module.top)
 
 
-def _rhs_joint(fam: IdealFamily, cand: JointReductionCandidate, deg: MultiDegree) -> MonomialIdeal:
+def _rhs_joint(fam: IdealFamily, cand: JointReductionCandidate, deg: MultiDegree) -> list[MonomialIdeal]:
+    """The parts of the right side at `deg`: the relations, then u * piece
+    for each element u."""
     ctx = fam.ctx
-    out = fam.module.relations
+    parts = [fam.module.relations]
     for u, src in cand.elements:
         if src == J_SOURCE:
             piece = _module_piece(fam, MultiDegree(deg.n0 - 1, deg.n))
         else:
             shifted = tuple(ni - (1 if i == src else 0) for i, ni in enumerate(deg.n))
             piece = _module_piece(fam, MultiDegree(deg.n0, shifted))
-        out = ideal_sum(out, ideal_product(_principal(ctx, u), piece))
-    return out
+        parts.append(ideal_product(_principal(ctx, u), piece))
+    return parts
 
 
-def _rhs_pure(fam: IdealFamily, cand: JointReductionCandidate, n: tuple[int, ...]) -> MonomialIdeal:
+def _rhs_pure(fam: IdealFamily, cand: JointReductionCandidate, n: tuple[int, ...]) -> list[MonomialIdeal]:
+    """The parts of the ungraded right side at `n`: the relations, then
+    u * piece for each element u."""
     ctx = fam.ctx
-    out = fam.module.relations
+    parts = [fam.module.relations]
     for u, src in cand.elements:
         shifted = tuple(ni - (1 if i == src else 0) for i, ni in enumerate(n))
         piece = _module_piece(fam, MultiDegree(0, shifted))
-        out = ideal_sum(out, ideal_product(_principal(ctx, u), piece))
-    return out
+        parts.append(ideal_product(_principal(ctx, u), piece))
+    return parts
 
 
-def _check_window(lhs_of, rhs_of, degrees, base, extent) -> ContainmentCertificate:
+def _check_window(lhs_of, rhs_parts_of, degrees, base, extent) -> ContainmentCertificate:
     for deg in degrees:
-        lhs = lhs_of(deg)
-        witness = rhs_of(deg).first_outside(lhs)
+        witness = first_outside_sum(rhs_parts_of(deg), lhs_of(deg))
         if witness is not None:
             return ContainmentCertificate(False, base, extent, (deg, witness))
     return ContainmentCertificate(True, base, extent)

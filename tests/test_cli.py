@@ -196,8 +196,7 @@ class TestCliEntry:
         }
         good = {"command": "mixed", "type": {"k0": 0, "k": [1]}}
         uncertified = {"command": "chi", "candidate": "u"}
-        wrong_k = {"command": "mixed", "type": {"k0": 0, "k": [1, 1]}}
-        doc["requests"] = [uncertified, good, wrong_k]
+        doc["requests"] = [uncertified, good]
         f = tmp_path / "inst.json"
         f.write_text(json.dumps(doc))
         out_path = tmp_path / "report.json"
@@ -206,7 +205,7 @@ class TestCliEntry:
         report = json.loads(out_path.read_text())
         assert report["schema_version"] == 2
         assert report["mismatch_count"] == 0
-        first, second, third = report["results"]
+        first, second = report["results"]
         assert first == {
             "request": uncertified,
             "failure": {
@@ -215,10 +214,39 @@ class TestCliEntry:
             },
         }
         assert second["value"] == "1" and "failure" not in second
-        assert third == {
-            "request": wrong_k,
-            "failure": {"type": "ValueError", "message": "type has wrong axis count"},
-        }
+
+    @pytest.mark.parametrize(
+        "command, bad_type",
+        [
+            ("mixed", {"k0": 0, "k": [1, 1]}),
+            ("mixed", {"k": [1]}),
+            ("mixed", {"k0": -1, "k": [1]}),
+            ("mixed", {"k0": 0, "k": [-1]}),
+            ("mixed", {"k0": 0, "k": ["1"]}),
+            ("mixed", {"k0": True, "k": [1]}),
+            ("mixed", None),
+            ("search-jr", {"k0": 0}),
+            ("search-jr", {"k0": 0, "k": []}),
+        ],
+    )
+    def test_malformed_request_type_exit_2(self, tmp_path, capsys, command, bad_type):
+        # Rejected at parse time, with the JSON path of the bad type, before
+        # the good request ahead of it runs.
+        doc = json.loads(MINIMAL)
+        bad = {"command": command}
+        if bad_type is not None:
+            bad["type"] = bad_type
+        doc["requests"] = [{"command": "mixed", "type": {"k0": 0, "k": [1]}}, bad]
+        f = tmp_path / "inst.json"
+        f.write_text(json.dumps(doc))
+        out_path = tmp_path / "report.json"
+        assert main(["run", str(f), "--json", str(out_path)]) == 2
+        captured = capsys.readouterr()
+        assert "requests[1].type" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == "" and not out_path.exists()
+        with pytest.raises(InstanceParseError, match=r"requests\[1\]\.type"):
+            parse_instance(json.dumps(doc))
 
     def test_parse_error_inside_a_request_exit_2(self, tmp_path, capsys):
         doc = json.loads(MINIMAL)

@@ -7,6 +7,7 @@ from math import comb
 
 import pytest
 
+from corpus import build_corpus
 from multimult.hilbert import (
     BinomialBasisPolynomial,
     HilbertTable,
@@ -19,13 +20,17 @@ from multimult.hilbert import (
     hf_P,
     mixed_multiplicity,
     table_on_window,
+    weighted_power,
 )
 from multimult.monomials import (
     MINUS_INFINITY,
     MonomialIdeal,
     QuotientModule,
     RingContext,
+    _count_difference,
     ideal,
+    ideal_product,
+    ideal_sum,
     krull_dim,
 )
 
@@ -206,6 +211,36 @@ class TestIntegerFit:
             fit = _fit_window(value, num_axes, degree, base)
             assert fit.base > base
             assert fit.poly.coeffs == {idx: c for idx, c in coeffs.items() if c}
+
+
+class TestNextTopBottom:
+    """hf_P takes J * top from the next point in n0; it must be the same
+    ideal, and hf_P must equal the count with the bottom built as top * J."""
+
+    @staticmethod
+    def _check(fam, deg):
+        q = fam.module.relations
+        top = ideal_product(weighted_power(fam, deg), fam.module.top)
+        bottom = ideal_product(top, fam.j)
+        nxt = weighted_power(fam, MultiDegree(deg.n0 + 1, deg.n))
+        assert ideal_product(nxt, fam.module.top) == bottom
+        expected = _count_difference(ideal_sum(top, q), ideal_sum(bottom, q), colon_floor=fam.j)
+        assert hf_P(fam, deg) == expected
+
+    def test_every_corpus_family(self):
+        families = {inst.fam for inst in build_corpus()}
+        for fam in families:
+            fit = interpolate(fam, "P")
+            for corner in (fit.base, fit.band_base):
+                self._check(fam, MultiDegree(corner, (corner,) * fam.d))
+
+    def test_module_with_a_top(self):
+        # T = (x1, x2^2) and relations (x1^3): a subquotient, not a cyclic module.
+        top = ideal(C2, [(1, 0), (0, 2)])
+        fam = IdealFamily(ideal(C2, [(2, 0), (0, 1)]), (ideal(C2, [(1, 1), (0, 2)]),),
+                          QuotientModule(C2, ideal(C2, [(3, 0)]), top))
+        for n0, n1 in itertools.product(range(4), range(4)):
+            self._check(fam, MultiDegree(n0, (n1,)))
 
 
 class TestMixedMultiplicity:

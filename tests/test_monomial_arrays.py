@@ -4,7 +4,10 @@ The oracle works on raw generator lists: it drops every row divisible by a
 different row, removes duplicates, and sorts in grlex order.  Every
 operation is checked on unminimalized inputs, so duplicate rows, the zero
 ideal (no rows), the unit ideal (a zero row), one variable and rows of equal
-degree all reach the minimalizer.
+degree all reach the minimalizer.  Rows with exponents up to 2**40 (or 2**20
+in eight variables) make the packed grlex keys span several words, and the
+fast paths (principal products, zero sums, containment in a sum by parts)
+are checked against the general arithmetic.
 """
 
 import numpy as np
@@ -16,8 +19,13 @@ from multimult.monomials import (
     Monomial,
     MonomialIdeal,
     RingContext,
+    _grlex_unique,
+    _grlex_words,
+    _ideal_product_cached,
     _members_mask,
+    _rows_in,
     colon_by_monomial,
+    first_outside_sum,
     ideal,
     ideal_intersection,
     ideal_power,
@@ -25,7 +33,7 @@ from multimult.monomials import (
     ideal_sum,
 )
 
-CONTEXTS = {m: RingContext(m) for m in (1, 2, 3, 4)}
+CONTEXTS = {m: RingContext(m) for m in (1, 2, 3, 4, 8)}
 CASES = settings(max_examples=300, deadline=None)
 
 
@@ -65,6 +73,28 @@ def row_lists(draw, m, max_rows=6):
 def operands(draw):
     m = draw(st.integers(1, 4))
     return m, draw(row_lists(m)), draw(row_lists(m))
+
+
+@st.composite
+def wide_operands(draw):
+    """Two row lists whose grlex keys need two or more int64 words.
+
+    Exponents are small, near the top value or anywhere up to it; the first
+    list holds the row (top, ..., top), so both the degree radix and every
+    exponent radix exceed the top value.  Rows repeat and share degrees.
+    """
+    m, top = draw(st.sampled_from([(1, 2**40), (2, 2**40), (3, 2**40), (4, 2**40), (8, 2**20)]))
+    value = st.one_of(st.integers(0, 2), st.integers(top - 2, top), st.integers(0, top))
+    rows = st.lists(st.tuples(*(value for _ in range(m))), max_size=6)
+    xs = draw(rows) + [(top,) * m]
+    ys = draw(rows)
+    xs += draw(st.lists(st.sampled_from(xs), max_size=2))
+    ys += draw(st.lists(st.sampled_from(xs), max_size=2))
+    return m, xs, ys
+
+
+def as_matrix(rows, m):
+    return np.array(rows, dtype=np.int64).reshape(len(rows), m)
 
 
 class TestAgainstOracle:
@@ -141,6 +171,106 @@ class TestAgainstOracle:
         points = ys + xs[:2] + ys[:2]
         mask = _members_mask(i, np.array(points, dtype=np.int64).reshape(len(points), m))
         assert mask.tolist() == [any(divides(g, p) for g in i.gens) for p in points]
+
+
+class TestPackedKeys:
+    """`_grlex_unique` and `_rows_in` sort by packed grlex words."""
+
+    @CASES
+    @given(wide_operands())
+    def test_wide_rows_need_several_words(self, case):
+        m, xs, ys = case
+        assert len(_grlex_words(as_matrix(xs, m))) > 1
+        assert len(_grlex_words(as_matrix(xs + ys, m))) > 1
+
+    @CASES
+    @given(operands())
+    def test_small_rows_need_one_word(self, case):
+        m, xs, ys = case
+        words = _grlex_words(as_matrix(xs + ys, m))
+        assert len(words) == 1 and words[0].shape == (len(xs + ys),)
+
+    @CASES
+    @given(st.one_of(operands(), wide_operands()))
+    def test_grlex_unique(self, case):
+        m, xs, ys = case
+        rows, degs = _grlex_unique(as_matrix(xs + ys, m))
+        expected = sorted(set(xs + ys), key=lambda r: (sum(r), r))
+        assert list(map(tuple, rows.tolist())) == expected
+        assert degs.tolist() == [sum(r) for r in expected]
+
+    @CASES
+    @given(st.one_of(operands(), wide_operands()))
+    def test_rows_in(self, case):
+        m, xs, ys = case
+        distinct = sorted(set(xs))
+        points = ys + xs + ys[:2]
+        mask = _rows_in(as_matrix(points, m), as_matrix(distinct, m))
+        assert mask.tolist() == [p in set(distinct) for p in points]
+
+    @CASES
+    @given(wide_operands())
+    def test_members_mask(self, case):
+        m, xs, ys = case
+        i = ideal(CONTEXTS[m], xs)
+        points = ys + xs[:2] + ys[:2]
+        mask = _members_mask(i, as_matrix(points, m))
+        assert mask.tolist() == [any(divides(g, p) for g in xs) for p in points]
+
+    @CASES
+    @given(wide_operands())
+    def test_sum(self, case):
+        m, xs, ys = case
+        ctx = CONTEXTS[m]
+        assert ideal_sum(ideal(ctx, xs), ideal(ctx, ys)).gens == oracle(xs + ys)
+
+
+class TestFastPaths:
+    @CASES
+    @given(st.one_of(operands(), wide_operands()), st.data())
+    def test_principal_product_is_a_shift(self, case, data):
+        m, xs, _ = case
+        ctx = CONTEXTS[m]
+        u = data.draw(st.tuples(*(st.integers(0, 3) for _ in range(m))))
+        a, pu = ideal(ctx, xs), ideal(ctx, [u])
+        entries = _ideal_product_cached.cache_info().currsize
+        for got in (ideal_product(a, pu), ideal_product(pu, a)):
+            assert got.gens == oracle(oracle_product(xs, [u]))
+            assert got.matrix.tolist() == (a.matrix + np.array(u)).tolist()
+        assert _ideal_product_cached.cache_info().currsize == entries
+
+    @CASES
+    @given(operands())
+    def test_sum_with_zero_is_the_other_operand(self, case):
+        m, xs, _ = case
+        # With `a` zero as well, either operand is the answer.
+        a, zero = ideal(CONTEXTS[m], xs), MonomialIdeal.zero(CONTEXTS[m])
+        assert ideal_sum(a, zero) == a and ideal_sum(zero, a) == a
+        if not a.is_zero():
+            assert ideal_sum(a, zero) is a
+            assert ideal_sum(zero, a) is a
+
+    @CASES
+    @given(st.integers(1, 4).flatmap(
+        lambda m: st.tuples(st.just(m), st.lists(row_lists(m), max_size=4), row_lists(m))
+    ), st.sampled_from(["none", "zero", "unit"]))
+    def test_first_outside_sum(self, case, extra):
+        m, part_rows, ys = case
+        ctx = CONTEXTS[m]
+        parts = [ideal(ctx, rows) for rows in part_rows]
+        if extra == "zero":
+            parts.insert(0, MonomialIdeal.zero(ctx))
+        elif extra == "unit":
+            parts.append(MonomialIdeal.unit(ctx))
+        other = ideal(ctx, ys)
+        total = MonomialIdeal.zero(ctx)
+        for part in parts:
+            total = ideal_sum(total, part)
+        assert first_outside_sum(parts, other) == total.first_outside(other)
+
+    def test_first_outside_sum_checks_the_ring(self):
+        with pytest.raises(ContextMismatchError):
+            first_outside_sum([MonomialIdeal.zero(CONTEXTS[2])], MonomialIdeal.unit(CONTEXTS[3]))
 
 
 class TestIdentity:

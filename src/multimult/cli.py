@@ -21,7 +21,13 @@ import time
 import traceback
 
 from .hilbert import MixedType, MultiDegree, interpolate, mixed_multiplicity
-from .instances import InstanceFile, InstanceParseError, _parse_type, parse_instance
+from .instances import (
+    InstanceFile,
+    InstanceParseError,
+    _parse_type,
+    parse_instance,
+    parse_monomial,
+)
 from .koszul import ReesDatum, euler_char_direct, euler_char_via_difference
 from .multiplicity import (
     NotMultiplicitySystemError,
@@ -42,7 +48,6 @@ from .reductions import (
     search_joint_reduction,
     verify_joint_reduction,
 )
-from .instances import parse_monomial
 from .reports import (
     SCHEMA_VERSION,
     certificate_payload,
@@ -56,15 +61,16 @@ def _request_type(inst: InstanceFile, req: dict) -> MixedType:
     return _parse_type(req.get("type"), inst.family.d, "request.type")
 
 
-def _default_recursion_axis(cand) -> int | None:
-    for idx, ki in enumerate(cand.declared_type.k):
-        if ki > 0:
-            return idx
-    return None
+def _recursion_axis(inst: InstanceFile, req: dict, cand) -> int | None:
+    """The named ideal's index, else the first axis with k_i > 0, if any."""
+    if "ideal" in req:
+        return inst.ideal_names.index(req["ideal"])
+    return next((idx for idx, ki in enumerate(cand.declared_type.k) if ki > 0), None)
 
 
 def run_request(inst: InstanceFile, req: dict) -> dict:
-    """Execute one request and return its deterministic result payload."""
+    """Execute one request, validated by parse_instance, and return its
+    deterministic result payload."""
     fam = inst.family
     command = req["command"]
     out = {"request": req}
@@ -83,24 +89,24 @@ def run_request(inst: InstanceFile, req: dict) -> dict:
         out["defined"] = defined
         out["provenance"] = fit.provenance()
     elif command == "verify-jr":
-        cand = inst.candidate(req["candidate"])
+        cand = inst.candidates[req["candidate"]]
         out["certificate"] = certificate_payload(verify_joint_reduction(fam, cand))
     elif command == "element-props":
         mono = parse_monomial(req["monomial"], list(inst.variables), fam.ctx, "request")
-        idx = inst.ideal_index(req["ideal"])
+        idx = inst.ideal_names.index(req["ideal"])
         superficial = is_rees_superficial(fam, mono, idx)
         filter_reg = is_filter_regular(fam, mono)
         out["filter_regular"] = filter_reg
         out["rees_superficial"] = certificate_payload(superficial)
         out["weak_fc"] = filter_reg and superficial.holds
     elif command == "mult-symbol":
-        cand = inst.candidate(req["candidate"])
+        cand = inst.candidates[req["candidate"]]
         try:
             out["value"] = mult_symbol(fam.module, list(cand.monomials()))
         except NotMultiplicitySystemError as exc:
             out["error"] = str(exc)
     elif command == "chi":
-        cand = inst.candidate(req["candidate"])
+        cand = inst.candidates[req["candidate"]]
         datum = ReesDatum(fam, cand)
         diff = euler_char_via_difference(datum)
         out["difference"] = {"value": diff.value, "provenance": diff.provenance}
@@ -114,14 +120,12 @@ def run_request(inst: InstanceFile, req: dict) -> dict:
             }
             out["methods_agree"] = (not direct.certified) or direct.value == diff.value
     elif command == "verify-theorem":
-        cand = inst.candidate(req["candidate"])
-        idx = inst.ideal_index(req["ideal"]) if "ideal" in req else _default_recursion_axis(cand)
-        if idx is None:
-            raise InstanceParseError("candidate type has no positive k_i", "requests")
+        cand = inst.candidates[req["candidate"]]
+        idx = _recursion_axis(inst, req, cand)
         out["report"] = report_payload(verify_theorem_recursion(fam, cand, idx))
     elif command == "verify-corollaries":
-        cand = inst.candidate(req["candidate"])
-        idx = inst.ideal_index(req["ideal"]) if "ideal" in req else _default_recursion_axis(cand)
+        cand = inst.candidates[req["candidate"]]
+        idx = _recursion_axis(inst, req, cand)
         reports = []
         if idx is not None:
             reports.append(verify_cor_filter_regular(fam, cand, idx))
@@ -135,9 +139,7 @@ def run_request(inst: InstanceFile, req: dict) -> dict:
         out["reports"] = [report_payload(r) for r in reports]
     elif command == "search-jr":
         mt = _request_type(inst, req)
-        policy = PoolPolicy(
-            max_degree=int(req.get("max_degree", 2)), budget=int(req.get("budget", 2000))
-        )
+        policy = PoolPolicy(**{key: req[key] for key in ("max_degree", "budget") if key in req})
         cand = search_joint_reduction(fam, mt, policy)
         if cand is None:
             out["found"] = None
@@ -149,8 +151,6 @@ def run_request(inst: InstanceFile, req: dict) -> dict:
                 }
                 for u, s in cand.elements
             ]
-    else:
-        raise InstanceParseError(f"unknown command {command!r}", "requests")
     return out
 
 
@@ -172,8 +172,6 @@ def run_instance(inst: InstanceFile) -> dict:
     for req in inst.requests:
         try:
             results.append(run_request(inst, req))
-        except InstanceParseError:
-            raise
         except Exception as exc:
             traceback.print_exc(file=sys.stderr)
             failure = {"type": type(exc).__name__, "message": str(exc)}
@@ -210,10 +208,10 @@ def main(argv=None) -> int:
         return 2
     try:
         inst = parse_instance(text, name=args.file)
-        doc = run_instance(inst)
     except InstanceParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    doc = run_instance(inst)
     rendered = json.dumps(doc, indent=2, sort_keys=True)
     if args.json_out:
         with open(args.json_out, "w") as fh:

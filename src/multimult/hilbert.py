@@ -308,13 +308,15 @@ class FitResult:
         }
 
 
-def _box(num_axes: int, base: int, extent: int):
+def window_points(num_axes: int, base: int, extent: int):
+    """The points of the box base + [0, extent)^num_axes, as int tuples in
+    lexicographic order."""
     return itertools.product(*(range(base, base + extent) for _ in range(num_axes)))
 
 
 def _grid(value, num_axes: int, base: int, extent: int) -> np.ndarray:
     """The values on the box base + [0, extent)^num_axes, as exact ints."""
-    values = [value(pt) for pt in _box(num_axes, base, extent)]
+    values = [value(pt) for pt in window_points(num_axes, base, extent)]
     return np.array(values, dtype=object).reshape((extent,) * num_axes)
 
 
@@ -397,7 +399,7 @@ def _fit_window(value, num_axes: int, degree: int, start: int) -> FitResult:
             poly = BinomialBasisPolynomial(num_axes, coeffs)
             band_base = base + extent
             residuals = []
-            for pt in _box(num_axes, band_base, BAND_EXTENT):
+            for pt in window_points(num_axes, band_base, BAND_EXTENT):
                 fitted = poly.evaluate(pt)
                 actual = value(pt)
                 if fitted != actual:

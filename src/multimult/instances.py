@@ -23,7 +23,8 @@ list of requests to run:
 
 Monomial syntax is a '*'-separated product of powers like "x1^2*x3", or "1".
 Every diagnostic names the JSON path (and the offending token for monomial
-errors) so failures are actionable.
+errors) so failures are actionable.  Requests are validated here too, field
+by field, so a malformed one stops the file before any request runs.
 """
 
 from __future__ import annotations
@@ -104,6 +105,62 @@ def _reject_duplicate_keys(pairs):
     return seen
 
 
+#: The request commands, in the order the README lists them.
+COMMANDS = (
+    "hilbert",
+    "mixed",
+    "verify-jr",
+    "element-props",
+    "mult-symbol",
+    "chi",
+    "verify-theorem",
+    "verify-corollaries",
+    "search-jr",
+)
+
+#: Commands that name a declared candidate.
+_CANDIDATE_COMMANDS = ("verify-jr", "mult-symbol", "chi", "verify-theorem", "verify-corollaries")
+
+
+def _check_request(req: dict, loc: str, variables, family, ideal_names, candidates) -> None:
+    """Reject a request whose command or fields the run could not use."""
+    command = req["command"]
+
+    def fail(field, message):
+        raise InstanceParseError(message, f"{loc}.{field}")
+
+    def check_name(field, declared):
+        name = req.get(field)
+        if not isinstance(name, str) or name not in declared:
+            fail(field, f"undeclared {field} {name!r}")
+
+    if command not in COMMANDS:
+        fail("command", f"unknown command {command!r}; expected one of {', '.join(COMMANDS)}")
+    if command in ("mixed", "search-jr"):
+        _parse_type(req.get("type"), len(ideal_names), f"{loc}.type")
+    if command in _CANDIDATE_COMMANDS:
+        check_name("candidate", candidates)
+    if command == "hilbert" and req.get("which", "P") not in ("P", "F"):
+        fail("which", "which must be 'P' or 'F'")
+    elif command == "element-props":
+        check_name("ideal", ideal_names)
+        mono = parse_monomial(req.get("monomial"), variables, family.ctx, f"{loc}.monomial")
+        if not family.ideals[ideal_names.index(req["ideal"])].contains(mono):
+            fail("monomial", f"{mono} does not lie in {req['ideal']}")
+    elif command == "chi" and not isinstance(req.get("direct", False), bool):
+        fail("direct", "direct must be true or false")
+    elif command == "search-jr":
+        for key in ("max_degree", "budget"):
+            if key in req and not (_is_int(req[key]) and req[key] >= 0):
+                fail(key, f"{key} must be a non-negative integer")
+    elif command in ("verify-theorem", "verify-corollaries"):
+        if "ideal" in req:
+            check_name("ideal", ideal_names)
+        elif command == "verify-theorem":
+            if not any(candidates[req["candidate"]].declared_type.k):
+                fail("candidate", "candidate type has no positive k_i; name the ideal")
+
+
 @dataclass(frozen=True)
 class InstanceFile:
     """A validated instance: the family, named candidates, and requests."""
@@ -115,16 +172,6 @@ class InstanceFile:
     candidates: dict[str, JointReductionCandidate]
     requests: tuple[dict, ...]
     raw: dict
-
-    def candidate(self, name: str) -> JointReductionCandidate:
-        if name not in self.candidates:
-            raise InstanceParseError(f"request references undeclared candidate {name!r}")
-        return self.candidates[name]
-
-    def ideal_index(self, name: str) -> int:
-        if name not in self.ideal_names:
-            raise InstanceParseError(f"request references undeclared ideal {name!r}")
-        return self.ideal_names.index(name)
 
 
 def parse_instance(text: str, name: str = "<instance>") -> InstanceFile:
@@ -202,8 +249,7 @@ def parse_instance(text: str, name: str = "<instance>") -> InstanceFile:
     for i, req in enumerate(requests):
         if not isinstance(req, dict) or "command" not in req:
             raise InstanceParseError("request needs a 'command'", f"requests[{i}]")
-        if req["command"] in ("mixed", "search-jr"):
-            _parse_type(req.get("type"), len(ideal_names), f"requests[{i}].type")
+        _check_request(req, f"requests[{i}]", variables, family, ideal_names, candidates)
 
     return InstanceFile(
         name=name,

@@ -20,14 +20,14 @@ The Euler characteristic itself is defined operationally as the constant value
 of the (k0, k)-difference of the Hilbert polynomial P (the DIFFERENCE method);
 the strand computation (the DIRECT method) is an independent verification
 channel carrying an empirical band certificate for the truncation of internal
-degrees.
+degrees.  These two channels, which the `chi` request runs, are all this
+module computes.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -40,16 +40,7 @@ from .hilbert import (
     table_on_window,
     weighted_power,
 )
-from .monomials import (
-    Monomial,
-    QuotientModule,
-    _box,
-    _members_mask,
-    ideal_power,
-    ideal_product,
-    ideal_sum,
-)
-from .multiplicity import VerificationReport, Verdict, _report
+from .monomials import _box, _members_mask, ideal_product
 from .reductions import J_SOURCE, JointReductionCandidate, verify_joint_reduction
 
 #: Internal-degree band doubles at most this many times before giving up.
@@ -109,26 +100,6 @@ def _koszul_shifts(cand: JointReductionCandidate, d: int):
     return shifts
 
 
-def rees_piece_basis(datum: ReesDatum, deg: MultiDegree, a: tuple[int, ...]):
-    """Basis of the internal-degree-a piece of I^n * M at multidegree (n0, n).
-
-    The piece is spanned by the single monomial x^a when x^a lies in
-    I^n * T + B but not in B, the multidegree is componentwise non-negative,
-    and a has no negative entries; otherwise it is empty.
-    """
-    fam = datum.fam
-    if deg.n0 < 0 or any(ni < 0 for ni in deg.n) or any(x < 0 for x in a):
-        return []
-    mono = Monomial(tuple(a))
-    piece = ideal_sum(
-        ideal_product(weighted_power(fam, MultiDegree(0, deg.n)), fam.module.top),
-        fam.module.relations,
-    )
-    if piece.contains(mono) and not fam.module.relations.contains(mono):
-        return [mono]
-    return []
-
-
 def _rank_exact(rows: list[list[int]]) -> int:
     """Rank over the rationals by fraction-free (Bareiss) integer elimination.
 
@@ -164,12 +135,14 @@ def _support_patterns(datum: ReesDatum, deg: MultiDegree, bounds: tuple[int, ...
     internal degree a of the box ``_box(bounds)``: a boolean
     (len(box), 2^n) matrix whose rows follow the box's rows.
 
-    Subset S sits at (deg, a) minus the shifts of its elements.  Its piece is
-    the one of :func:`rees_piece_basis` there: x^(a - e_S) when the shifted
-    multidegree and exponent are non-negative and the monomial lies in
-    I^n' * T but not in B.  Since a - e_S stays in the box, one membership
-    mask per distinct n' (and one for B) over the box serves every subset:
-    the subset's column is that mask shifted by e_S.
+    Subset S sits at (deg, a) minus the shifts of its elements, (n0', n')
+    and a - e_S.  The piece of I^n * M at multidegree (n0', n') and internal
+    degree b is spanned by the single monomial x^b when (n0', n') and b are
+    componentwise non-negative and x^b lies in I^n' * T but not in B, and is
+    empty otherwise; the tower does not cut by powers of J.  Since a - e_S
+    stays in the box, one membership mask per distinct n' (and one for B)
+    over the box serves every subset: the subset's column is that mask
+    shifted by e_S.
     """
     fam = datum.fam
     shifts = _koszul_shifts(datum.cand, fam.d)
@@ -231,18 +204,6 @@ def _homology(chains, boundaries) -> dict[int, int]:
         if h:
             dims[p] = h
     return dims
-
-
-def _strand_complex(datum: ReesDatum, deg: MultiDegree, a: tuple[int, ...]):
-    """Chain bases (per exterior degree) and differential matrices of the
-    strand at internal degree a, the last point of the box [0, a]."""
-    subsets, present = _support_patterns(datum, deg, tuple(x + 1 for x in a))
-    return _pattern_complex(subsets, present[-1])
-
-
-def koszul_strand_homology(datum: ReesDatum, deg: MultiDegree, a: tuple[int, ...]) -> dict[int, int]:
-    """Homology dimensions of one strand, by exact rank over the rationals."""
-    return _homology(*_strand_complex(datum, deg, a))
 
 
 def strand_profile(datum: ReesDatum, deg: MultiDegree, band: int, buffer: int) -> StrandHomologyProfile:
@@ -329,56 +290,3 @@ def euler_char_via_difference(datum: ReesDatum) -> EulerValue:
     assert value == int(value)
     prov = {"window_base": fit.base, "window_extent": fit.extent, "type": mt.as_tuple()}
     return EulerValue(int(value), "DIFFERENCE", prov)
-
-
-def _strip_first_element(cand: JointReductionCandidate, i: int):
-    """Remove one I_i-sourced element and shrink the type accordingly."""
-    elements = list(cand.elements)
-    pos = next(idx for idx, (_, s) in enumerate(elements) if s == i)
-    x1 = elements.pop(pos)[0]
-    k = tuple(ki - (1 if idx == i else 0) for idx, ki in enumerate(cand.declared_type.k))
-    return x1, JointReductionCandidate(tuple(elements), MixedType(cand.declared_type.k0, k))
-
-
-def verify_chi_recursion(datum: ReesDatum, i: int) -> VerificationReport:
-    """Chi of M equals chi of M/x1*M minus chi of 0_M:x1 for x1 in I_i."""
-    fam = datum.fam
-    cand = datum.cand
-    label = f"chi-recursion; J={fam.j}; cand size {len(cand.elements)}"
-    hyps = [("k_i positive", cand.declared_type.k[i] > 0)]
-    if not all(ok for _, ok in hyps):
-        return _report("chi-recursion", label, Fraction(0), Fraction(0), hyps)
-    x1, smaller = _strip_first_element(cand, i)
-    left = euler_char_via_difference(datum).value
-    quot_mod = fam.module.quotient_by_elements([x1])
-    tors_mod = fam.module.annihilator_of(x1)
-    quot = euler_char_via_difference(ReesDatum(fam.with_module(quot_mod), smaller)).value
-    tors = euler_char_via_difference(ReesDatum(fam.with_module(tors_mod), smaller)).value
-    return _report("chi-recursion", label, Fraction(left), Fraction(quot - tors), hyps)
-
-
-def verify_chi_properties(datum: ReesDatum, q_prime, k: int) -> VerificationReport:
-    """Nonnegativity, monotonicity under passing to A/Q' for Q' containing Q,
-    and invariance under replacing M by I^k * M; all via the DIFFERENCE method."""
-    fam = datum.fam
-    cand = datum.cand
-    label = f"chi-properties; J={fam.j}; Q'={q_prime}; k={k}"
-    if not q_prime.contains_ideal(fam.module.relations):
-        raise ValueError("Q' must contain the module relations")
-    if k < 1:
-        raise ValueError("k must be positive")
-    chi = euler_char_via_difference(datum).value
-    hyps = [("chi nonnegative", chi >= 0)]
-    sub_mod = QuotientModule(fam.ctx, q_prime)
-    sub = ReesDatum(fam.with_module(sub_mod), cand)  # re-certifies
-    chi_sub = euler_char_via_difference(sub).value
-    hyps.append(("monotone under quotient", chi >= chi_sub))
-    shifted_top = ideal_product(ideal_power(fam.product_ideal(), k), fam.module.top)
-    shifted = QuotientModule(fam.ctx, fam.module.relations, shifted_top)
-    chi_shift = euler_char_via_difference(ReesDatum(fam.with_module(shifted), cand)).value
-    if not all(ok for _, ok in hyps):
-        return VerificationReport(
-            "chi-properties", label, Fraction(chi), Fraction(chi_shift),
-            tuple(hyps), Verdict.MISMATCH,
-        )
-    return _report("chi-properties", label, Fraction(chi), Fraction(chi_shift), hyps)

@@ -106,9 +106,6 @@ class Monomial:
     def __mul__(self, other: Monomial) -> Monomial:
         return Monomial(tuple(a + b for a, b in zip(self.exponents, other.exponents)))
 
-    def lcm(self, other: Monomial) -> Monomial:
-        return Monomial(tuple(max(a, b) for a, b in zip(self.exponents, other.exponents)))
-
     def colon(self, other: Monomial) -> Monomial:
         """The exponent-wise truncated quotient self : other."""
         return Monomial(tuple(max(a - b, 0) for a, b in zip(self.exponents, other.exponents)))
@@ -252,9 +249,6 @@ class MonomialIdeal:
     def is_unit(self) -> bool:
         return len(self.matrix) > 0 and int(self.degrees[0]) == 0
 
-    def is_proper(self) -> bool:
-        return not self.is_unit()
-
     def monomials(self) -> tuple[Monomial, ...]:
         return tuple(Monomial(g) for g in self.gens)
 
@@ -274,9 +268,6 @@ class MonomialIdeal:
 
     def contains_ideal(self, other: MonomialIdeal) -> bool:
         return self.first_outside(other) is None
-
-    def __le__(self, other: MonomialIdeal) -> bool:
-        return other.contains_ideal(self)
 
     def pure_power_bounds(self) -> tuple[int, ...] | None:
         """For each variable, the least e with x_i^e in the ideal, or None

@@ -123,10 +123,6 @@ class VerificationReport:
     hypotheses: tuple[tuple[str, bool], ...]
     verdict: Verdict
 
-    @property
-    def failed(self) -> bool:
-        return self.verdict == Verdict.MISMATCH
-
 
 def _report(claim_id, instance, left, right, hypotheses, relation="eq") -> VerificationReport:
     """relation 'eq' asserts left = right; 'le' asserts left <= right."""

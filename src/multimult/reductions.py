@@ -15,7 +15,9 @@ The right side is never summed.  A monomial lies in a sum of monomial ideals
 iff it lies in one of the parts, so each left-side generator is tested
 against the relations, then against each u * piece in turn, and only the
 generators still outside go on to the next part.  The witness of a failure
-is the first such generator in grlex order, as it would be against the sum.
+is the window point with the first such generator in grlex order, as it
+would be against the sum.  Rees-superficiality runs through the same loop,
+with the relations and u * I^n M as its parts.
 """
 
 from __future__ import annotations
@@ -23,7 +25,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .hilbert import BAND_EXTENT, IdealFamily, MixedType, MultiDegree, initial_offset, weighted_power
+from .hilbert import (
+    BAND_EXTENT,
+    IdealFamily,
+    MixedType,
+    MultiDegree,
+    initial_offset,
+    weighted_power,
+    window_points,
+)
 from .monomials import (
     Monomial,
     MonomialIdeal,
@@ -31,10 +41,8 @@ from .monomials import (
     _grlex_key,
     colon_by_monomial,
     first_outside_sum,
-    graded_quotient_length,
     ideal,
     ideal_intersection,
-    ideal_power,
     ideal_product,
     ideal_sum,
     krull_dim,
@@ -78,14 +86,8 @@ class JointReductionCandidate:
     def is_pure(self) -> bool:
         return all(src != J_SOURCE for _, src in self.elements)
 
-    def by_source(self, src) -> tuple[Monomial, ...]:
-        return tuple(u for u, s in self.elements if s == src)
-
     def monomials(self) -> tuple[Monomial, ...]:
         return tuple(u for u, _ in self.elements)
-
-    def i_sourced(self) -> tuple[tuple[Monomial, int], ...]:
-        return tuple((u, s) for u, s in self.elements if s != J_SOURCE)
 
     def check_membership(self, fam: IdealFamily) -> None:
         for u, src in self.elements:
@@ -117,7 +119,7 @@ def _module_piece(fam: IdealFamily, deg: MultiDegree) -> MonomialIdeal:
     return ideal_product(weighted_power(fam, deg), fam.module.top)
 
 
-def _rhs_joint(fam: IdealFamily, cand: JointReductionCandidate, deg: MultiDegree) -> list[MonomialIdeal]:
+def _rhs_parts(fam: IdealFamily, cand: JointReductionCandidate, deg: MultiDegree) -> list[MonomialIdeal]:
     """The parts of the right side at `deg`: the relations, then u * piece
     for each element u."""
     ctx = fam.ctx
@@ -132,23 +134,13 @@ def _rhs_joint(fam: IdealFamily, cand: JointReductionCandidate, deg: MultiDegree
     return parts
 
 
-def _rhs_pure(fam: IdealFamily, cand: JointReductionCandidate, n: tuple[int, ...]) -> list[MonomialIdeal]:
-    """The parts of the ungraded right side at `n`: the relations, then
-    u * piece for each element u."""
-    ctx = fam.ctx
-    parts = [fam.module.relations]
-    for u, src in cand.elements:
-        shifted = tuple(ni - (1 if i == src else 0) for i, ni in enumerate(n))
-        piece = _module_piece(fam, MultiDegree(0, shifted))
-        parts.append(ideal_product(_principal(ctx, u), piece))
-    return parts
-
-
-def _check_window(lhs_of, rhs_parts_of, degrees, base, extent) -> ContainmentCertificate:
-    for deg in degrees:
-        witness = first_outside_sum(rhs_parts_of(deg), lhs_of(deg))
+def _check_window(lhs_of, rhs_parts_of, points, base, extent) -> ContainmentCertificate:
+    """Test lhs_of(pt) against the sum of rhs_parts_of(pt) at each window
+    point in turn; a failure's witness is (pt, first generator outside)."""
+    for pt in points:
+        witness = first_outside_sum(rhs_parts_of(pt), lhs_of(pt))
         if witness is not None:
-            return ContainmentCertificate(False, base, extent, (deg, witness))
+            return ContainmentCertificate(False, base, extent, (pt, witness))
     return ContainmentCertificate(True, base, extent)
 
 
@@ -157,51 +149,26 @@ def verify_joint_reduction(fam: IdealFamily, cand: JointReductionCandidate) -> C
 
     Checks every multidegree in a box of large degrees; the right-to-left
     inclusion is automatic, so only minimal generators of the left side are
-    tested for membership in the right side modulo the relations.
+    tested for membership in the right side modulo the relations.  A pure
+    candidate is checked at n0 = 0 on the box of n alone, so its window
+    points, and its witness, have d entries; the others have (n0, n).
     """
     cand.check_membership(fam)
     base = initial_offset(fam)
     extent = BAND_EXTENT
     q = fam.module.relations
-    if cand.is_pure:
-        boxes = itertools.product(*(range(base, base + extent) for _ in range(fam.d)))
-        return _check_window(
-            lambda n: ideal_sum(_module_piece(fam, MultiDegree(0, n)), q),
-            lambda n: _rhs_pure(fam, cand, n),
-            list(boxes),
-            base,
-            extent,
-        )
-    boxes = itertools.product(*(range(base, base + extent) for _ in range(fam.d + 1)))
-    degrees = [MultiDegree(pt[0], pt[1:]) for pt in boxes]
+    pure = cand.is_pure
+
+    def degree(pt):
+        return MultiDegree(0, pt) if pure else MultiDegree(pt[0], pt[1:])
+
     return _check_window(
-        lambda deg: ideal_sum(_module_piece(fam, deg), q),
-        lambda deg: _rhs_joint(fam, cand, deg),
-        degrees,
+        lambda pt: ideal_sum(_module_piece(fam, degree(pt)), q),
+        lambda pt: _rhs_parts(fam, cand, degree(pt)),
+        window_points(fam.d if pure else fam.d + 1, base, extent),
         base,
         extent,
     )
-
-
-def is_reduction(i: MonomialIdeal, gens, module: QuotientModule) -> ContainmentCertificate:
-    """Whether finitely many elements of `i` generate i^(n+1)M from i^nM."""
-    ctx = module.ctx
-    sub = ideal(ctx, list(gens))
-    if not i.contains_ideal(sub):
-        raise ValueError("reduction candidates must lie in the ideal")
-    q = module.relations
-    degs = [i.max_generator_degree(), q.max_generator_degree()]
-    dim = krull_dim(module)
-    base = max(1, (0 if dim == float("-inf") else int(dim)) + max(degs))
-    extent = BAND_EXTENT
-    t = module.top
-    for n in range(base, base + extent):
-        lhs = ideal_sum(ideal_product(ideal_power(i, n + 1), t), q)
-        rhs = ideal_sum(ideal_product(sub, ideal_product(ideal_power(i, n), t)), q)
-        witness = rhs.first_outside(lhs)
-        if witness is not None:
-            return ContainmentCertificate(False, base, extent, ((n,), witness))
-    return ContainmentCertificate(True, base, extent)
 
 
 def is_filter_regular(fam: IdealFamily, u: Monomial) -> bool:
@@ -214,28 +181,28 @@ def is_rees_superficial(fam: IdealFamily, u: Monomial, i: int) -> ContainmentCer
     """Check (u)M meet I^n I_i M = u I^n M on a window of large n."""
     if not fam.ideals[i].contains(u):
         raise ValueError("element must lie in the indexed ideal")
-    ctx = fam.ctx
     q = fam.module.relations
-    pu = _principal(ctx, u)
+    pu = _principal(fam.ctx, u)
+    t = fam.module.top
+
+    def blob(n):
+        return _module_piece(fam, MultiDegree(0, n))
+
+    def lhs(n):
+        return ideal_intersection(
+            ideal_sum(ideal_product(pu, t), q),
+            ideal_sum(ideal_product(blob(n), fam.ideals[i]), q),
+        )
+
     base = initial_offset(fam)
     extent = BAND_EXTENT
-    t = fam.module.top
-    for n in itertools.product(*(range(base, base + extent) for _ in range(fam.d))):
-        blob = ideal_product(weighted_power(fam, MultiDegree(0, n)), t)
-        lhs = ideal_intersection(
-            ideal_sum(ideal_product(pu, t), q),
-            ideal_sum(ideal_product(blob, fam.ideals[i]), q),
-        )
-        rhs = ideal_sum(ideal_product(pu, blob), q)
-        witness = rhs.first_outside(lhs)
-        if witness is not None:
-            return ContainmentCertificate(False, base, extent, (n, witness))
-    return ContainmentCertificate(True, base, extent)
-
-
-def is_weak_fc(fam: IdealFamily, u: Monomial, i: int) -> bool:
-    """Rees superficial and I-filter-regular at once."""
-    return is_rees_superficial(fam, u, i).holds and is_filter_regular(fam, u)
+    return _check_window(
+        lhs,
+        lambda n: [q, ideal_product(pu, blob(n))],
+        window_points(fam.d, base, extent),
+        base,
+        extent,
+    )
 
 
 def is_system_of_parameters(module: QuotientModule, elems) -> bool:

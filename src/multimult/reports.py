@@ -47,7 +47,6 @@ def certificate_payload(cert) -> dict:
         "window_extent": cert.window_extent,
     }
     if cert.witness is not None:
-        deg, mono = cert.witness
-        degree = deg if isinstance(deg, tuple) else (deg.n0,) + deg.n
-        out["witness"] = {"multidegree": list(degree), "monomial": str(mono)}
+        point, mono = cert.witness
+        out["witness"] = {"multidegree": list(point), "monomial": str(mono)}
     return out

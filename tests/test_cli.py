@@ -8,7 +8,7 @@ import pytest
 
 from multimult.cli import main, run_instance, run_request
 from multimult.hilbert import table_on_window
-from multimult.instances import InstanceParseError, parse_instance, parse_monomial
+from multimult.instances import COMMANDS, InstanceParseError, parse_instance, parse_monomial
 from multimult.monomials import RingContext
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -151,6 +151,28 @@ class TestRequests:
         assert first == second
 
 
+def assert_rejected(tmp_path, capsys, bad, path):
+    """`bad`, behind a good request, makes the run exit 2 at parse time with
+    `path` on stderr: no request runs and no report is written."""
+    doc = json.loads(MINIMAL)
+    # A candidate whose type has no positive k_i.
+    doc["candidates"]["j"] = {
+        "type": {"k0": 1, "k": [0]},
+        "elements": [{"monomial": "x1", "source": "J"}, {"monomial": "x2", "source": "J"}],
+    }
+    doc["requests"] = [{"command": "mixed", "type": {"k0": 0, "k": [1]}}, bad]
+    f = tmp_path / "inst.json"
+    f.write_text(json.dumps(doc))
+    out_path = tmp_path / "report.json"
+    assert main(["run", str(f), "--json", str(out_path)]) == 2
+    captured = capsys.readouterr()
+    assert path in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == "" and not out_path.exists()
+    with pytest.raises(InstanceParseError, match=re.escape(path)):
+        parse_instance(json.dumps(doc))
+
+
 class TestCliEntry:
     def test_parse_error_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -232,21 +254,49 @@ class TestCliEntry:
     def test_malformed_request_type_exit_2(self, tmp_path, capsys, command, bad_type):
         # Rejected at parse time, with the JSON path of the bad type, before
         # the good request ahead of it runs.
-        doc = json.loads(MINIMAL)
         bad = {"command": command}
         if bad_type is not None:
             bad["type"] = bad_type
-        doc["requests"] = [{"command": "mixed", "type": {"k0": 0, "k": [1]}}, bad]
-        f = tmp_path / "inst.json"
-        f.write_text(json.dumps(doc))
-        out_path = tmp_path / "report.json"
-        assert main(["run", str(f), "--json", str(out_path)]) == 2
-        captured = capsys.readouterr()
-        assert "requests[1].type" in captured.err
-        assert "Traceback" not in captured.err
-        assert captured.out == "" and not out_path.exists()
-        with pytest.raises(InstanceParseError, match=r"requests\[1\]\.type"):
-            parse_instance(json.dumps(doc))
+        assert_rejected(tmp_path, capsys, bad, "requests[1].type")
+
+    @pytest.mark.parametrize(
+        "bad, path",
+        [
+            pytest.param({"command": "frobnicate"}, "command", id="unknown-command"),
+            pytest.param({"command": "hilbert", "which": "Q"}, "which", id="hilbert-which"),
+            pytest.param({"command": "chi", "candidate": "c", "direct": "no"}, "direct",
+                         id="chi-direct-string"),
+            pytest.param({"command": "chi", "candidate": "c", "direct": 1}, "direct",
+                         id="chi-direct-int"),
+            pytest.param({"command": "search-jr", "type": {"k0": 0, "k": [1]}, "budget": "abc"},
+                         "budget", id="search-budget-string"),
+            pytest.param({"command": "search-jr", "type": {"k0": 0, "k": [1]}, "budget": True},
+                         "budget", id="search-budget-bool"),
+            pytest.param({"command": "search-jr", "type": {"k0": 0, "k": [1]}, "max_degree": 2.7},
+                         "max_degree", id="search-max-degree-float"),
+            pytest.param({"command": "search-jr", "type": {"k0": 0, "k": [1]}, "max_degree": -1},
+                         "max_degree", id="search-max-degree-negative"),
+            pytest.param({"command": "verify-jr", "candidate": "nope"}, "candidate",
+                         id="undeclared-candidate"),
+            pytest.param({"command": "mult-symbol"}, "candidate", id="missing-candidate"),
+            pytest.param({"command": "element-props", "monomial": "x1", "ideal": "I9"}, "ideal",
+                         id="element-props-undeclared-ideal"),
+            pytest.param({"command": "element-props", "monomial": "x1"}, "ideal",
+                         id="element-props-missing-ideal"),
+            pytest.param({"command": "element-props", "monomial": "x9", "ideal": "I1"}, "monomial",
+                         id="element-props-unknown-variable"),
+            pytest.param({"command": "element-props", "ideal": "I1"}, "monomial",
+                         id="element-props-missing-monomial"),
+            pytest.param({"command": "element-props", "monomial": "1", "ideal": "I1"}, "monomial",
+                         id="element-props-monomial-outside-ideal"),
+            pytest.param({"command": "verify-corollaries", "candidate": "c", "ideal": "J"}, "ideal",
+                         id="corollaries-undeclared-ideal"),
+            pytest.param({"command": "verify-theorem", "candidate": "j"}, "candidate",
+                         id="theorem-no-positive-k"),
+        ],
+    )
+    def test_malformed_request_field_exit_2(self, tmp_path, capsys, bad, path):
+        assert_rejected(tmp_path, capsys, bad, f"requests[1].{path}")
 
     def test_parse_error_inside_a_request_exit_2(self, tmp_path, capsys):
         doc = json.loads(MINIMAL)
@@ -265,6 +315,26 @@ class TestCliEntry:
             re.findall(r"--[\w-]+", synopsis)
         )
         assert "file" in usage and "<file>" in synopsis
+
+    def test_readme_lists_every_command(self):
+        # The README's command list is the set of commands parse_instance
+        # accepts: it fails no listed command, and only those, on the command.
+        readme = (ROOT / "README.md").read_text()
+        listed = re.search(r"Available request commands: (.*?)\.\n", readme, re.S).group(1)
+        names = re.findall(r"`([\w-]+)`", listed)
+
+        def accepted(command):
+            doc = json.loads(MINIMAL)
+            doc["requests"] = [{"command": command}]
+            try:
+                parse_instance(json.dumps(doc))
+            except InstanceParseError as exc:
+                return exc.location != "requests[0].command"
+            return True
+
+        assert all(map(accepted, names))
+        assert not accepted("frobnicate")
+        assert sorted(names) == sorted(COMMANDS)
 
     def test_sample_report_is_pinned(self, tmp_path, capsys):
         out_path = tmp_path / "report.json"

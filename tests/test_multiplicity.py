@@ -1,13 +1,17 @@
 """Unit tests for the multiplicity symbol and the verification suite."""
 
+from fractions import Fraction
+
 import pytest
 
-from multimult.hilbert import IdealFamily, MixedType
+from corpus import build_corpus
+from multimult.hilbert import IdealFamily, MixedType, mixed_multiplicity
 from multimult.monomials import (
     MonomialIdeal,
     QuotientModule,
     RingContext,
     ideal,
+    ideal_product,
 )
 from multimult.multiplicity import (
     NotMultiplicitySystemError,
@@ -117,6 +121,71 @@ class TestHilbertSamuel:
     def test_rejects_non_definition(self):
         with pytest.raises(NotMultiplicitySystemError):
             hilbert_samuel(QuotientModule.free(C2), ideal(C2, [(1, 0)]))
+
+
+def teissier_2var(a: MonomialIdeal) -> int:
+    """e(a) = 2 * area(R^2_>=0 minus NP(a)) for an m-primary monomial ideal
+    a of k[x1, x2] (Teissier), by exact shoelace on the lower hull.
+
+    Every minimal generator lies between the pure powers (0, b) and (c, 0),
+    so the part of the Newton boundary that faces the origin is the lower
+    convex hull of the generators, swept by increasing x1.
+    """
+    hull = []
+    for p in sorted(a.gens):
+        while len(hull) >= 2:
+            (x0, y0), (x1, y1) = hull[-2], hull[-1]
+            if (x1 - x0) * (p[1] - y0) - (y1 - y0) * (p[0] - x0) > 0:
+                break
+            hull.pop()
+        hull.append(p)
+    polygon = [(0, 0)] + hull[::-1]
+    twice_area = sum(
+        x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(polygon, polygon[1:] + polygon[:1])
+    )
+    area = Fraction(twice_area, 2)
+    assert area.denominator in (1, 2)
+    return int(2 * area)
+
+
+class TestTeissierOracle:
+    def test_closed_forms(self):
+        # e(x1^a, x2^b) = a * b.
+        assert teissier_2var(ideal(C2, [(1, 0), (0, 1)])) == 1
+        assert teissier_2var(ideal(C2, [(3, 0), (0, 2)])) == 6
+        # x1*x2 lies below the segment from x2^3 to x1^3: two triangles of
+        # area 3/2 each.
+        assert teissier_2var(ideal(C2, [(3, 0), (1, 1), (0, 3)])) == 6
+        # x1^2*x2^2 lies above it and leaves NP as it is for (x1^3, x2^3).
+        assert teissier_2var(ideal(C2, [(3, 0), (2, 2), (0, 3)])) == 9
+
+    def test_hilbert_samuel_on_two_variable_corpus_ideals(self):
+        primary = {
+            a
+            for c in build_corpus()
+            if c.fam.ctx.num_vars == 2
+            for a in (c.fam.j, *c.fam.ideals, *(ideal_product(c.fam.j, i) for i in c.fam.ideals))
+            if a.is_primary_to_max_ideal()
+        }
+        assert len(primary) >= 5
+        free = QuotientModule.free(C2)
+        for a in sorted(primary, key=lambda a: a.gens):
+            assert hilbert_samuel(free, a) == teissier_2var(a), a
+
+    def test_corpus_25_left_side(self):
+        # corpus-25: J = (x1^3, x2^2, x1^2*x2), I1 = (x1, x2^2), I2 = (x1).
+        # The type (0, (1, 0)) mixed multiplicity is e(J^[1], I1^[1]), which
+        # polarizes to (e(J*I1) - e(J) - e(I1)) / 2.
+        j = ideal(C2, [(3, 0), (0, 2), (2, 1)])
+        i1 = ideal(C2, [(1, 0), (0, 2)])
+        fam = IdealFamily(j, (i1, ideal(C2, [(1, 0)])), QuotientModule.free(C2))
+        e = [teissier_2var(a) for a in (ideal_product(j, i1), j, i1)]
+        assert e == [12, 6, 2]
+        free = QuotientModule.free(C2)
+        assert [hilbert_samuel(free, a) for a in (ideal_product(j, i1), j, i1)] == e
+        oracle = Fraction(e[0] - e[1] - e[2], 2)
+        assert oracle == 2
+        assert mixed_multiplicity(fam, MixedType(0, (1, 0))) == (oracle, True)
 
 
 class TestTheoremRecursion:

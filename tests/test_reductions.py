@@ -1,29 +1,24 @@
 """Unit tests for joint-reduction certificates and element properties."""
 
+import json
+
 import pytest
 
+from multimult.cli import run_request
 from multimult.hilbert import IdealFamily, MixedType, MultiDegree, weighted_power
-from multimult.monomials import (
-    Monomial,
-    MonomialIdeal,
-    QuotientModule,
-    RingContext,
-    ideal,
-    ideal_sum,
-)
+from multimult.instances import parse_instance
+from multimult.monomials import QuotientModule, RingContext, ideal
 from multimult.reductions import (
     J_SOURCE,
     JointReductionCandidate,
-    PoolPolicy,
     is_filter_regular,
     is_multiplicity_system,
-    is_reduction,
     is_rees_superficial,
     is_system_of_parameters,
-    is_weak_fc,
     search_joint_reduction,
     verify_joint_reduction,
 )
+from multimult.reports import certificate_payload
 
 C1 = RingContext(1)
 C2 = RingContext(2)
@@ -108,9 +103,27 @@ class TestVerifyJointReduction:
         )
         cert = verify_joint_reduction(fam, cand)
         assert not cert.holds
-        deg, witness = cert.witness
-        lhs = weighted_power(fam, deg)
+        (n0, *n), witness = cert.witness
+        lhs = weighted_power(fam, MultiDegree(n0, tuple(n)))
         assert lhs.contains(witness)
+
+    def test_pure_witness_is_pinned(self):
+        # A pure candidate's witness carries the d entries of n, not (n0, n).
+        m = ideal(C2, [(1, 0), (0, 1)])
+        fam = IdealFamily(m, (m,), QuotientModule.free(C2))
+        cand = JointReductionCandidate(((C2.monomial(1, 0), 0),), MixedType(0, (1,)))
+        assert certificate_payload(verify_joint_reduction(fam, cand)) == {
+            "holds": False, "window_base": 3, "window_extent": 2,
+            "witness": {"multidegree": [3], "monomial": "x2^3"},
+        }
+        fam2 = IdealFamily(m, (m, m), QuotientModule.free(C2))
+        cand2 = JointReductionCandidate(
+            ((C2.monomial(1, 0), 0), (C2.monomial(1, 0), 1)), MixedType(0, (1, 1))
+        )
+        assert certificate_payload(verify_joint_reduction(fam2, cand2)) == {
+            "holds": False, "window_base": 3, "window_extent": 2,
+            "witness": {"multidegree": [3, 3], "monomial": "x2^6"},
+        }
 
     def test_permutation_invariance(self):
         fam = family_dim4()
@@ -122,22 +135,11 @@ class TestVerifyJointReduction:
         assert verify_joint_reduction(fam, swapped).holds
 
 
-class TestIsReduction:
-    def test_full_generating_set(self):
-        m = ideal(C2, [(1, 0), (0, 1)])
-        assert is_reduction(m, [C2.monomial(1, 0), C2.monomial(0, 1)], QuotientModule.free(C2)).holds
-
-    def test_power_sum_reduction(self):
-        i = ideal(C2, [(2, 0), (1, 1), (0, 2)])
-        cert = is_reduction(i, [C2.monomial(2, 0), C2.monomial(0, 2)], QuotientModule.free(C2))
-        assert cert.holds
-
-    def test_failure_with_witness(self):
-        m = ideal(C2, [(1, 0), (0, 1)])
-        cert = is_reduction(m, [C2.monomial(1, 0)], QuotientModule.free(C2))
-        assert not cert.holds
-        (n,), witness = cert.witness
-        assert witness.exponents[1] == n + 1
+def element_props(doc, monomial, ideal_name):
+    """The result of an element-props request on the instance `doc`."""
+    inst = parse_instance(json.dumps(doc))
+    req = {"command": "element-props", "monomial": monomial, "ideal": ideal_name}
+    return run_request(inst, req)
 
 
 class TestElementProperties:
@@ -164,12 +166,38 @@ class TestElementProperties:
         assert is_rees_superficial(family_dim4(), C4.monomial(0, 0, 1, 0), 1).holds
 
     def test_weak_fc_dim4(self):
-        assert is_weak_fc(family_dim4(), C4.monomial(0, 0, 1, 0), 1)
+        doc = {
+            "variables": ["x1", "x2", "x3", "x4"],
+            "J": ["x1", "x2", "x3", "x4"],
+            "ideals": {"I1": ["x1", "x2", "x3"], "I2": ["x3"]},
+        }
+        assert element_props(doc, "x3", "I2")["weak_fc"] is True
 
     def test_weak_fc_zero_module(self):
+        doc = {
+            "variables": ["x1", "x2"],
+            "module_relations": ["1"],
+            "J": ["x1", "x2"],
+            "ideals": {"I1": ["x1", "x2"]},
+        }
+        assert element_props(doc, "x1", "I1")["weak_fc"] is True
+
+    def test_failing_witness_is_pinned(self):
+        # The first grlex generator of the left side outside the right side,
+        # at the first multidegree of the window, as the report prints it.
         m = ideal(C2, [(1, 0), (0, 1)])
-        fam = IdealFamily(m, (m,), QuotientModule(C2, MonomialIdeal.unit(C2)))
-        assert is_weak_fc(fam, C2.monomial(1, 0), 0)
+        free = IdealFamily(m, (m,), QuotientModule.free(C2))
+        cert = is_rees_superficial(free, C2.monomial(2, 0), 0)
+        assert certificate_payload(cert) == {
+            "holds": False, "window_base": 3, "window_extent": 2,
+            "witness": {"multidegree": [3], "monomial": "x1^2*x2^2"},
+        }
+        killed = IdealFamily(m, (m,), QuotientModule(C2, ideal(C2, [(2, 0)])))
+        cert = is_rees_superficial(killed, C2.monomial(1, 1), 0)
+        assert certificate_payload(cert) == {
+            "holds": False, "window_base": 3, "window_extent": 2,
+            "witness": {"multidegree": [3], "monomial": "x1*x2^3"},
+        }
 
 
 class TestParameterSystems:

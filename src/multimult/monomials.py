@@ -13,7 +13,7 @@ and every enumeration below is deterministic.
 A :class:`MonomialIdeal` keeps its minimal generators as one read-only
 (n, m) int64 matrix in grlex order, with the vector of their total degrees.
 The arithmetic works on these matrices directly, and membership of many
-monomials at once is one broadcast comparison, ``_members_mask``.  The
+monomials at once is one vectorized test, ``_members_mask``.  The
 ideal's hash is computed once from the matrix bytes, so the lru caches below
 look ideals up in constant time.  ``gens``, the generators as exponent
 tuples, is a view made on first use.
@@ -29,6 +29,23 @@ distinct and grlex-ordered; a sum with the zero ideal is the other operand
 and a product with the unit ideal the other factor.  Containment in a sum of
 ideals, ``first_outside_sum``, never builds the sum: a monomial lies in a
 sum of monomial ideals iff it lies in one of them.
+
+Reductions over the exponent axis of many rows run column-wise, through
+two kernels.  Exponent matrices are C-ordered (n, m) with m small, and a
+numpy reduction along that short inner axis (``rows.sum(axis=1)``, or the
+broadcast ``(gens[None] <= pts[:, None]).all(axis=2)``) pays its per-row
+set-up on a handful of elements.  So total degrees are one matrix-vector
+product, ``_row_sums``, and "some generator divides this point" is
+``_divides_any``, which ANDs one (points, generators) comparison per column
+and reduces only along the long generator axis; the grlex keys are likewise
+built as an (m+1, n) matrix.  Degrees known by construction (minimalized
+rows, shifted ideals) are passed to the constructor rather than summed
+again.
+
+Length counting (``_count_difference``) can take a colon floor, an ideal
+primary to the maximal ideal whose standard monomials bound every colon it
+would otherwise analyse; those standard monomials are enumerated once per
+floor ideal and kept on it, the way ``gens`` is.
 """
 
 from __future__ import annotations
@@ -125,21 +142,41 @@ class Monomial:
         return "*".join(parts)
 
 
-def _grlex_words(rows: np.ndarray) -> list[np.ndarray]:
-    """The grlex keys of the rows of an (n, m) int64 exponent matrix, packed
-    exactly into int64 words, most significant word first.
+def _row_sums(rows: np.ndarray) -> np.ndarray:
+    """The total degrees of the rows of an (n, m) int64 exponent matrix."""
+    # Filled in place: np.ones costs more than the product on small matrices.
+    ones = np.empty(rows.shape[1], dtype=np.int64)
+    ones.fill(1)
+    return rows @ ones
 
-    The key of a row is (degree, x1, ..., xm).  Each key column is a digit
-    whose radix is its own maximum plus one; from the least significant
-    end, columns join a word while the product of its radices stays at most
-    2**63, and each word is one matrix-vector product with its place
-    values.  The words, compared in order, compare the keys, and equal words
-    mean equal rows.  Exponents of moderate size give a single word.
+
+def _divides_any(gens: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Boolean mask over the rows of `points`: whether some row of `gens`
+    divides it.  One (len(points), len(gens)) comparison per exponent
+    column, AND-ed together."""
+    ok = gens[:, 0] <= points[:, 0, None]
+    for col in range(1, gens.shape[1]):
+        ok &= gens[:, col] <= points[:, col, None]
+    return ok.any(axis=1)
+
+
+def _grlex_words(rows: np.ndarray, degrees: np.ndarray) -> np.ndarray:
+    """The grlex keys of the rows of an (n, m) int64 exponent matrix with
+    total degrees `degrees`, packed exactly into int64 words: a (words, n)
+    matrix, most significant word first.
+
+    The key of a row is (degree, x1, ..., xm), held as an (m+1, n) matrix.
+    Each key column is a digit whose radix is its own maximum plus one; from
+    the least significant end, columns join a word while the product of its
+    radices stays at most 2**63, and the words are one matrix product of
+    their place values with the keys.  The words, compared in order, compare
+    the keys, and equal words mean equal rows.  Exponents of moderate size
+    give a single word.
     """
-    keys = np.empty((len(rows), rows.shape[1] + 1), dtype=np.int64)
-    keys[:, 0] = rows.sum(axis=1)
-    keys[:, 1:] = rows
-    radices = keys.max(axis=0, initial=0).tolist()
+    keys = np.empty((rows.shape[1] + 1, len(rows)), dtype=np.int64)
+    keys[0] = degrees
+    keys[1:] = rows.T
+    radices = keys.max(axis=1, initial=0).tolist()
     places = [[0] * len(radices)]
     span = 1
     for col in range(len(radices) - 1, -1, -1):
@@ -149,13 +186,13 @@ def _grlex_words(rows: np.ndarray) -> list[np.ndarray]:
             span = 1
         places[-1][col] = span
         span *= radix
-    return [keys.dot(np.array(p, dtype=np.int64)) for p in reversed(places)]
+    return np.array(places[::-1], dtype=np.int64) @ keys
 
 
-def _grlex_runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _grlex_runs(rows: np.ndarray, degrees: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A stable grlex sort of the rows: the order, and a mask over the
     sorted rows marking each one that differs from its predecessor."""
-    words = _grlex_words(rows)
+    words = _grlex_words(rows, degrees)
     order = np.lexsort(words[::-1])
     fresh = np.zeros(len(rows), dtype=bool)
     fresh[:1] = True
@@ -168,13 +205,15 @@ def _grlex_runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _grlex_unique(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of an (n, m) int64 exponent matrix in grlex order,
     and their total degrees."""
-    order, fresh = _grlex_runs(rows)
-    rows = rows[order[fresh]]
-    return rows, rows.sum(axis=1)
+    degrees = _row_sums(rows)
+    order, fresh = _grlex_runs(rows, degrees)
+    keep = order[fresh]
+    return rows[keep], degrees[keep]
 
 
-def _minimal_rows(rows: np.ndarray) -> np.ndarray:
-    """The minimal rows of an (n, m) int64 exponent matrix, in grlex order.
+def _minimal_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The minimal rows of an (n, m) int64 exponent matrix, in grlex order,
+    and their total degrees.
 
     Rows of equal total degree cannot properly divide each other, so each
     degree block is tested only against the kept rows of strictly lower
@@ -186,8 +225,8 @@ def _minimal_rows(rows: np.ndarray) -> np.ndarray:
     for start, end in zip(starts, [*starts[1:], len(rows)]):
         below = rows[:start][keep[:start]]
         block = rows[start:end]
-        keep[start:end] = ~(below[None, :, :] <= block[:, None, :]).all(axis=2).any(axis=1)
-    return rows[keep]
+        keep[start:end] = ~_divides_any(below, block)
+    return rows[keep], degs[keep]
 
 
 class MonomialIdeal:
@@ -196,15 +235,15 @@ class MonomialIdeal:
     ``matrix`` is the read-only (n, m) int64 matrix of minimal generators in
     grlex order and ``degrees`` their total degrees.  The zero ideal has no
     generators; the unit ideal has the single generator 1.  The constructor
-    trusts its matrix to be minimal and grlex-sorted, and makes it read-only:
-    build ideals through :func:`ideal` or the arithmetic below.
+    trusts its matrix to be minimal and grlex-sorted and `degrees` to be its
+    row sums, and makes both read-only: build ideals through :func:`ideal`
+    or the arithmetic below.
     """
 
-    __slots__ = ("ctx", "matrix", "degrees", "_key", "_hash", "_gens")
+    __slots__ = ("ctx", "matrix", "degrees", "_key", "_hash", "_gens", "_standard")
 
-    def __init__(self, ctx: RingContext, matrix: np.ndarray):
+    def __init__(self, ctx: RingContext, matrix: np.ndarray, degrees: np.ndarray):
         matrix.flags.writeable = False
-        degrees = matrix.sum(axis=1)
         degrees.flags.writeable = False
         self.ctx = ctx
         self.matrix = matrix
@@ -212,6 +251,7 @@ class MonomialIdeal:
         self._key = (ctx.num_vars, matrix.tobytes())
         self._hash = hash(self._key)
         self._gens = None
+        self._standard = None
 
     def __hash__(self) -> int:
         return self._hash
@@ -231,15 +271,28 @@ class MonomialIdeal:
             self._gens = tuple(map(tuple, self.matrix.tolist()))
         return self._gens
 
+    @property
+    def standard_rows(self) -> np.ndarray:
+        """The monomials outside the ideal, one per row in box order, for an
+        ideal containing a power of every variable; enumerated on first use
+        and read-only."""
+        if self._standard is None:
+            rows = _standard_rows(self)
+            rows.flags.writeable = False
+            self._standard = rows
+        return self._standard
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero(ctx: RingContext) -> MonomialIdeal:
-        return MonomialIdeal(ctx, np.zeros((0, ctx.num_vars), dtype=np.int64))
+        return MonomialIdeal(ctx, np.zeros((0, ctx.num_vars), dtype=np.int64),
+                             np.zeros(0, dtype=np.int64))
 
     @staticmethod
     def unit(ctx: RingContext) -> MonomialIdeal:
-        return MonomialIdeal(ctx, np.zeros((1, ctx.num_vars), dtype=np.int64))
+        return MonomialIdeal(ctx, np.zeros((1, ctx.num_vars), dtype=np.int64),
+                             np.zeros(1, dtype=np.int64))
 
     # -- predicates --------------------------------------------------------
 
@@ -273,17 +326,8 @@ class MonomialIdeal:
         """For each variable, the least e with x_i^e in the ideal, or None
         if some variable has no pure power here (ideal not primary to the
         maximal ideal)."""
-        m = self.ctx.num_vars
-        if self.is_unit():
-            return (0,) * m
-        # A minimal generating set holds at most one pure power per variable.
-        pure = self.matrix[np.count_nonzero(self.matrix, axis=1) == 1]
-        if len(pure) < m:
-            return None
-        bounds = [0] * m
-        for var, exp in zip(pure.argmax(axis=1).tolist(), pure.max(axis=1).tolist()):
-            bounds[var] = exp
-        return tuple(bounds)
+        bounds = _colon_pure_bounds(self, np.zeros(self.ctx.num_vars, dtype=np.int64))
+        return None if None in bounds else tuple(bounds)
 
     def is_primary_to_max_ideal(self) -> bool:
         """Whether the ideal contains a power of every variable."""
@@ -331,8 +375,8 @@ def ideal(ctx: RingContext, monomials) -> MonomialIdeal:
         rows.append(exps)
     matrix = np.array(rows, dtype=np.int64).reshape(len(rows), ctx.num_vars)
     if len(rows) > 1:
-        matrix = _minimal_rows(matrix)
-    return MonomialIdeal(ctx, matrix)
+        return MonomialIdeal(ctx, *_minimal_rows(matrix))
+    return MonomialIdeal(ctx, matrix, _row_sums(matrix))
 
 
 def _check_ctx(a: MonomialIdeal, b: MonomialIdeal) -> None:
@@ -349,7 +393,7 @@ def _rows_in(points: np.ndarray, rows: np.ndarray) -> np.ndarray:
     with a row of `rows`.
     """
     both = np.concatenate((rows, points))
-    order, starts = _grlex_runs(both)
+    order, starts = _grlex_runs(both, _row_sums(both))
     matched = (order[starts] < len(rows))[np.cumsum(starts) - 1]
     is_point = order >= len(rows)
     mask = np.zeros(len(points), dtype=bool)
@@ -360,17 +404,22 @@ def _rows_in(points: np.ndarray, rows: np.ndarray) -> np.ndarray:
 def _members_mask(a: MonomialIdeal, points: np.ndarray) -> np.ndarray:
     """Boolean mask: which rows of `points` lie in the ideal `a`.
 
-    A generator divides a point of its own total degree only when the two
-    are equal, so points equal to a generator are found by one sort, and
-    the divisibility test for the rest consults, per chunk of points in
-    degree order, only the generators of lower degree.
+    Points of lower total degree than every generator lie outside, so when
+    all of them do the mask is all False with no sort.  A generator divides
+    a point of its own total degree only when the two are equal, so points
+    equal to a generator are found by one sort, and the divisibility test
+    for the rest consults, per chunk of points in degree order, only the
+    generators of lower degree.
     """
     n = len(points)
     if a.is_zero() or n == 0:
         return np.zeros(n, dtype=bool)
+    degs = _row_sums(points)
+    if degs.max() < a.degrees[0]:
+        return np.zeros(n, dtype=bool)
     mask = _rows_in(points, a.matrix)
     rest = np.flatnonzero(~mask)
-    pdeg = points[rest].sum(axis=1)
+    pdeg = degs[rest]
     by_degree = np.argsort(pdeg, kind="stable")
     rest = rest[by_degree]
     pdeg = pdeg[by_degree]
@@ -380,8 +429,7 @@ def _members_mask(a: MonomialIdeal, points: np.ndarray) -> np.ndarray:
         hi = int(np.searchsorted(a.degrees, pdeg[s : s + chunk][-1], side="left"))
         if hi == 0:
             continue
-        sub = a.matrix[:hi]
-        mask[idx] = (sub[None, :, :] <= points[idx][:, None, :]).all(axis=2).any(axis=1)
+        mask[idx] = _divides_any(a.matrix[:hi], points[idx])
     return mask
 
 
@@ -407,7 +455,7 @@ def first_outside_sum(parts, other: MonomialIdeal) -> Monomial | None:
 
 @lru_cache(maxsize=None)
 def _ideal_sum_cached(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
-    return MonomialIdeal(a.ctx, _minimal_rows(np.concatenate((a.matrix, b.matrix))))
+    return MonomialIdeal(a.ctx, *_minimal_rows(np.concatenate((a.matrix, b.matrix))))
 
 
 def ideal_sum(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
@@ -424,7 +472,7 @@ def ideal_sum(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
 @lru_cache(maxsize=None)
 def _ideal_product_cached(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
     prods = a.matrix[:, None, :] + b.matrix[None, :, :]
-    return MonomialIdeal(a.ctx, _minimal_rows(prods.reshape(-1, a.ctx.num_vars)))
+    return MonomialIdeal(a.ctx, *_minimal_rows(prods.reshape(-1, a.ctx.num_vars)))
 
 
 def ideal_product(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
@@ -438,9 +486,9 @@ def ideal_product(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
         return a
     # Adding u keeps the rows minimal, distinct and in grlex order.
     if len(a.matrix) == 1:
-        return MonomialIdeal(a.ctx, b.matrix + a.matrix[0])
+        return MonomialIdeal(a.ctx, b.matrix + a.matrix[0], b.degrees + a.degrees[0])
     if len(b.matrix) == 1:
-        return MonomialIdeal(a.ctx, a.matrix + b.matrix[0])
+        return MonomialIdeal(a.ctx, a.matrix + b.matrix[0], a.degrees + b.degrees[0])
     if len(b.matrix) > len(a.matrix):
         a, b = b, a
     return _ideal_product_cached(a, b)
@@ -464,7 +512,7 @@ def colon_by_monomial(q: MonomialIdeal, u: Monomial) -> MonomialIdeal:
     if len(u.exponents) != q.ctx.num_vars:
         raise ContextMismatchError("monomial has wrong variable count")
     shifted = np.maximum(q.matrix - np.asarray(u.exponents, dtype=np.int64), 0)
-    return MonomialIdeal(q.ctx, _minimal_rows(shifted))
+    return MonomialIdeal(q.ctx, *_minimal_rows(shifted))
 
 
 @lru_cache(maxsize=None)
@@ -472,7 +520,7 @@ def ideal_intersection(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
     """Intersection, generated by pairwise lcms of generators."""
     _check_ctx(a, b)
     lcms = np.maximum(a.matrix[:, None, :], b.matrix[None, :, :])
-    return MonomialIdeal(a.ctx, _minimal_rows(lcms.reshape(-1, a.ctx.num_vars)))
+    return MonomialIdeal(a.ctx, *_minimal_rows(lcms.reshape(-1, a.ctx.num_vars)))
 
 
 def colon_by_ideal(q: MonomialIdeal, i: MonomialIdeal) -> MonomialIdeal:
@@ -504,22 +552,16 @@ def saturation(q: MonomialIdeal, i: MonomialIdeal) -> MonomialIdeal:
 
 def _colon_pure_bounds(bot: MonomialIdeal, g: np.ndarray) -> list[int | None]:
     """Per-variable least pure-power exponent of (bot : x^g), without
-    materializing the colon.  None marks a variable with no pure power."""
-    m = bot.ctx.num_vars
-    if bot.is_zero():
-        return [None] * m
-    gens = bot.matrix
-    garr = np.asarray(g, dtype=np.int64)
+    minimalizing the colon.  None marks a variable with no pure power.
+
+    A colon row is a power of x_j (or 1) exactly when its degree equals its
+    j-th exponent."""
+    colon = np.maximum(bot.matrix - np.asarray(g, dtype=np.int64), 0)
+    degs = _row_sums(colon)
     bounds: list[int | None] = []
-    for j in range(m):
-        others = np.ones(m, dtype=bool)
-        others[j] = False
-        ok = (gens[:, others] <= garr[others]).all(axis=1)
-        if not ok.any():
-            bounds.append(None)
-            continue
-        vals = np.maximum(gens[ok, j] - garr[j], 0)
-        bounds.append(int(vals.min()))
+    for j in range(bot.ctx.num_vars):
+        pure = colon[degs == colon[:, j], j]
+        bounds.append(int(pure.min()) if len(pure) else None)
     return bounds
 
 
@@ -543,7 +585,7 @@ def standard_monomials(w: MonomialIdeal) -> list[tuple[int, ...]]:
 
     Enumerated in the global graded lexicographic order.
     """
-    return sorted(map(tuple, _standard_rows(w).tolist()), key=_grlex_key)
+    return sorted(map(tuple, w.standard_rows.tolist()), key=_grlex_key)
 
 
 def _count_difference(top: MonomialIdeal, bot: MonomialIdeal,
@@ -556,14 +598,20 @@ def _count_difference(top: MonomialIdeal, bot: MonomialIdeal,
     exactly when every colon bot : g contains a power of each variable.
 
     `colon_floor`, when given, must be an ideal primary to the maximal ideal
-    with colon_floor * top contained in bot; its standard monomials then bound
-    every bot : g and the per-generator colon analysis is skipped.
+    with colon_floor * top contained in bot; its standard monomials, kept on
+    the floor ideal, then bound every bot : g and the per-generator colon
+    analysis is skipped.  When 1 is the only one, the candidates are the
+    generators of `top` themselves, already distinct.
     """
     if top.is_zero() or bot.is_unit():
         return 0
     if colon_floor is not None:
-        std = _standard_rows(colon_floor)
-        cands = (top.matrix[:, None, :] + std[None, :, :]).reshape(-1, top.ctx.num_vars)
+        std = colon_floor.standard_rows
+        if len(std) == 1:
+            pts = top.matrix
+        else:
+            cands = (top.matrix[:, None, :] + std[None, :, :]).reshape(-1, top.ctx.num_vars)
+            pts, _ = _grlex_unique(cands)
     else:
         blocks = []
         for g in top.matrix:
@@ -575,8 +623,7 @@ def _count_difference(top: MonomialIdeal, bot: MonomialIdeal,
             blocks.append(_box(bounds) + g)
         if not blocks:
             return 0
-        cands = np.concatenate(blocks)
-    pts, _ = _grlex_unique(cands)
+        pts, _ = _grlex_unique(np.concatenate(blocks))
     return int(np.count_nonzero(~_members_mask(bot, pts)))
 
 

@@ -4,10 +4,13 @@ import itertools
 import random
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
 from corpus import build_corpus
+from multimult import hilbert, monomials
+from multimult.cli import run_request
 from multimult.hilbert import (
     BinomialBasisPolynomial,
     HilbertTable,
@@ -22,6 +25,7 @@ from multimult.hilbert import (
     table_on_window,
     weighted_power,
 )
+from multimult.instances import parse_instance
 from multimult.monomials import (
     MINUS_INFINITY,
     MonomialIdeal,
@@ -29,6 +33,7 @@ from multimult.monomials import (
     RingContext,
     _count_difference,
     ideal,
+    ideal_power,
     ideal_product,
     ideal_sum,
     krull_dim,
@@ -36,7 +41,9 @@ from multimult.monomials import (
 
 C1 = RingContext(1)
 C2 = RingContext(2)
+C3 = RingContext(3)
 C4 = RingContext(4)
+SAMPLE = Path(__file__).resolve().parent.parent / "docs" / "instances" / "dim4_joint_reduction.json"
 
 
 def family_1var():
@@ -241,6 +248,76 @@ class TestNextTopBottom:
                           QuotientModule(C2, ideal(C2, [(3, 0)]), top))
         for n0, n1 in itertools.product(range(4), range(4)):
             self._check(fam, MultiDegree(n0, (n1,)))
+
+
+def floorless_p(fam, deg):
+    """hf_P counted by the per-generator colon analysis, with no floor."""
+    q = fam.module.relations
+    top = ideal_product(weighted_power(fam, deg), fam.module.top)
+    return _count_difference(ideal_sum(top, q), ideal_sum(ideal_product(top, fam.j), q))
+
+
+def floorless_f(fam, deg):
+    """hf_F counted by the per-generator colon analysis, with no floor."""
+    q = fam.module.relations
+    top = ideal_product(weighted_power(fam, MultiDegree(0, deg.n)), fam.module.top)
+    bottom = ideal_product(top, ideal_power(fam.j, deg.n0))
+    return _count_difference(ideal_sum(top, q), ideal_sum(bottom, q))
+
+
+def count_floor_enumerations(monkeypatch):
+    """The ideals whose standard monomials get enumerated from now on."""
+    seen = []
+    enumerate_box = monomials._standard_rows
+
+    def counted(w):
+        seen.append(w)
+        return enumerate_box(w)
+
+    monkeypatch.setattr(monomials, "_standard_rows", counted)
+    return seen
+
+
+class TestColonFloor:
+    """hf_P and hf_F count with a colon floor (J, and J^n0) whose standard
+    monomials are kept on the floor ideal; with standard set {1} the
+    candidates are top's own generators.  Both must equal the floor-less
+    count, and each floor ideal is enumerated once."""
+
+    def test_every_corpus_family_against_the_floorless_count(self):
+        families = {inst.fam for inst in build_corpus()}
+        standard_sizes = set()
+        for fam in families:
+            standard_sizes.add(len(fam.j.standard_rows))
+            for which, hf, floorless in (("P", hf_P, floorless_p), ("F", hf_F, floorless_f)):
+                fit = interpolate(fam, which)
+                for corner in (fit.base, fit.band_base):
+                    deg = MultiDegree(corner, (corner,) * fam.d)
+                    assert hf(fam, deg) == floorless(fam, deg), (fam.j, which, corner)
+        # J maximal (standard set {1}) and J not maximal both occur.
+        assert 1 in standard_sizes and max(standard_sizes) > 1
+
+    def test_sample_mixed_enumerates_the_floor_once(self, monkeypatch):
+        seen = count_floor_enumerations(monkeypatch)
+        evals = []
+        evaluate = hilbert.hf_P
+        monkeypatch.setattr(hilbert, "hf_P", lambda fam, deg: evals.append(deg) or evaluate(fam, deg))
+        interpolate.cache_clear()
+        inst = parse_instance(SAMPLE.read_text(), SAMPLE.name)
+        run_request(inst, next(r for r in inst.requests if r["command"] == "mixed"))
+        assert len(evals) == 133
+        assert seen == [inst.family.j]
+
+    def test_hf_f_enumerates_each_power_of_j_once(self, monkeypatch):
+        # A counting-style family: J has pure powers of degree up to 2 and a
+        # mixed generator, so every J^n0 has many standard monomials.
+        j = ideal(C3, [(1, 0, 0), (0, 2, 0), (0, 0, 2), (0, 1, 1)])
+        fam = IdealFamily(j, (ideal(C3, [(1, 0, 0), (0, 1, 0)]),), QuotientModule.free(C3))
+        seen = count_floor_enumerations(monkeypatch)
+        ideal_power.cache_clear()
+        for n0, n1 in itertools.product(range(5), range(4)):
+            assert hf_F(fam, MultiDegree(n0, (n1,))) == floorless_f(fam, MultiDegree(n0, (n1,)))
+        assert seen == [ideal_power(j, n0) for n0 in range(1, 5)]
 
 
 class TestMixedMultiplicity:

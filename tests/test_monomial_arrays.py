@@ -7,22 +7,29 @@ ideal (no rows), the unit ideal (a zero row), one variable and rows of equal
 degree all reach the minimalizer.  Rows with exponents up to 2**40 (or 2**20
 in eight variables) make the packed grlex keys span several words, and the
 fast paths (principal products, zero sums, containment in a sum by parts)
-are checked against the general arithmetic.
+are checked against the general arithmetic.  The column-wise kernels
+(`_row_sums`, `_divides_any`) are checked against the broadcast reductions
+they replaced, kept here as oracles.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from multimult.monomials import (
     ContextMismatchError,
     Monomial,
     MonomialIdeal,
     RingContext,
+    _colon_pure_bounds,
+    _divides_any,
     _grlex_unique,
     _grlex_words,
     _ideal_product_cached,
     _members_mask,
+    _row_sums,
     _rows_in,
     colon_by_monomial,
     first_outside_sum,
@@ -95,6 +102,39 @@ def wide_operands(draw):
 
 def as_matrix(rows, m):
     return np.array(rows, dtype=np.int64).reshape(len(rows), m)
+
+
+def words_of(rows):
+    return _grlex_words(rows, rows.sum(axis=1))
+
+
+def broadcast_row_sums(rows):
+    """The reduction along the exponent axis that `_row_sums` replaced."""
+    return rows.sum(axis=1)
+
+
+def broadcast_divides_any(gens, points):
+    """The broadcast divisibility test that `_divides_any` replaced."""
+    return (gens[None, :, :] <= points[:, None, :]).all(axis=2).any(axis=1)
+
+
+def below(row, degree):
+    """`row` with exponents lowered, first to last, until its total degree
+    is less than `degree` (which must be positive)."""
+    row = list(row)
+    for i in range(len(row)):
+        row[i] = max(0, min(row[i], degree - 1 - sum(row) + row[i]))
+    return tuple(row)
+
+
+def edge_cases():
+    """(m, gens, points) with empty matrices, the zero ideal (no rows) and
+    the unit ideal (a zero row), for one variable up to eight."""
+    for m in CONTEXTS:
+        rows = [tuple((i + j) % 3 for j in range(m)) for i in range(4)]
+        unit = [(0,) * m]
+        yield from [(m, [], rows), (m, rows, []), (m, [], []), (m, unit, rows), (m, unit, []),
+                    (m, rows, rows)]
 
 
 class TestAgainstOracle:
@@ -173,6 +213,83 @@ class TestAgainstOracle:
         assert mask.tolist() == [any(divides(g, p) for g in i.gens) for p in points]
 
 
+class TestColumnKernels:
+    """Both kernels against the broadcast forms, and the degree gate of
+    `_members_mask`."""
+
+    @CASES
+    @given(st.one_of(operands(), wide_operands()))
+    def test_row_sums(self, case):
+        m, xs, ys = case
+        rows = as_matrix(xs + ys, m)
+        got = _row_sums(rows)
+        assert got.dtype == np.int64
+        assert got.tolist() == broadcast_row_sums(rows).tolist()
+
+    @CASES
+    @given(st.one_of(operands(), wide_operands()))
+    def test_divides_any(self, case):
+        m, xs, ys = case
+        gens, points = as_matrix(xs, m), as_matrix(ys + xs[:2], m)
+        assert _divides_any(gens, points).tolist() == broadcast_divides_any(gens, points).tolist()
+
+    @pytest.mark.parametrize("m, xs, ys", list(edge_cases()))
+    def test_kernels_on_edge_cases(self, m, xs, ys):
+        gens, points = as_matrix(xs, m), as_matrix(ys, m)
+        assert _row_sums(points).tolist() == broadcast_row_sums(points).tolist()
+        mask = _divides_any(gens, points)
+        assert mask.shape == (len(ys),)
+        assert mask.tolist() == broadcast_divides_any(gens, points).tolist()
+
+    @CASES
+    @given(operands())
+    def test_members_mask_below_the_least_degree(self, case):
+        m, xs, ys = case
+        i = ideal(CONTEXTS[m], xs)
+        assume(not i.is_zero() and not i.is_unit())
+        points = as_matrix([below(p, int(i.degrees[0])) for p in ys + xs], m)
+        # The gate answers before the sort that finds generators among the points.
+        with mock.patch("multimult.monomials._rows_in", side_effect=AssertionError):
+            assert not _members_mask(i, points).any()
+
+    @CASES
+    @given(operands())
+    def test_members_mask_straddling_the_least_degree(self, case):
+        m, xs, ys = case
+        i = ideal(CONTEXTS[m], xs)
+        assume(not i.is_zero() and not i.is_unit())
+        points = [below(p, int(i.degrees[0])) for p in ys + xs] + ys + xs
+        mask = _members_mask(i, as_matrix(points, m))
+        assert mask.tolist() == [any(divides(g, p) for g in i.gens) for p in points]
+
+    @CASES
+    @given(operands(), st.data())
+    def test_colon_pure_bounds(self, case, data):
+        m, xs, _ = case
+        i = ideal(CONTEXTS[m], xs)
+        g = data.draw(st.tuples(*(st.integers(0, 3) for _ in range(m))))
+
+        def least_pure_powers(rows):
+            # Per variable, the least exponent of a row supported on it alone.
+            return [
+                min((r[j] for r in rows if all(r[k] == 0 for k in range(m) if k != j)),
+                    default=None)
+                for j in range(m)
+            ]
+
+        colon = [tuple(max(a - b, 0) for a, b in zip(x, g)) for x in i.gens]
+        assert _colon_pure_bounds(i, np.array(g, dtype=np.int64)) == least_pure_powers(colon)
+        own = least_pure_powers(i.gens)
+        assert i.pure_power_bounds() == (None if None in own else tuple(own))
+
+    def test_members_mask_below_the_greatest_degree(self):
+        # Every point lies below x2^3, the generator of greatest degree; two
+        # of them lie in the ideal through x1.
+        i = ideal(CONTEXTS[2], [(1, 0), (0, 3)])
+        points = as_matrix([(0, 0), (0, 1), (1, 1), (0, 2), (2, 0)], 2)
+        assert _members_mask(i, points).tolist() == [False, False, True, False, True]
+
+
 class TestPackedKeys:
     """`_grlex_unique` and `_rows_in` sort by packed grlex words."""
 
@@ -180,14 +297,14 @@ class TestPackedKeys:
     @given(wide_operands())
     def test_wide_rows_need_several_words(self, case):
         m, xs, ys = case
-        assert len(_grlex_words(as_matrix(xs, m))) > 1
-        assert len(_grlex_words(as_matrix(xs + ys, m))) > 1
+        assert len(words_of(as_matrix(xs, m))) > 1
+        assert len(words_of(as_matrix(xs + ys, m))) > 1
 
     @CASES
     @given(operands())
     def test_small_rows_need_one_word(self, case):
         m, xs, ys = case
-        words = _grlex_words(as_matrix(xs + ys, m))
+        words = words_of(as_matrix(xs + ys, m))
         assert len(words) == 1 and words[0].shape == (len(xs + ys),)
 
     @CASES

@@ -26,7 +26,7 @@ from multimult.multiplicity import (
     verify_rees_mprimary,
     verify_theorem_recursion,
 )
-from multimult.reductions import J_SOURCE, JointReductionCandidate
+from multimult.reductions import J_SOURCE, JointReductionCandidate, verify_joint_reduction
 
 C1 = RingContext(1)
 C2 = RingContext(2)
@@ -208,6 +208,25 @@ class TestTheoremRecursion:
         rep = verify_theorem_recursion(family_dim4(), dim4_candidate(), 1)
         assert rep.verdict == Verdict.EQUAL
         assert rep.left == 0
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP open item 1: corpus-25 is a MISMATCH (left 2, right 0) on a "
+        "certified candidate; a hypothesis is missing or a term is wrong",
+    )
+    def test_corpus_25(self):
+        # J = (x1^3, x2^2, x1^2*x2), I1 = (x1, x2^2), I2 = (x1); the candidate
+        # is x1 from I1 and x2^2 from J, of type (0, (1, 0)).
+        j = ideal(C2, [(3, 0), (0, 2), (2, 1)])
+        fam = IdealFamily(j, (ideal(C2, [(1, 0), (0, 2)]), ideal(C2, [(1, 0)])),
+                          QuotientModule.free(C2))
+        cand = JointReductionCandidate(
+            ((C2.monomial(1, 0), 0), (C2.monomial(0, 2), J_SOURCE)), MixedType(0, (1, 0))
+        )
+        assert verify_joint_reduction(fam, cand).holds
+        rep = verify_theorem_recursion(fam, cand, 0)
+        assert rep.verdict == Verdict.EQUAL
 
 
 class TestCorollaries:

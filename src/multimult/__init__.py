@@ -5,28 +5,50 @@ ideals over a localized polynomial ring, extracts mixed multiplicities of
 maximal degrees, certifies joint reductions, evaluates the recursive
 multiplicity symbol, and cross-checks everything through Euler characteristics
 of multigraded Koszul strands.  All arithmetic is exact.
+
+Start-up: the engine never calls BLAS; its numpy arithmetic is on int64
+arrays.  Importing multimult therefore defaults ``OPENBLAS_NUM_THREADS`` to 1,
+so that OpenBLAS starts no worker threads, and freezes the objects the import
+creates (``gc.freeze``), so that the cyclic collector never scans them again,
+at exit included.  An embedding program that wants threaded float BLAS should
+set ``OPENBLAS_NUM_THREADS`` itself, or import numpy before multimult.
 """
 
-from .monomials import (
-    INFINITE,
-    MINUS_INFINITY,
-    ContextMismatchError,
-    Monomial,
-    MonomialIdeal,
-    QuotientModule,
-    RingContext,
-    colon_by_ideal,
-    colon_by_monomial,
-    graded_quotient_length,
-    ideal,
-    ideal_intersection,
-    ideal_power,
-    ideal_product,
-    ideal_sum,
-    krull_dim,
-    saturation,
-    standard_monomials,
-)
+import gc
+import os
+
+# OpenBLAS reads the variable once, when numpy first loads it; a value the
+# user has set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+# A caller that runs with the collector off keeps it off.
+_gc_was_enabled = gc.isenabled()
+gc.disable()
+try:
+    from .monomials import (
+        INFINITE,
+        MINUS_INFINITY,
+        ContextMismatchError,
+        Monomial,
+        MonomialIdeal,
+        QuotientModule,
+        RingContext,
+        colon_by_ideal,
+        colon_by_monomial,
+        graded_quotient_length,
+        ideal,
+        ideal_intersection,
+        ideal_power,
+        ideal_product,
+        ideal_sum,
+        krull_dim,
+        saturation,
+        standard_monomials,
+    )
+finally:
+    gc.freeze()
+    if _gc_was_enabled:
+        gc.enable()
 
 __all__ = [
     "INFINITE",

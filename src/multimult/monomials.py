@@ -384,16 +384,18 @@ def _check_ctx(a: MonomialIdeal, b: MonomialIdeal) -> None:
         raise ContextMismatchError("ideals live in different rings")
 
 
-def _rows_in(points: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def _rows_in(
+    points: np.ndarray, rows: np.ndarray, point_degrees: np.ndarray, row_degrees: np.ndarray
+) -> np.ndarray:
     """Boolean mask: which rows of `points` equal a row of `rows`, whose
-    rows are distinct.
+    rows are distinct.  The degrees are the rows' total degrees.
 
     One stable grlex sort of both matrices together puts each row of `rows`
     first in its run of equal rows, so a point matches when its run starts
     with a row of `rows`.
     """
     both = np.concatenate((rows, points))
-    order, starts = _grlex_runs(both, _row_sums(both))
+    order, starts = _grlex_runs(both, np.concatenate((row_degrees, point_degrees)))
     matched = (order[starts] < len(rows))[np.cumsum(starts) - 1]
     is_point = order >= len(rows)
     mask = np.zeros(len(points), dtype=bool)
@@ -417,7 +419,7 @@ def _members_mask(a: MonomialIdeal, points: np.ndarray) -> np.ndarray:
     degs = _row_sums(points)
     if degs.max() < a.degrees[0]:
         return np.zeros(n, dtype=bool)
-    mask = _rows_in(points, a.matrix)
+    mask = _rows_in(points, a.matrix, degs, a.degrees)
     rest = np.flatnonzero(~mask)
     pdeg = degs[rest]
     by_degree = np.argsort(pdeg, kind="stable")

@@ -322,7 +322,8 @@ class TestPackedKeys:
         m, xs, ys = case
         distinct = sorted(set(xs))
         points = ys + xs + ys[:2]
-        mask = _rows_in(as_matrix(points, m), as_matrix(distinct, m))
+        pts, rows = as_matrix(points, m), as_matrix(distinct, m)
+        mask = _rows_in(pts, rows, pts.sum(axis=1), rows.sum(axis=1))
         assert mask.tolist() == [p in set(distinct) for p in points]
 
     @CASES

@@ -28,16 +28,11 @@ from .instances import (
     parse_instance,
     parse_monomial,
 )
-from .koszul import ReesDatum, euler_char_direct, euler_char_via_difference
+from .koszul import euler_char_direct, euler_char_via_difference
 from .multiplicity import (
     NotMultiplicitySystemError,
     mult_symbol,
-    verify_base_type,
-    verify_cor_filter_regular,
-    verify_cor_height,
-    verify_cor_sop,
-    verify_cor_transition,
-    verify_rees_mprimary,
+    verify_corollaries,
     verify_theorem_recursion,
 )
 from .reductions import (
@@ -46,7 +41,6 @@ from .reductions import (
     is_filter_regular,
     is_rees_superficial,
     search_joint_reduction,
-    verify_joint_reduction,
 )
 from .reports import (
     SCHEMA_VERSION,
@@ -89,8 +83,7 @@ def run_request(inst: InstanceFile, req: dict) -> dict:
         out["defined"] = defined
         out["provenance"] = fit.provenance()
     elif command == "verify-jr":
-        cand = inst.candidates[req["candidate"]]
-        out["certificate"] = certificate_payload(verify_joint_reduction(fam, cand))
+        out["certificate"] = certificate_payload(inst.datum(req["candidate"]).certificate)
     elif command == "element-props":
         mono = parse_monomial(req["monomial"], list(inst.variables), fam.ctx, "request")
         idx = inst.ideal_names.index(req["ideal"])
@@ -106,8 +99,7 @@ def run_request(inst: InstanceFile, req: dict) -> dict:
         except NotMultiplicitySystemError as exc:
             out["error"] = str(exc)
     elif command == "chi":
-        cand = inst.candidates[req["candidate"]]
-        datum = ReesDatum(fam, cand)
+        datum = inst.datum(req["candidate"])
         diff = euler_char_via_difference(datum)
         out["difference"] = {"value": diff.value, "provenance": diff.provenance}
         if req.get("direct", False):
@@ -120,23 +112,13 @@ def run_request(inst: InstanceFile, req: dict) -> dict:
             }
             out["methods_agree"] = (not direct.certified) or direct.value == diff.value
     elif command == "verify-theorem":
-        cand = inst.candidates[req["candidate"]]
-        idx = _recursion_axis(inst, req, cand)
-        out["report"] = report_payload(verify_theorem_recursion(fam, cand, idx))
+        datum = inst.datum(req["candidate"])
+        idx = _recursion_axis(inst, req, datum.cand)
+        out["report"] = report_payload(verify_theorem_recursion(datum, idx))
     elif command == "verify-corollaries":
-        cand = inst.candidates[req["candidate"]]
-        idx = _recursion_axis(inst, req, cand)
-        reports = []
-        if idx is not None:
-            reports.append(verify_cor_filter_regular(fam, cand, idx))
-        reports.append(verify_cor_transition(fam, cand))
-        reports.append(verify_cor_sop(fam, cand))
-        reports.append(verify_cor_height(fam, cand))
-        if all(i.is_primary_to_max_ideal() for i in fam.ideals):
-            reports.append(verify_rees_mprimary(fam, cand))
-        if sum(cand.declared_type.k) == 0:
-            reports.append(verify_base_type(fam, cand))
-        out["reports"] = [report_payload(r) for r in reports]
+        datum = inst.datum(req["candidate"])
+        idx = _recursion_axis(inst, req, datum.cand)
+        out["reports"] = [report_payload(r) for r in verify_corollaries(datum, idx)]
     elif command == "search-jr":
         mt = _request_type(inst, req)
         policy = PoolPolicy(**{key: req[key] for key in ("max_degree", "budget") if key in req})

@@ -30,11 +30,11 @@ by field, so a malformed one stops the file before any request runs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .hilbert import IdealFamily, MixedType
 from .monomials import Monomial, MonomialIdeal, QuotientModule, RingContext, ideal
-from .reductions import J_SOURCE, JointReductionCandidate
+from .reductions import J_SOURCE, JointReductionCandidate, ReesDatum
 
 
 class InstanceParseError(ValueError):
@@ -163,7 +163,11 @@ def _check_request(req: dict, loc: str, variables, family, ideal_names, candidat
 
 @dataclass(frozen=True)
 class InstanceFile:
-    """A validated instance: the family, named candidates, and requests."""
+    """A validated instance: the family, named candidates, and requests.
+
+    Parsing certifies nothing; a candidate is certified the first time its
+    datum is asked for, and the datum is kept for the life of the instance.
+    """
 
     name: str
     variables: tuple[str, ...]
@@ -172,6 +176,13 @@ class InstanceFile:
     candidates: dict[str, JointReductionCandidate]
     requests: tuple[dict, ...]
     raw: dict
+    _data: dict[str, ReesDatum] = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def datum(self, name: str) -> ReesDatum:
+        """The family with the named candidate, certified once per instance."""
+        if name not in self._data:
+            self._data[name] = ReesDatum(self.family, self.candidates[name])
+        return self._data[name]
 
 
 def parse_instance(text: str, name: str = "<instance>") -> InstanceFile:

@@ -21,7 +21,7 @@ of the (k0, k)-difference of the Hilbert polynomial P (the DIFFERENCE method);
 the strand computation (the DIRECT method) is an independent verification
 channel carrying an empirical band certificate for the truncation of internal
 degrees.  These two channels, which the `chi` request runs, are all this
-module computes.
+module computes, and both refuse a datum whose candidate is not certified.
 """
 
 from __future__ import annotations
@@ -33,15 +33,13 @@ import numpy as np
 
 from .hilbert import (
     HilbertTable,
-    IdealFamily,
-    MixedType,
     MultiDegree,
     interpolate,
     table_on_window,
     weighted_power,
 )
 from .monomials import _box, _members_mask, ideal_product
-from .reductions import J_SOURCE, JointReductionCandidate, verify_joint_reduction
+from .reductions import J_SOURCE, JointReductionCandidate, ReesDatum
 
 #: Internal-degree band doubles at most this many times before giving up.
 BAND_DOUBLINGS = 3
@@ -50,22 +48,6 @@ BAND_DOUBLINGS = 3
 class NonConstantDifferenceError(RuntimeError):
     """The differenced Hilbert table is not constant; the declared type does
     not match the polynomial's coefficient support."""
-
-
-@dataclass(frozen=True)
-class ReesDatum:
-    """A family together with a certified joint-reduction candidate."""
-
-    fam: IdealFamily
-    cand: JointReductionCandidate
-
-    def __post_init__(self):
-        if not verify_joint_reduction(self.fam, self.cand).holds:
-            raise ValueError("candidate failed joint-reduction certification")
-
-    @property
-    def mixed_type(self) -> MixedType:
-        return self.cand.declared_type
 
 
 @dataclass(frozen=True)
@@ -86,6 +68,11 @@ class EulerValue:
     method: str  # "DIRECT" or "DIFFERENCE"
     provenance: dict
     certified: bool = True
+
+
+def _require_certified(datum: ReesDatum) -> None:
+    if not datum.certificate.holds:
+        raise ValueError("candidate failed joint-reduction certification")
 
 
 def _koszul_shifts(cand: JointReductionCandidate, d: int):
@@ -245,6 +232,7 @@ def euler_char_direct(datum: ReesDatum, deg: MultiDegree) -> EulerValue:
     doubles a bounded number of times, and a value whose buffer never comes
     up empty is returned flagged as uncertified.
     """
+    _require_certified(datum)
     fam = datum.fam
     maxgd = max(1, fam.max_generator_degree())
     b = (deg.n0 + sum(deg.n) + 1) * maxgd
@@ -268,6 +256,7 @@ def euler_char_via_difference(datum: ReesDatum) -> EulerValue:
     Constancy is checked both on the coefficient support of the fitted
     polynomial and on a differenced value table.
     """
+    _require_certified(datum)
     fam = datum.fam
     mt = datum.mixed_type
     fit = interpolate(fam, "P")

@@ -10,10 +10,13 @@ which closes inside the pair presentation of QuotientModule.  It is nonzero
 exactly when y is a system of parameters, and agrees with the Hilbert-Samuel
 multiplicity of the generated ideal.
 
-Each verify_* operation recomputes both sides of its claim through independent
-routes (interpolation on one side, the symbol recursion on the other) and
-reports EQUAL, LEQ_STRICT, HYPOTHESIS_UNMET, or MISMATCH.  A MISMATCH means a
-claim failed with all its hypotheses satisfied and is a build-failing event.
+Each verify_* claim takes a ReesDatum, whose certificate is its "candidate
+certified" hypothesis, and recomputes both sides of its claim through
+independent routes (interpolation on one side, the symbol recursion on the
+other).  One verdict rule gives EQUAL, LEQ_STRICT, HYPOTHESIS_UNMET, or
+MISMATCH; a MISMATCH means a conclusion or the claimed relation failed with
+all hypotheses met, and is a build-failing event.  verify_corollaries runs
+the corollaries that apply to a datum, in report order.
 """
 
 from __future__ import annotations
@@ -22,14 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .hilbert import (
-    IdealFamily,
-    MixedType,
-    StabilizationError,
-    _fit_window,
-    interpolate,
-    mixed_multiplicity,
-)
+from .hilbert import MixedType, StabilizationError, _fit_window, mixed_multiplicity
 from .monomials import (
     INFINITE,
     MINUS_INFINITY,
@@ -37,19 +33,15 @@ from .monomials import (
     MonomialIdeal,
     QuotientModule,
     colon_by_monomial,
-    ideal,
     ideal_power,
-    ideal_product,
-    ideal_sum,
     krull_dim,
 )
 from .reductions import (
     J_SOURCE,
-    JointReductionCandidate,
+    ReesDatum,
     is_filter_regular,
     is_multiplicity_system,
     is_system_of_parameters,
-    verify_joint_reduction,
 )
 
 
@@ -124,167 +116,157 @@ class VerificationReport:
     verdict: Verdict
 
 
-def _report(claim_id, instance, left, right, hypotheses, relation="eq") -> VerificationReport:
-    """relation 'eq' asserts left = right; 'le' asserts left <= right."""
-    if not all(ok for _, ok in hypotheses):
-        verdict = Verdict.HYPOTHESIS_UNMET
-    elif left == right:
-        verdict = Verdict.EQUAL
-    elif relation == "le" and left < right:
-        verdict = Verdict.LEQ_STRICT
-    else:
-        verdict = Verdict.MISMATCH
-    return VerificationReport(claim_id, instance, left, right, tuple(hypotheses), verdict)
+def _holds(checks) -> bool:
+    return all(ok for _, ok in checks)
 
 
-def _instance_label(fam: IdealFamily, cand: JointReductionCandidate | None = None) -> str:
+def _verdict(hypotheses, conclusions, left, right, relation) -> Verdict:
+    """The one verdict rule.  relation 'eq' asserts left = right and 'le'
+    asserts left <= right; a failed conclusion fails the claim whatever the
+    sides, and unmet hypotheses assert nothing."""
+    if not _holds(hypotheses):
+        return Verdict.HYPOTHESIS_UNMET
+    if not _holds(conclusions):
+        return Verdict.MISMATCH
+    if left == right:
+        return Verdict.EQUAL
+    if relation == "le" and left < right:
+        return Verdict.LEQ_STRICT
+    return Verdict.MISMATCH
+
+
+def _report(claim_id, datum, left, right, hypotheses, relation="eq", conclusions=()):
+    """The report of one claim; its checklist lists the hypotheses, then the
+    conclusions."""
+    verdict = _verdict(hypotheses, conclusions, left, right, relation)
+    checks = tuple(hypotheses) + tuple(conclusions)
+    return VerificationReport(claim_id, _instance_label(datum), left, right, checks, verdict)
+
+
+def _instance_label(datum: ReesDatum) -> str:
+    fam = datum.fam
     parts = [f"Q={fam.module.relations}", f"J={fam.j}"]
     if not fam.module.top.is_unit():
         parts.insert(0, f"T={fam.module.top}")
     parts += [f"I{i + 1}={ideal_}" for i, ideal_ in enumerate(fam.ideals)]
-    if cand is not None:
-        parts.append(
-            "cand=" + ",".join(f"{u}:{'J' if s == J_SOURCE else f'I{s + 1}'}" for u, s in cand.elements)
-        )
+    parts.append(
+        "cand=" + ",".join(f"{u}:{'J' if s == J_SOURCE else f'I{s + 1}'}" for u, s in datum.cand.elements)
+    )
     return "; ".join(parts)
 
 
-def _first_i_element(cand: JointReductionCandidate, i: int) -> Monomial | None:
-    for u, src in cand.elements:
-        if src == i:
-            return u
-    return None
+def _blocks(datum: ReesDatum) -> tuple[list[Monomial], list[Monomial]]:
+    """The candidate's I-sourced elements x_I and its J-block, each in order."""
+    elements = datum.cand.elements
+    return [u for u, s in elements if s != J_SOURCE], [u for u, s in elements if s == J_SOURCE]
 
 
-def _shift_type(mt: MixedType, i: int) -> MixedType:
-    k = tuple(ki - (1 if idx == i else 0) for idx, ki in enumerate(mt.k))
-    return MixedType(mt.k0, k)
-
-
-def verify_theorem_recursion(fam: IdealFamily, cand: JointReductionCandidate, i: int) -> VerificationReport:
-    """Three-term recursion: the mixed multiplicity of M equals the one of
-    M/x1*M minus the one of 0_M:x1, for x1 drawn from I_i with k_i > 0."""
-    mt = cand.declared_type
-    x1 = _first_i_element(cand, i)
+def _recursion_step(datum: ReesDatum, i: int):
+    """x1, the first I_i-sourced element (None when there is none), the type
+    with k_i lowered by one, and the hypotheses of the claims that cut by x1."""
+    mt = datum.mixed_type
+    x1 = next((u for u, s in datum.cand.elements if s == i), None)
     hyps = [
-        ("candidate certified", verify_joint_reduction(fam, cand).holds),
+        ("candidate certified", datum.certificate.holds),
         ("k_i positive", mt.k[i] > 0),
         ("element from I_i present", x1 is not None),
     ]
-    label = _instance_label(fam, cand)
     if x1 is None:
-        return _report("recursion", label, Fraction(0), Fraction(0), hyps)
-    smaller = _shift_type(mt, i)
+        return None, None, hyps
+    return x1, MixedType(mt.k0, tuple(k - (j == i) for j, k in enumerate(mt.k))), hyps
+
+
+def verify_theorem_recursion(datum: ReesDatum, i: int) -> VerificationReport:
+    """Three-term recursion: the mixed multiplicity of M equals the one of
+    M/x1*M minus the one of 0_M:x1, for x1 drawn from I_i with k_i > 0."""
+    x1, smaller, hyps = _recursion_step(datum, i)
+    if x1 is None:
+        return _report("recursion", datum, Fraction(0), Fraction(0), hyps)
+    fam = datum.fam
     try:
-        left, _ = mixed_multiplicity(fam, mt)
+        left, _ = mixed_multiplicity(fam, datum.mixed_type)
         quot, _ = mixed_multiplicity(fam.with_module(fam.module.quotient_by_elements([x1])), smaller)
         tors, _ = mixed_multiplicity(fam.with_module(fam.module.annihilator_of(x1)), smaller)
     except StabilizationError:
         hyps.append(("interpolation stabilized", False))
-        return _report("recursion", label, Fraction(0), Fraction(0), hyps)
-    return _report("recursion", label, left, quot - tors, hyps)
+        return _report("recursion", datum, Fraction(0), Fraction(0), hyps)
+    return _report("recursion", datum, left, quot - tors, hyps)
 
 
-def verify_cor_filter_regular(fam: IdealFamily, cand: JointReductionCandidate, i: int) -> VerificationReport:
+def verify_cor_filter_regular(datum: ReesDatum, i: int) -> VerificationReport:
     """One-term comparison: e(M) <= e(M/x1*M), with equality when x1 is
     M-regular or I-filter-regular."""
-    mt = cand.declared_type
-    x1 = _first_i_element(cand, i)
-    hyps = [
-        ("candidate certified", verify_joint_reduction(fam, cand).holds),
-        ("k_i positive", mt.k[i] > 0),
-        ("element from I_i present", x1 is not None),
-    ]
-    label = _instance_label(fam, cand)
+    x1, smaller, hyps = _recursion_step(datum, i)
     if x1 is None:
-        return _report("quotient-comparison", label, Fraction(0), Fraction(0), hyps)
+        return _report("quotient-comparison", datum, Fraction(0), Fraction(0), hyps)
+    fam = datum.fam
     q = fam.module.relations
     regular = colon_by_monomial(q, x1) == q and fam.module.top.is_unit()
-    filter_reg = is_filter_regular(fam, x1)
-    left, _ = mixed_multiplicity(fam, mt)
-    right, _ = mixed_multiplicity(
-        fam.with_module(fam.module.quotient_by_elements([x1])), _shift_type(mt, i)
-    )
-    relation = "eq" if (regular or filter_reg) else "le"
+    relation = "eq" if regular or is_filter_regular(fam, x1) else "le"
+    left, _ = mixed_multiplicity(fam, datum.mixed_type)
+    right, _ = mixed_multiplicity(fam.with_module(fam.module.quotient_by_elements([x1])), smaller)
     hyps.append(("regular or filter-regular (equality case)", True))
-    claim = "quotient-comparison-eq" if relation == "eq" else "quotient-comparison-le"
-    return _report(claim, label, left, right, hyps, relation)
+    return _report(f"quotient-comparison-{relation}", datum, left, right, hyps, relation)
 
 
-def _split_candidate(cand: JointReductionCandidate):
-    x_i = [(u, s) for u, s in cand.elements if s != J_SOURCE]
-    u_j = [u for u, s in cand.elements if s == J_SOURCE]
-    return x_i, u_j
-
-
-def _is_filter_regular_sequence(fam: IdealFamily, elems) -> bool:
+def _is_filter_regular_sequence(fam, elems) -> bool:
     module = fam.module
-    for u, _src in elems:
+    for u in elems:
         if not is_filter_regular(fam.with_module(module), u):
             return False
         module = module.quotient_by_elements([u])
     return True
 
 
-def verify_cor_transition(fam: IdealFamily, cand: JointReductionCandidate) -> VerificationReport:
+def verify_cor_transition(datum: ReesDatum) -> VerificationReport:
     """Transition to the saturated quotient: the mixed multiplicity is at most
     the symbol of the J-block on M/(x_I)M with its I-power torsion killed,
     with equality for an I-filter-regular sequence x_I."""
-    mt = cand.declared_type
-    x_i, u_j = _split_candidate(cand)
-    hyps = [("candidate certified", verify_joint_reduction(fam, cand).holds)]
-    label = _instance_label(fam, cand)
-    left, _ = mixed_multiplicity(fam, mt)
-    target = fam.module.quotient_by_elements([u for u, _ in x_i]) if x_i else fam.module
-    target = target.saturate(fam.product_ideal())
+    fam = datum.fam
+    x_i, u_j = _blocks(datum)
+    hyps = [("candidate certified", datum.certificate.holds)]
+    left, _ = mixed_multiplicity(fam, datum.mixed_type)
+    target = fam.module.quotient_by_elements(x_i).saturate(fam.product_ideal())
     try:
         right = Fraction(mult_symbol(target, u_j))
     except NotMultiplicitySystemError:
         hyps.append(("J-block is a multiplicity system of the saturated quotient", False))
-        return _report("saturated-transition", label, left, Fraction(0), hyps)
-    seq_ok = _is_filter_regular_sequence(fam, x_i)
-    relation = "eq" if seq_ok else "le"
-    claim = "saturated-transition-eq" if seq_ok else "saturated-transition-le"
-    return _report(claim, label, left, right, hyps, relation)
+        return _report("saturated-transition", datum, left, Fraction(0), hyps)
+    relation = "eq" if _is_filter_regular_sequence(fam, x_i) else "le"
+    return _report(f"saturated-transition-{relation}", datum, left, right, hyps, relation)
 
 
-def verify_cor_sop(fam: IdealFamily, cand: JointReductionCandidate) -> VerificationReport:
+def verify_cor_sop(datum: ReesDatum) -> VerificationReport:
     """Comparison with the symbol of the full candidate, which must be a
     system of parameters; equality under the dimension-drop hypothesis
     dim M/(x_I, I)M < dim M/(x_I)M."""
-    mt = cand.declared_type
-    x_i, _ = _split_candidate(cand)
-    elems = list(cand.monomials())
+    fam = datum.fam
+    x_i, _ = _blocks(datum)
+    elems = list(datum.cand.monomials())
     hyps = [
-        ("candidate certified", verify_joint_reduction(fam, cand).holds),
+        ("candidate certified", datum.certificate.holds),
         ("candidate is a system of parameters", is_system_of_parameters(fam.module, elems)),
     ]
-    label = _instance_label(fam, cand)
-    left, _ = mixed_multiplicity(fam, mt)
-    if not all(ok for _, ok in hyps):
-        return _report("sop-comparison", label, left, Fraction(0), hyps)
+    left, _ = mixed_multiplicity(fam, datum.mixed_type)
+    if not _holds(hyps):
+        return _report("sop-comparison", datum, left, Fraction(0), hyps)
     right = Fraction(mult_symbol(fam.module, elems))
-    cut = fam.module.quotient_by_elements([u for u, _ in x_i]) if x_i else fam.module
-    dim_cut = krull_dim(cut)
-    dim_cut_i = krull_dim(cut.quotient_by(fam.product_ideal()))
-    drop = dim_cut_i < dim_cut
-    if drop:
-        return _report("sop-comparison-eq", label, left, right, hyps, "eq")
-    return _report("sop-comparison-le", label, left, right, hyps, "le")
+    cut = fam.module.quotient_by_elements(x_i)
+    relation = "eq" if krull_dim(cut.quotient_by(fam.product_ideal())) < krull_dim(cut) else "le"
+    return _report(f"sop-comparison-{relation}", datum, left, right, hyps, relation)
 
 
-def height_hypothesis(fam: IdealFamily, cand: JointReductionCandidate) -> bool:
+def height_hypothesis(datum: ReesDatum) -> bool:
     """Whether I avoids every minimal prime of Ann(M/(x_I)M).
 
     For monomial data a minimal prime is a variable set p; I lies inside p
     exactly when every generator's support meets p.
     """
-    x_i, _ = _split_candidate(cand)
-    cut = fam.module.quotient_by_elements([u for u, _ in x_i]) if x_i else fam.module
-    ann = cut.annihilator()
+    x_i, _ = _blocks(datum)
+    ann = datum.fam.module.quotient_by_elements(x_i).annihilator()
     if ann.is_unit():
         return False
-    i_total = fam.product_ideal()
+    i_total = datum.fam.product_ideal()
     for p in ann.minimal_primes():
         inside = all(set(Monomial(g).support()) & p for g in i_total.gens)
         if inside:
@@ -292,69 +274,78 @@ def height_hypothesis(fam: IdealFamily, cand: JointReductionCandidate) -> bool:
     return True
 
 
-def verify_cor_height(fam: IdealFamily, cand: JointReductionCandidate) -> VerificationReport:
+def verify_cor_height(datum: ReesDatum) -> VerificationReport:
     """Under the height hypothesis and k0 + |k| = dim(saturated M) - 1, the
     candidate must be a system of parameters with symbol equal to the mixed
     multiplicity."""
-    mt = cand.declared_type
-    label = _instance_label(fam, cand)
+    fam, mt = datum.fam, datum.mixed_type
     qdim = fam.saturated_dim()
     degree_ok = qdim != MINUS_INFINITY and mt.k0 + sum(mt.k) == int(qdim) - 1
     hyps = [
-        ("candidate certified", verify_joint_reduction(fam, cand).holds),
-        ("height hypothesis", height_hypothesis(fam, cand)),
+        ("candidate certified", datum.certificate.holds),
+        ("height hypothesis", height_hypothesis(datum)),
         ("degree hypothesis k0+|k| = q-1", degree_ok),
     ]
-    if not all(ok for _, ok in hyps):
-        return _report("height-criterion", label, Fraction(0), Fraction(0), hyps)
-    elems = list(cand.monomials())
+    if not _holds(hyps):
+        return _report("height-criterion", datum, Fraction(0), Fraction(0), hyps)
+    elems = list(datum.cand.monomials())
     sop = is_system_of_parameters(fam.module, elems)
     left, _ = mixed_multiplicity(fam, mt)
-    if not sop:
-        # The conclusion itself failed: force a MISMATCH.
-        return VerificationReport(
-            "height-criterion", label, left, Fraction(-1),
-            tuple(hyps + [("conclusion: system of parameters", False)]), Verdict.MISMATCH,
-        )
-    right = Fraction(mult_symbol(fam.module, elems))
-    return _report("height-criterion", label, left, right,
-                   hyps + [("conclusion: system of parameters", True)])
+    # Without a system of parameters the conclusion itself fails, and the
+    # right side reads -1.
+    right = Fraction(mult_symbol(fam.module, elems)) if sop else Fraction(-1)
+    return _report("height-criterion", datum, left, right, hyps,
+                   conclusions=[("conclusion: system of parameters", sop)])
 
 
-def verify_rees_mprimary(fam: IdealFamily, cand: JointReductionCandidate) -> VerificationReport:
+def verify_rees_mprimary(datum: ReesDatum) -> VerificationReport:
     """All-primary recovery: with every I_i an ideal of definition, the mixed
     multiplicity equals the symbol of the candidate's elements."""
-    mt = cand.declared_type
-    label = _instance_label(fam, cand)
+    fam = datum.fam
     hyps = [
         ("every I_i primary to the maximal ideal",
          all(i.is_primary_to_max_ideal() for i in fam.ideals)),
-        ("candidate certified", verify_joint_reduction(fam, cand).holds),
+        ("candidate certified", datum.certificate.holds),
     ]
-    left, _ = mixed_multiplicity(fam, mt)
-    if not all(ok for _, ok in hyps):
-        return _report("primary-recovery", label, left, Fraction(0), hyps)
-    right = Fraction(mult_symbol(fam.module, list(cand.monomials())))
-    return _report("primary-recovery", label, left, right, hyps)
+    left, _ = mixed_multiplicity(fam, datum.mixed_type)
+    right = Fraction(0)
+    if _holds(hyps):
+        right = Fraction(mult_symbol(fam.module, list(datum.cand.monomials())))
+    return _report("primary-recovery", datum, left, right, hyps)
 
 
-def verify_base_type(fam: IdealFamily, cand: JointReductionCandidate) -> VerificationReport:
+def verify_base_type(datum: ReesDatum) -> VerificationReport:
     """Type (k0, 0): the mixed multiplicity equals the symbol of the J-block
     on the module with its I-power torsion killed."""
-    mt = cand.declared_type
-    label = _instance_label(fam, cand)
-    x_i, u_j = _split_candidate(cand)
+    fam, mt = datum.fam, datum.mixed_type
     hyps = [
-        ("type has no I-components", sum(mt.k) == 0 and not x_i),
-        ("candidate certified", verify_joint_reduction(fam, cand).holds),
+        # The candidate carries exactly k_i elements from each I_i, so a type
+        # with no I-components leaves only the J-block.
+        ("type has no I-components", sum(mt.k) == 0),
+        ("candidate certified", datum.certificate.holds),
     ]
     left, _ = mixed_multiplicity(fam, mt)
-    if not all(ok for _, ok in hyps):
-        return _report("base-type", label, left, Fraction(0), hyps)
-    saturated = fam.saturated_module()
+    if not _holds(hyps):
+        return _report("base-type", datum, left, Fraction(0), hyps)
     try:
-        right = Fraction(mult_symbol(saturated, u_j))
+        right = Fraction(mult_symbol(fam.saturated_module(), list(datum.cand.monomials())))
     except NotMultiplicitySystemError:
         hyps.append(("J-block is a multiplicity system of the saturation", False))
-        return _report("base-type", label, left, Fraction(0), hyps)
-    return _report("base-type", label, left, right, hyps)
+        return _report("base-type", datum, left, Fraction(0), hyps)
+    return _report("base-type", datum, left, right, hyps)
+
+
+def verify_corollaries(datum: ReesDatum, i: int | None) -> list[VerificationReport]:
+    """The corollaries that apply to the datum, in report order: the quotient
+    comparison on axis i (none without one), the saturated transition, the
+    s.o.p. comparison and the height criterion; then all-primary recovery
+    when every I_i is primary to the maximal ideal, and the base type when
+    the type has no I-components."""
+    fam = datum.fam
+    reports = [] if i is None else [verify_cor_filter_regular(datum, i)]
+    reports += [verify_cor_transition(datum), verify_cor_sop(datum), verify_cor_height(datum)]
+    if all(a.is_primary_to_max_ideal() for a in fam.ideals):
+        reports.append(verify_rees_mprimary(datum))
+    if sum(datum.mixed_type.k) == 0:
+        reports.append(verify_base_type(datum))
+    return reports

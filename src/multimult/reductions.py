@@ -9,7 +9,9 @@ each ideal I_i and k0 + 1 monomials drawn from J.  The defining containment
 holds automatically from right to left, so certification only checks the left
 side generator-by-generator modulo the module relations, on a finite window of
 large multidegrees.  A holds-verdict is therefore "certified on window": the
-window base and extent travel with the certificate.
+window base and extent travel with the certificate.  A ReesDatum pairs a
+family with one candidate and certifies it once, when it is made; the chi
+channels and every verified claim read that one certificate.
 
 The right side is never summed.  A monomial lies in a sum of monomial ideals
 iff it lies in one of the parts, so each left-side generator is tested
@@ -23,7 +25,7 @@ with the relations and u * I^n M as its parts.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .hilbert import (
     BAND_EXTENT,
@@ -169,6 +171,26 @@ def verify_joint_reduction(fam: IdealFamily, cand: JointReductionCandidate) -> C
         base,
         extent,
     )
+
+
+@dataclass(frozen=True)
+class ReesDatum:
+    """A family with one joint-reduction candidate, certified once when made.
+
+    An uncertified candidate is kept, not refused: the claims report it as
+    an unmet hypothesis, and the chi channels raise.
+    """
+
+    fam: IdealFamily
+    cand: JointReductionCandidate
+    certificate: ContainmentCertificate = field(init=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "certificate", verify_joint_reduction(self.fam, self.cand))
+
+    @property
+    def mixed_type(self) -> MixedType:
+        return self.cand.declared_type
 
 
 def is_filter_regular(fam: IdealFamily, u: Monomial) -> bool:

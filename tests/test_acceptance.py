@@ -27,7 +27,7 @@ from multimult.hilbert import (
     mixed_multiplicity,
     table_on_window,
 )
-from multimult.koszul import ReesDatum, euler_char_direct, euler_char_via_difference
+from multimult.koszul import euler_char_direct, euler_char_via_difference
 from multimult.monomials import MINUS_INFINITY, ideal
 from multimult.multiplicity import (
     Verdict,
@@ -42,6 +42,7 @@ from multimult.multiplicity import (
     verify_theorem_recursion,
 )
 from multimult.reductions import (
+    ReesDatum,
     is_multiplicity_system,
     is_system_of_parameters,
     verify_joint_reduction,
@@ -94,7 +95,7 @@ def test_criterion_1_four_variable_instance(announce):
     if not (value < ex and ex != ez):
         problems.append("expected 0 < e(x) and e(x) != e(z)")
 
-    transition = verify_cor_transition(fam, cand_x)
+    transition = verify_cor_transition(ReesDatum(fam, cand_x))
     if not (transition.left == transition.right == 0 and transition.verdict == Verdict.EQUAL):
         problems.append("saturated-quotient comparison did not give 0 = 0")
 
@@ -113,7 +114,7 @@ def test_criterion_2_recursion_corpus(announce):
     mismatches = []
     holds = 0
     for inst in instances:
-        report = verify_theorem_recursion(inst.fam, inst.cand, inst.recursion_axis)
+        report = verify_theorem_recursion(ReesDatum(inst.fam, inst.cand), inst.recursion_axis)
         if report.verdict == Verdict.MISMATCH:
             mismatches.append(inst.label)
         elif _hyps_hold(report) and report.verdict == Verdict.EQUAL:
@@ -185,13 +186,14 @@ def test_criterion_5_corollary_suite(announce):
     failures = []
     height_holds = 0
     for inst in build_corpus():
+        datum = ReesDatum(inst.fam, inst.cand)
         reports = [
-            verify_cor_filter_regular(inst.fam, inst.cand, inst.recursion_axis)
+            verify_cor_filter_regular(datum, inst.recursion_axis)
             if inst.recursion_axis is not None
             else None,
-            verify_cor_transition(inst.fam, inst.cand),
-            verify_cor_sop(inst.fam, inst.cand),
-            verify_cor_height(inst.fam, inst.cand),
+            verify_cor_transition(datum),
+            verify_cor_sop(datum),
+            verify_cor_height(datum),
         ]
         for report in reports:
             if report is None:
@@ -203,8 +205,9 @@ def test_criterion_5_corollary_suite(announce):
             height_holds += 1
     fam4 = dim4_family()
     cand_x, _ = dim4_candidates()
-    dim4_height_fails = not height_hypothesis(fam4, cand_x)
-    report4 = verify_cor_height(fam4, cand_x)
+    datum4 = ReesDatum(fam4, cand_x)
+    dim4_height_fails = not height_hypothesis(datum4)
+    report4 = verify_cor_height(datum4)
     if report4.verdict == Verdict.MISMATCH:
         failures.append("4v-joint-vars: height corollary")
     ok = not failures and height_holds >= 1 and dim4_height_fails
@@ -220,7 +223,7 @@ def test_criterion_6_all_primary_recovery(announce):
     instances = all_primary_small()
     failures = []
     for inst in instances[:20]:
-        report = verify_rees_mprimary(inst.fam, inst.cand)
+        report = verify_rees_mprimary(ReesDatum(inst.fam, inst.cand))
         if not (_hyps_hold(report) and report.verdict == Verdict.EQUAL):
             failures.append(inst.label)
     checked = min(len(instances), 20)

@@ -2,10 +2,12 @@
 
 import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
 
+from multimult import reductions
 from multimult.cli import main, run_instance, run_request
 from multimult.hilbert import table_on_window
 from multimult.instances import COMMANDS, InstanceParseError, parse_instance, parse_monomial
@@ -149,6 +151,89 @@ class TestRequests:
         first.pop("timing_seconds")
         second.pop("timing_seconds")
         assert first == second
+
+
+class TestCertifiedOnce:
+    def test_sample_certifies_each_candidate_once(self, monkeypatch):
+        # verify-jr, verify-theorem, verify-corollaries and chi all read the
+        # one certificate of their candidate; parsing certifies nothing.
+        original = reductions.verify_joint_reduction
+        certified = []
+
+        def counting(fam, cand):
+            certified.append(cand)
+            return original(fam, cand)
+
+        for name, module in list(sys.modules.items()):
+            held = getattr(module, "verify_joint_reduction", None)
+            if name.split(".")[0] == "multimult" and held is original:
+                monkeypatch.setattr(module, "verify_joint_reduction", counting)
+        inst = parse_instance(SAMPLE.read_text())
+        assert certified == []
+        run_instance(inst)
+        counts = {name: sum(c is cand for c in certified) for name, cand in inst.candidates.items()}
+        assert counts == {"x": 1, "z": 1}
+        assert len(certified) == 2
+
+
+def corollaries(doc, **fields):
+    inst = parse_instance(json.dumps(doc))
+    return run_request(inst, dict(command="verify-corollaries", **fields))["reports"]
+
+
+def claims(reports):
+    return [(r["claim"], r["verdict"]) for r in reports]
+
+
+class TestCorollarySelection:
+    """Which corollaries a verify-corollaries request runs, in report order."""
+
+    @staticmethod
+    def base_type_doc(i1):
+        # A type (1, 0) candidate, x1 and x2 from J = (x1, x2).
+        doc = json.loads(MINIMAL)
+        doc["ideals"] = {"I1": i1}
+        doc["candidates"] = {"j": {
+            "type": {"k0": 1, "k": [0]},
+            "elements": [{"monomial": "x1", "source": "J"}, {"monomial": "x2", "source": "J"}],
+        }}
+        return doc
+
+    def test_all_primary_base_type(self):
+        reports = corollaries(self.base_type_doc(["x1", "x2"]), candidate="j")
+        assert claims(reports) == [
+            ("saturated-transition-eq", "EQUAL"),
+            ("sop-comparison-eq", "EQUAL"),
+            ("height-criterion", "EQUAL"),
+            ("primary-recovery", "EQUAL"),
+            ("base-type", "EQUAL"),
+        ]
+
+    def test_no_positive_axis_no_quotient_comparison(self):
+        # I1 = (x1) is not primary to the maximal ideal: no primary recovery.
+        reports = corollaries(self.base_type_doc(["x1"]), candidate="j")
+        assert claims(reports) == [
+            ("saturated-transition-eq", "EQUAL"),
+            ("sop-comparison-eq", "EQUAL"),
+            ("height-criterion", "EQUAL"),
+            ("base-type", "EQUAL"),
+        ]
+
+    def test_first_positive_axis_without_ideal(self):
+        # Candidate x has type (2, (0, 1)): the first axis with k_i > 0 is I2.
+        doc = json.loads(SAMPLE.read_text())
+        unnamed = corollaries(doc, candidate="x")
+        assert unnamed == corollaries(doc, candidate="x", ideal="I2")
+        assert claims(unnamed) == [
+            ("quotient-comparison-eq", "EQUAL"),
+            ("saturated-transition-eq", "EQUAL"),
+            ("sop-comparison-le", "LEQ_STRICT"),
+            ("height-criterion", "HYPOTHESIS_UNMET"),
+        ]
+        assert all(h["holds"] for h in unnamed[0]["hypotheses"])
+        # On I1, where k_1 = 0, the comparison asserts nothing.
+        on_i1 = corollaries(doc, candidate="x", ideal="I1")
+        assert claims(on_i1)[0] == ("quotient-comparison", "HYPOTHESIS_UNMET")
 
 
 def assert_rejected(tmp_path, capsys, bad, path):

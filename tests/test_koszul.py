@@ -25,7 +25,6 @@ from multimult.hilbert import (
 )
 from multimult.instances import parse_instance
 from multimult.koszul import (
-    ReesDatum,
     _rank_exact,
     euler_char_direct,
     euler_char_via_difference,
@@ -39,7 +38,13 @@ from multimult.monomials import (
     ideal_product,
     ideal_sum,
 )
-from multimult.reductions import J_SOURCE, JointReductionCandidate, PoolPolicy, search_joint_reduction
+from multimult.reductions import (
+    J_SOURCE,
+    JointReductionCandidate,
+    PoolPolicy,
+    ReesDatum,
+    search_joint_reduction,
+)
 
 C1 = RingContext(1)
 C2 = RingContext(2)
@@ -389,6 +394,21 @@ class TestEulerDirect:
         assert ev.certified
         assert ev.value == euler_char_via_difference(d).value
         assert ev.provenance == {"multidegree": (5, 5, 5), "band": 16, "buffer": 1}
+
+
+class TestUncertified:
+    def test_both_channels_refuse(self):
+        # x1 from I1 and from J: x2^(n0+n) stays outside the right side.
+        m = ideal(C2, [(1, 0), (0, 1)])
+        fam = IdealFamily(m, (m,), QuotientModule.free(C2))
+        x1 = C2.monomial(1, 0)
+        d = ReesDatum(fam, JointReductionCandidate(((x1, 0), (x1, J_SOURCE)), MixedType(0, (1,))))
+        assert not d.certificate.holds
+        message = "^candidate failed joint-reduction certification$"
+        with pytest.raises(ValueError, match=message):
+            euler_char_via_difference(d)
+        with pytest.raises(ValueError, match=message):
+            euler_char_direct(d, MultiDegree(2, (2,)))
 
 
 class TestEulerDifference:

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from corpus import build_corpus
+from multimult import multiplicity
 from multimult.hilbert import IdealFamily, MixedType, mixed_multiplicity
 from multimult.monomials import (
     MonomialIdeal,
@@ -16,6 +17,7 @@ from multimult.monomials import (
 from multimult.multiplicity import (
     NotMultiplicitySystemError,
     Verdict,
+    _verdict,
     hilbert_samuel,
     mult_symbol,
     verify_base_type,
@@ -23,10 +25,11 @@ from multimult.multiplicity import (
     verify_cor_height,
     verify_cor_sop,
     verify_cor_transition,
+    verify_corollaries,
     verify_rees_mprimary,
     verify_theorem_recursion,
 )
-from multimult.reductions import J_SOURCE, JointReductionCandidate, verify_joint_reduction
+from multimult.reductions import J_SOURCE, JointReductionCandidate, ReesDatum
 
 C1 = RingContext(1)
 C2 = RingContext(2)
@@ -49,6 +52,14 @@ def family_dim4():
     i2 = ideal(C4, [(0, 0, 1, 0)])
     j = ideal(C4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
     return IdealFamily(j, (i1, i2), QuotientModule.free(C4))
+
+
+def uncertified_2var(k0, k):
+    """x1 from I1 (when k = (1,)) and x1 from J on family_2var: every x2^n
+    of J^n0 I^n lies outside the right side, so nothing certifies."""
+    x1 = C2.monomial(1, 0)
+    elements = ((x1, 0),) * k[0] + ((x1, J_SOURCE),) * (k0 + 1)
+    return ReesDatum(family_2var(), JointReductionCandidate(elements, MixedType(k0, k)))
 
 
 def dim4_candidate(powers=(1, 1, 1)):
@@ -190,7 +201,7 @@ class TestTeissierOracle:
 
 class TestTheoremRecursion:
     def test_2var(self):
-        rep = verify_theorem_recursion(family_2var(), cand_2var(), 0)
+        rep = verify_theorem_recursion(ReesDatum(family_2var(), cand_2var()), 0)
         assert rep.verdict == Verdict.EQUAL
         assert rep.left == 1
 
@@ -200,12 +211,12 @@ class TestTheoremRecursion:
         cand = JointReductionCandidate(
             ((C1.monomial(1), 0), (C1.monomial(1), J_SOURCE)), MixedType(0, (1,))
         )
-        rep = verify_theorem_recursion(fam, cand, 0)
+        rep = verify_theorem_recursion(ReesDatum(fam, cand), 0)
         assert rep.verdict == Verdict.EQUAL
         assert rep.left == 0
 
     def test_dim4(self):
-        rep = verify_theorem_recursion(family_dim4(), dim4_candidate(), 1)
+        rep = verify_theorem_recursion(ReesDatum(family_dim4(), dim4_candidate()), 1)
         assert rep.verdict == Verdict.EQUAL
         assert rep.left == 0
 
@@ -224,60 +235,61 @@ class TestTheoremRecursion:
         cand = JointReductionCandidate(
             ((C2.monomial(1, 0), 0), (C2.monomial(0, 2), J_SOURCE)), MixedType(0, (1, 0))
         )
-        assert verify_joint_reduction(fam, cand).holds
-        rep = verify_theorem_recursion(fam, cand, 0)
+        datum = ReesDatum(fam, cand)
+        assert datum.certificate.holds
+        rep = verify_theorem_recursion(datum, 0)
         assert rep.verdict == Verdict.EQUAL
 
 
 class TestCorollaries:
     def test_quotient_comparison_2var(self):
-        rep = verify_cor_filter_regular(family_2var(), cand_2var(), 0)
+        rep = verify_cor_filter_regular(ReesDatum(family_2var(), cand_2var()), 0)
         assert rep.verdict == Verdict.EQUAL
 
     def test_quotient_comparison_dim4(self):
-        rep = verify_cor_filter_regular(family_dim4(), dim4_candidate(), 1)
+        rep = verify_cor_filter_regular(ReesDatum(family_dim4(), dim4_candidate()), 1)
         assert rep.verdict == Verdict.EQUAL
         assert rep.left == 0 and rep.right == 0
 
     def test_transition_2var(self):
-        rep = verify_cor_transition(family_2var(), cand_2var())
+        rep = verify_cor_transition(ReesDatum(family_2var(), cand_2var()))
         assert rep.verdict == Verdict.EQUAL
         assert rep.right == 1
 
     def test_transition_dim4(self):
-        rep = verify_cor_transition(family_dim4(), dim4_candidate())
+        rep = verify_cor_transition(ReesDatum(family_dim4(), dim4_candidate()))
         assert rep.verdict == Verdict.EQUAL
         assert rep.left == 0 and rep.right == 0
 
     def test_sop_2var(self):
-        rep = verify_cor_sop(family_2var(), cand_2var())
+        rep = verify_cor_sop(ReesDatum(family_2var(), cand_2var()))
         assert rep.verdict == Verdict.EQUAL
         assert rep.right == 1
 
     def test_sop_dim4_strict(self):
-        rep = verify_cor_sop(family_dim4(), dim4_candidate())
+        rep = verify_cor_sop(ReesDatum(family_dim4(), dim4_candidate()))
         assert rep.verdict == Verdict.LEQ_STRICT
         assert rep.left == 0 and rep.right == 1
 
     def test_sop_dim4_squares(self):
-        rep = verify_cor_sop(family_dim4(), dim4_candidate((2, 2, 2)))
+        rep = verify_cor_sop(ReesDatum(family_dim4(), dim4_candidate((2, 2, 2))))
         assert rep.verdict == Verdict.LEQ_STRICT
         assert rep.left == 0 and rep.right == 8
 
     def test_height_2var_holds(self):
-        rep = verify_cor_height(family_2var(), cand_2var())
+        rep = verify_cor_height(ReesDatum(family_2var(), cand_2var()))
         assert rep.verdict == Verdict.EQUAL
         assert dict(rep.hypotheses)["height hypothesis"]
 
     def test_height_dim4_fails_hypothesis(self):
         # I = I1*I2 lies inside the minimal prime (x3) of (x3), so no
         # assertion is made.
-        rep = verify_cor_height(family_dim4(), dim4_candidate())
+        rep = verify_cor_height(ReesDatum(family_dim4(), dim4_candidate()))
         assert rep.verdict == Verdict.HYPOTHESIS_UNMET
         assert not dict(rep.hypotheses)["height hypothesis"]
 
     def test_rees_recovery_2var(self):
-        rep = verify_rees_mprimary(family_2var(), cand_2var())
+        rep = verify_rees_mprimary(ReesDatum(family_2var(), cand_2var()))
         assert rep.verdict == Verdict.EQUAL
         assert rep.left == 1
 
@@ -288,7 +300,7 @@ class TestCorollaries:
         cand = JointReductionCandidate(
             ((C2.monomial(0, 1), 0), (C2.monomial(1, 0), J_SOURCE)), MixedType(0, (1,))
         )
-        rep = verify_rees_mprimary(fam, cand)
+        rep = verify_rees_mprimary(ReesDatum(fam, cand))
         assert rep.verdict == Verdict.EQUAL
         assert rep.left == 1
 
@@ -298,7 +310,7 @@ class TestCorollaries:
         cand = JointReductionCandidate(
             ((C1.monomial(1), 0), (C1.monomial(1), J_SOURCE)), MixedType(0, (1,))
         )
-        rep = verify_rees_mprimary(fam, cand)
+        rep = verify_rees_mprimary(ReesDatum(fam, cand))
         assert rep.verdict == Verdict.EQUAL
         assert rep.left == 0
 
@@ -308,7 +320,7 @@ class TestCorollaries:
             ((C2.monomial(1, 0), J_SOURCE), (C2.monomial(0, 1), J_SOURCE)),
             MixedType(1, (0,)),
         )
-        rep = verify_base_type(fam, cand)
+        rep = verify_base_type(ReesDatum(fam, cand))
         assert rep.verdict == Verdict.EQUAL
         assert rep.left == 1
 
@@ -322,6 +334,58 @@ class TestCorollaries:
         cand = JointReductionCandidate(
             ((C2.monomial(1, 0), J_SOURCE),), MixedType(0, (0,))
         )
-        rep = verify_base_type(fam, cand)
+        rep = verify_base_type(ReesDatum(fam, cand))
         assert rep.verdict == Verdict.EQUAL
         assert rep.left == 0 and rep.right == 0
+
+
+class TestVerdictRule:
+    @pytest.mark.parametrize(
+        "hypotheses, conclusions, left, right, relation, verdict",
+        [
+            # Unmet hypotheses assert nothing, even when the sides differ.
+            ([("h", False)], [], 1, 2, "eq", Verdict.HYPOTHESIS_UNMET),
+            ([("h", True), ("g", False)], [("c", False)], 2, 1, "le", Verdict.HYPOTHESIS_UNMET),
+            # A failed conclusion with every hypothesis met fails the claim,
+            # even when left = right.
+            ([("h", True)], [("c", False)], 1, 1, "eq", Verdict.MISMATCH),
+            ([("h", True)], [("c", False)], 0, 1, "le", Verdict.MISMATCH),
+            ([("h", True)], [("c", True)], 1, 1, "eq", Verdict.EQUAL),
+            ([], [], 1, 1, "eq", Verdict.EQUAL),
+            ([], [], 1, 1, "le", Verdict.EQUAL),
+            ([], [], 1, 2, "le", Verdict.LEQ_STRICT),
+            ([], [], 1, 2, "eq", Verdict.MISMATCH),
+            ([], [], 2, 1, "eq", Verdict.MISMATCH),
+            ([], [], 2, 1, "le", Verdict.MISMATCH),
+        ],
+    )
+    def test_table(self, hypotheses, conclusions, left, right, relation, verdict):
+        assert _verdict(hypotheses, conclusions, Fraction(left), Fraction(right), relation) == verdict
+
+    def test_height_criterion_reports_a_failed_conclusion(self, monkeypatch):
+        # Every hypothesis of the height criterion holds on the 2-variable
+        # datum; a candidate that were no system of parameters would fail
+        # the conclusion itself.
+        monkeypatch.setattr(multiplicity, "is_system_of_parameters", lambda module, elems: False)
+        rep = verify_cor_height(ReesDatum(family_2var(), cand_2var()))
+        assert all(ok for _, ok in rep.hypotheses[:-1])
+        assert rep.hypotheses[-1] == ("conclusion: system of parameters", False)
+        assert (rep.left, rep.right) == (1, -1)
+        assert rep.verdict == Verdict.MISMATCH
+
+
+class TestUncertifiedDatum:
+    def test_claims_report_the_unmet_hypothesis(self):
+        data = [uncertified_2var(0, (1,)), uncertified_2var(0, (0,))]
+        assert not any(d.certificate.holds for d in data)
+        reports = [verify_theorem_recursion(data[0], 0), *verify_corollaries(data[0], 0),
+                   *verify_corollaries(data[1], None)]
+        assert [r.claim_id for r in reports] == [
+            "recursion", "quotient-comparison-eq", "saturated-transition", "sop-comparison",
+            "height-criterion", "primary-recovery",
+            "saturated-transition", "sop-comparison", "height-criterion", "primary-recovery",
+            "base-type",
+        ]
+        for rep in reports:
+            assert ("candidate certified", False) in rep.hypotheses, rep.claim_id
+            assert rep.verdict == Verdict.HYPOTHESIS_UNMET, rep.claim_id

@@ -17,6 +17,10 @@ and certify the fit on a disjoint verification band of grid values.  The mixed
 multiplicity of type (k0, k) is the basis coefficient at (k0, k); it is
 *defined* exactly when every coefficient at a componentwise-larger index
 vanishes.
+
+Each Hilbert value is one length count with J (for ``hf_P``) or J^n0 (for
+``hf_F``) as its colon floor.  ``IdealFamily`` checks that J contains a power
+of every variable, so every value is finite.
 """
 
 from __future__ import annotations
@@ -54,10 +58,6 @@ class StabilizationError(RuntimeError):
     def __init__(self, message, residuals=None):
         super().__init__(message)
         self.residuals = residuals or []
-
-
-class FinitenessError(RuntimeError):
-    """A Hilbert value came out infinite; the family is invalid."""
 
 
 @dataclass(frozen=True)
@@ -149,13 +149,6 @@ def weighted_power(fam: IdealFamily, deg: MultiDegree) -> MonomialIdeal:
     return out
 
 
-def _checked_count(top, bottom, q, floor):
-    value = _count_difference(ideal_sum(top, q), ideal_sum(bottom, q), colon_floor=floor)
-    if value == float("inf"):
-        raise FinitenessError("infinite Hilbert value: J is not an ideal of definition")
-    return int(value)
-
-
 def hf_P(fam: IdealFamily, deg: MultiDegree) -> int:
     """Length of J^n0 I^n M / J^(n0+1) I^n M."""
     if len(deg.n) != fam.d:
@@ -166,7 +159,7 @@ def hf_P(fam: IdealFamily, deg: MultiDegree) -> int:
     # J^(n0+1) * I_1^(n1) product rather than by minimalizing top x J.
     nxt = weighted_power(fam, MultiDegree(deg.n0 + 1, deg.n))
     bottom = ideal_product(nxt, fam.module.top)
-    return _checked_count(top, bottom, q, fam.j)
+    return _count_difference(ideal_sum(top, q), ideal_sum(bottom, q), fam.j)
 
 
 def hf_F(fam: IdealFamily, deg: MultiDegree) -> int:
@@ -179,7 +172,7 @@ def hf_F(fam: IdealFamily, deg: MultiDegree) -> int:
     top = ideal_product(weighted_power(fam, MultiDegree(0, deg.n)), fam.module.top)
     jpow = ideal_power(fam.j, deg.n0)
     bottom = ideal_product(top, jpow)
-    return _checked_count(top, bottom, q, jpow)
+    return _count_difference(ideal_sum(top, q), ideal_sum(bottom, q), jpow)
 
 
 # -- polynomials on the binomial basis ------------------------------------

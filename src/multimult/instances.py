@@ -65,6 +65,8 @@ def parse_monomial(text: str, variables: list[str], ctx: RingContext, location: 
         else:
             e = 1
         exps[variables.index(name)] += e
+    if sum(exps) >= 1 << 63:
+        raise InstanceParseError(f"degree of {text!r} exceeds the int64 range", location)
     return Monomial(tuple(exps))
 
 
@@ -228,11 +230,16 @@ def parse_instance(text: str, name: str = "<instance>") -> InstanceFile:
         raise InstanceParseError(str(exc), "J") from exc
 
     candidates = {}
-    for cname, cobj in (raw.get("candidates") or {}).items():
+    candidates_obj = raw.get("candidates") or {}
+    if not isinstance(candidates_obj, dict):
+        raise InstanceParseError("candidates must be an object of named candidates", "candidates")
+    for cname, cobj in candidates_obj.items():
         loc = f"candidates.{cname}"
         if not isinstance(cobj, dict) or "type" not in cobj or "elements" not in cobj:
             raise InstanceParseError("candidate needs 'type' and 'elements'", loc)
         mt = _parse_type(cobj["type"], len(ideal_names), f"{loc}.type")
+        if not isinstance(cobj["elements"], list):
+            raise InstanceParseError("elements must be a list", f"{loc}.elements")
         elements = []
         for i, eobj in enumerate(cobj["elements"]):
             eloc = f"{loc}.elements[{i}]"

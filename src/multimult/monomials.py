@@ -42,10 +42,15 @@ built as an (m+1, n) matrix.  Degrees known by construction (minimalized
 rows, shifted ideals) are passed to the constructor rather than summed
 again.
 
-Length counting (``_count_difference``) can take a colon floor, an ideal
-primary to the maximal ideal whose standard monomials bound every colon it
-would otherwise analyse; those standard monomials are enumerated once per
-floor ideal and kept on it, the way ``gens`` is.
+Every length is one count, ``_count_difference(top, bot, colon_floor)``, of
+the monomials in `top` outside `bot`.  Its colon floor is an ideal primary to
+the maximal ideal whose product with `top` lies in `bot`, so each counted
+monomial is a generator of `top` times a standard monomial of the floor.
+The floor's standard monomials are enumerated once per floor ideal and kept
+on it, the way ``gens`` is.  The Hilbert values take J or J^n0 as the floor,
+and ``QuotientModule.length`` takes the module's annihilator B : T.  That
+method is the one place that decides finiteness: the module has finite
+length exactly when B : T contains a power of every variable.
 """
 
 from __future__ import annotations
@@ -122,10 +127,6 @@ class Monomial:
 
     def __mul__(self, other: Monomial) -> Monomial:
         return Monomial(tuple(a + b for a, b in zip(self.exponents, other.exponents)))
-
-    def colon(self, other: Monomial) -> Monomial:
-        """The exponent-wise truncated quotient self : other."""
-        return Monomial(tuple(max(a - b, 0) for a, b in zip(self.exponents, other.exponents)))
 
     def support(self) -> frozenset[int]:
         return frozenset(i for i, e in enumerate(self.exponents) if e > 0)
@@ -325,9 +326,17 @@ class MonomialIdeal:
     def pure_power_bounds(self) -> tuple[int, ...] | None:
         """For each variable, the least e with x_i^e in the ideal, or None
         if some variable has no pure power here (ideal not primary to the
-        maximal ideal)."""
-        bounds = _colon_pure_bounds(self, np.zeros(self.ctx.num_vars, dtype=np.int64))
-        return None if None in bounds else tuple(bounds)
+        maximal ideal).
+
+        A generator is a power of x_j (or 1) exactly when its degree equals
+        its j-th exponent."""
+        bounds = []
+        for j in range(self.ctx.num_vars):
+            pure = self.matrix[self.degrees == self.matrix[:, j], j]
+            if not len(pure):
+                return None
+            bounds.append(int(pure.min()))
+        return tuple(bounds)
 
     def is_primary_to_max_ideal(self) -> bool:
         """Whether the ideal contains a power of every variable."""
@@ -510,9 +519,11 @@ def ideal_power(a: MonomialIdeal, n: int) -> MonomialIdeal:
 
 @lru_cache(maxsize=None)
 def colon_by_monomial(q: MonomialIdeal, u: Monomial) -> MonomialIdeal:
-    """The colon ideal q : u = { v : u*v in q }."""
+    """The colon ideal q : u = { v : u*v in q }; q itself when u is 1."""
     if len(u.exponents) != q.ctx.num_vars:
         raise ContextMismatchError("monomial has wrong variable count")
+    if u.is_one():
+        return q
     shifted = np.maximum(q.matrix - np.asarray(u.exponents, dtype=np.int64), 0)
     return MonomialIdeal(q.ctx, *_minimal_rows(shifted))
 
@@ -552,21 +563,6 @@ def saturation(q: MonomialIdeal, i: MonomialIdeal) -> MonomialIdeal:
 # -- length counting -------------------------------------------------------
 
 
-def _colon_pure_bounds(bot: MonomialIdeal, g: np.ndarray) -> list[int | None]:
-    """Per-variable least pure-power exponent of (bot : x^g), without
-    minimalizing the colon.  None marks a variable with no pure power.
-
-    A colon row is a power of x_j (or 1) exactly when its degree equals its
-    j-th exponent."""
-    colon = np.maximum(bot.matrix - np.asarray(g, dtype=np.int64), 0)
-    degs = _row_sums(colon)
-    bounds: list[int | None] = []
-    for j in range(bot.ctx.num_vars):
-        pure = colon[degs == colon[:, j], j]
-        bounds.append(int(pure.min()) if len(pure) else None)
-    return bounds
-
-
 def _box(bounds) -> np.ndarray:
     """All exponent vectors v with 0 <= v < bounds, one per row."""
     return np.indices(bounds, dtype=np.int64).reshape(len(bounds), -1).T
@@ -590,55 +586,35 @@ def standard_monomials(w: MonomialIdeal) -> list[tuple[int, ...]]:
     return sorted(map(tuple, w.standard_rows.tolist()), key=_grlex_key)
 
 
-def _count_difference(top: MonomialIdeal, bot: MonomialIdeal,
-                      colon_floor: MonomialIdeal | None = None):
+def _count_difference(top: MonomialIdeal, bot: MonomialIdeal, colon_floor: MonomialIdeal) -> int:
     """Count monomials lying in `top` but not in `bot`.
 
-    Every such monomial factors as g*v with g a minimal generator of `top`
-    and v a standard monomial of bot : g, so the count is the size of the
-    deduplicated candidate set { g*v : g*v not in bot }.  Finiteness holds
-    exactly when every colon bot : g contains a power of each variable.
-
-    `colon_floor`, when given, must be an ideal primary to the maximal ideal
-    with colon_floor * top contained in bot; its standard monomials, kept on
-    the floor ideal, then bound every bot : g and the per-generator colon
-    analysis is skipped.  When 1 is the only one, the candidates are the
-    generators of `top` themselves, already distinct.
+    `colon_floor` must be an ideal primary to the maximal ideal with
+    colon_floor * top contained in bot.  Every monomial of `top` outside
+    `bot` then factors as g*v with g a minimal generator of `top` and v a
+    standard monomial of the floor, so the count is that of the distinct
+    candidates g*v outside `bot`.  When 1 is the only standard monomial the
+    candidates are the generators of `top`, and when `top` is the unit ideal
+    they are the standard monomials; both are already distinct.
     """
     if top.is_zero() or bot.is_unit():
         return 0
-    if colon_floor is not None:
-        std = colon_floor.standard_rows
-        if len(std) == 1:
-            pts = top.matrix
-        else:
-            cands = (top.matrix[:, None, :] + std[None, :, :]).reshape(-1, top.ctx.num_vars)
-            pts, _ = _grlex_unique(cands)
+    std = colon_floor.standard_rows
+    if len(std) == 1:
+        pts = top.matrix
+    elif top.is_unit():
+        pts = std
     else:
-        blocks = []
-        for g in top.matrix:
-            bounds = _colon_pure_bounds(bot, g)
-            if all(b == 0 for b in bounds):
-                continue  # g already lies in bot
-            if any(b is None for b in bounds):
-                return INFINITE
-            blocks.append(_box(bounds) + g)
-        if not blocks:
-            return 0
-        pts, _ = _grlex_unique(np.concatenate(blocks))
+        cands = (top.matrix[:, None, :] + std[None, :, :]).reshape(-1, top.ctx.num_vars)
+        pts, _ = _grlex_unique(cands)
     return int(np.count_nonzero(~_members_mask(bot, pts)))
 
 
 def graded_quotient_length(top: MonomialIdeal, bottom: MonomialIdeal,
                            q: MonomialIdeal):
-    """The number of monomials in top+q and not in bottom+q, or INFINITE.
-
-    Realizes the length of ((top+q)/(bottom+q)) as a count of monomials;
-    finiteness is decided exactly via the colons (bottom+q) : g.
-    """
-    _check_ctx(top, bottom)
-    _check_ctx(top, q)
-    return _count_difference(ideal_sum(top, q), ideal_sum(bottom, q))
+    """The number of monomials in top+q and not in bottom+q, or INFINITE:
+    the length of the module ((top+q) + (bottom+q)) / (bottom+q)."""
+    return QuotientModule(top.ctx, ideal_sum(bottom, q), ideal_sum(top, q)).length()
 
 
 # -- quotient modules ------------------------------------------------------
@@ -672,7 +648,8 @@ class QuotientModule:
         return QuotientModule(ctx, MonomialIdeal.zero(ctx))
 
     def is_zero(self) -> bool:
-        return self.relations.contains_ideal(self.top)
+        """Whether T lies in B: some generator of B divides each one of T."""
+        return bool(_divides_any(self.relations.matrix, self.top.matrix).all())
 
     def annihilator(self) -> MonomialIdeal:
         """Ann((T+B)/B) = B : T."""
@@ -697,8 +674,17 @@ class QuotientModule:
         return QuotientModule(self.ctx, ideal_sum(self.relations, torsion), self.top)
 
     def length(self):
-        """The total monomial count of (T+B) outside B, or INFINITE."""
-        return _count_difference(ideal_sum(self.top, self.relations), self.relations)
+        """The total monomial count of (T+B) outside B, or INFINITE.
+
+        The annihilator B : T is the colon floor, since (B : T)(T+B) lies in
+        B, and the module has finite length exactly when B : T contains a
+        power of every variable."""
+        if self.is_zero():
+            return 0
+        floor = self.annihilator()
+        if not floor.is_primary_to_max_ideal():
+            return INFINITE
+        return _count_difference(ideal_sum(self.top, self.relations), self.relations, floor)
 
 
 def krull_dim(module: QuotientModule):

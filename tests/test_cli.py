@@ -246,6 +246,12 @@ def assert_rejected(tmp_path, capsys, bad, path):
         "elements": [{"monomial": "x1", "source": "J"}, {"monomial": "x2", "source": "J"}],
     }
     doc["requests"] = [{"command": "mixed", "type": {"k0": 0, "k": [1]}}, bad]
+    assert_document_rejected(tmp_path, capsys, doc, path)
+
+
+def assert_document_rejected(tmp_path, capsys, doc, path):
+    """The run of `doc` exits 2 at parse time with `path` on stderr and no
+    traceback, and writes no report."""
     f = tmp_path / "inst.json"
     f.write_text(json.dumps(doc))
     out_path = tmp_path / "report.json"
@@ -382,6 +388,28 @@ class TestCliEntry:
     )
     def test_malformed_request_field_exit_2(self, tmp_path, capsys, bad, path):
         assert_rejected(tmp_path, capsys, bad, f"requests[1].{path}")
+
+    @pytest.mark.parametrize(
+        "mutate, path",
+        [
+            pytest.param(lambda doc: doc.update(candidates=["c"]), "candidates",
+                         id="candidates-list"),
+            pytest.param(lambda doc: doc["candidates"]["c"].update(elements=5),
+                         "candidates.c.elements", id="elements-int"),
+            pytest.param(lambda doc: doc.update(J=["x1^99999999999999999999", "x2"]), "J[0]",
+                         id="exponent-past-int64"),
+            pytest.param(lambda doc: doc.update(J=[f"x1^{2**62}*x1^{2**62}", "x2"]), "J[0]",
+                         id="repeated-factor-past-int64"),
+            pytest.param(lambda doc: doc["candidates"]["c"]["elements"][1].update(
+                monomial=f"x2^{2**62}*x1^{2**62}"), "candidates.c.elements[1]",
+                id="degree-past-int64"),
+        ],
+    )
+    def test_malformed_document_exit_2(self, tmp_path, capsys, mutate, path):
+        doc = json.loads(MINIMAL)
+        doc["requests"] = [{"command": "mixed", "type": {"k0": 0, "k": [1]}}]
+        mutate(doc)
+        assert_document_rejected(tmp_path, capsys, doc, path)
 
     def test_parse_error_inside_a_request_exit_2(self, tmp_path, capsys):
         doc = json.loads(MINIMAL)

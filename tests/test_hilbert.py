@@ -6,6 +6,7 @@ from fractions import Fraction
 from math import comb
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from corpus import build_corpus
@@ -27,11 +28,16 @@ from multimult.hilbert import (
 )
 from multimult.instances import parse_instance
 from multimult.monomials import (
+    INFINITE,
     MINUS_INFINITY,
     MonomialIdeal,
     QuotientModule,
     RingContext,
+    _box,
     _count_difference,
+    _grlex_unique,
+    _members_mask,
+    _row_sums,
     ideal,
     ideal_power,
     ideal_product,
@@ -250,11 +256,51 @@ class TestNextTopBottom:
             self._check(fam, MultiDegree(n0, (n1,)))
 
 
+def _colon_pure_bounds(bot, g):
+    """Per-variable least pure-power exponent of (bot : x^g), without
+    minimalizing the colon.  None marks a variable with no pure power.
+
+    A colon row is a power of x_j (or 1) exactly when its degree equals its
+    j-th exponent."""
+    colon = np.maximum(bot.matrix - np.asarray(g, dtype=np.int64), 0)
+    degs = _row_sums(colon)
+    bounds = []
+    for j in range(bot.ctx.num_vars):
+        pure = colon[degs == colon[:, j], j]
+        bounds.append(int(pure.min()) if len(pure) else None)
+    return bounds
+
+
+def box_count(top, bot):
+    """The per-generator colon-box counter, with no floor: the monomials in
+    `top` and not in `bot`, or INFINITE.
+
+    Every such monomial factors as g*v with g a minimal generator of `top`
+    and v a standard monomial of bot : g, so the count is the size of the
+    deduplicated candidate set { g*v : g*v not in bot }.  Finiteness holds
+    exactly when every colon bot : g contains a power of each variable.
+    """
+    if top.is_zero() or bot.is_unit():
+        return 0
+    blocks = []
+    for g in top.matrix:
+        bounds = _colon_pure_bounds(bot, g)
+        if all(b == 0 for b in bounds):
+            continue  # g already lies in bot
+        if any(b is None for b in bounds):
+            return INFINITE
+        blocks.append(_box(bounds) + g)
+    if not blocks:
+        return 0
+    pts, _ = _grlex_unique(np.concatenate(blocks))
+    return int(np.count_nonzero(~_members_mask(bot, pts)))
+
+
 def floorless_p(fam, deg):
     """hf_P counted by the per-generator colon analysis, with no floor."""
     q = fam.module.relations
     top = ideal_product(weighted_power(fam, deg), fam.module.top)
-    return _count_difference(ideal_sum(top, q), ideal_sum(ideal_product(top, fam.j), q))
+    return box_count(ideal_sum(top, q), ideal_sum(ideal_product(top, fam.j), q))
 
 
 def floorless_f(fam, deg):
@@ -262,7 +308,7 @@ def floorless_f(fam, deg):
     q = fam.module.relations
     top = ideal_product(weighted_power(fam, MultiDegree(0, deg.n)), fam.module.top)
     bottom = ideal_product(top, ideal_power(fam.j, deg.n0))
-    return _count_difference(ideal_sum(top, q), ideal_sum(bottom, q))
+    return box_count(ideal_sum(top, q), ideal_sum(bottom, q))
 
 
 def count_floor_enumerations(monkeypatch):
@@ -319,6 +365,33 @@ class TestColonFloor:
             assert hf_F(fam, MultiDegree(n0, (n1,))) == floorless_f(fam, MultiDegree(n0, (n1,)))
         assert seen == [ideal_power(j, n0) for n0 in range(1, 5)]
 
+    def test_floor_with_no_standard_monomials_counts_zero(self):
+        # T inside B: the annihilator B : T is the unit ideal, with no
+        # standard monomial, so there is no candidate.
+        b = ideal(C2, [(2, 0), (1, 1)])
+        t = ideal(C2, [(3, 0), (1, 2)])
+        unit = MonomialIdeal.unit(C2)
+        assert len(unit.standard_rows) == 0
+        assert _count_difference(ideal_sum(t, b), b, unit) == 0
+        assert QuotientModule(C2, b, t).annihilator() == unit
+        assert QuotientModule(C2, b, t).length() == 0
+
+    def test_unit_top_against_its_own_floor(self):
+        for w in (ideal(C2, [(3, 0), (1, 1), (0, 2)]),
+                  ideal(C3, [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 1)]),
+                  ideal(C2, [(1, 0), (0, 1)])):
+            expected = len(w.standard_rows)
+            assert _count_difference(MonomialIdeal.unit(w.ctx), w, w) == expected
+            assert expected == box_count(MonomialIdeal.unit(w.ctx), w)
+
+    def test_cyclic_length_enumerates_the_floor_once(self, monkeypatch):
+        b = ideal(C3, [(3, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0)])
+        seen = count_floor_enumerations(monkeypatch)
+        module = QuotientModule(C3, b)
+        lengths = [module.length() for _ in range(3)]
+        assert lengths == [box_count(MonomialIdeal.unit(C3), b)] * 3
+        assert seen == [b]
+
 
 class TestMixedMultiplicity:
     def test_2var_classical(self):
@@ -346,8 +419,6 @@ class TestMixedMultiplicity:
 
 class TestHilbertTable:
     def test_difference_shrinks(self):
-        import numpy as np
-
         t = HilbertTable((0, 0), np.arange(9).reshape(3, 3))
         d = t.difference(MixedType(1, (0,)))
         assert d.values.shape == (2, 3)

@@ -41,9 +41,6 @@ class TestMonomial:
         assert C2.monomial(1, 1).divides(C2.monomial(2, 1))
         assert not C2.monomial(1, 1).divides(C2.monomial(2, 0))
 
-    def test_colon_truncates(self):
-        assert C2.monomial(1, 3).colon(C2.monomial(2, 1)) == C2.monomial(0, 2)
-
     def test_str(self):
         assert str(C3.monomial(2, 0, 1)) == "x1^2*x3"
         assert str(C3.one()) == "1"

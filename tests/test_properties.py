@@ -22,6 +22,7 @@ from multimult.monomials import (
     ideal_power,
     ideal_product,
     ideal_sum,
+    krull_dim,
     saturation,
 )
 from multimult.reductions import (
@@ -139,6 +140,59 @@ class TestLengthOracle:
             MonomialIdeal.unit(bot.ctx), bot, MonomialIdeal.zero(bot.ctx)
         )
         assert got == _brute_force_length(bot)
+
+
+@st.composite
+def subquotient(draw):
+    """A module (T+B)/B in 2 or 3 variables with T not the unit ideal; B
+    often holds pure powers, so both finite and infinite lengths occur."""
+    m = draw(st.integers(2, 3))
+    ctx = CONTEXTS[m]
+    rels = draw(st.lists(exponent_vectors(m, 4).filter(any), max_size=3))
+    for j in range(m):
+        power = draw(st.one_of(st.none(), st.integers(2, 6)))
+        if power is not None:
+            rels.append(tuple(power if k == j else 0 for k in range(m)))
+    tops = draw(st.lists(exponent_vectors(m, 3).filter(any), min_size=1, max_size=3))
+    return QuotientModule(ctx, ideal(ctx, rels), ideal(ctx, tops))
+
+
+def _enumerated_length(module: QuotientModule) -> int:
+    """Count the monomials of T+B outside B degree by degree.  Past the
+    largest generator degree of T+B, a monomial of T+B outside B divides by
+    a variable into one of lower degree, so the count stops at the first
+    empty degree there."""
+    top = ideal_sum(module.top, module.relations)
+
+    def inside(gens, e):
+        return any(all(a <= b for a, b in zip(g, e)) for g in gens)
+
+    m = module.ctx.num_vars
+    total = 0
+    for deg in itertools.count():
+        layer = [
+            e
+            for e in itertools.product(range(deg + 1), repeat=m)
+            if sum(e) == deg and inside(top.gens, e) and not inside(module.relations.gens, e)
+        ]
+        if not layer and deg > top.max_generator_degree():
+            return total
+        total += len(layer)
+
+
+class TestSubquotientLength:
+    @MANY
+    @given(subquotient())
+    def test_length_against_enumeration(self, module):
+        got = module.length()
+        zero = module.relations.contains_ideal(module.top)
+        assert module.is_zero() == zero
+        if zero:
+            assert got == 0
+        if krull_dim(module) <= 0:
+            assert got == _enumerated_length(module)
+        else:
+            assert got == INFINITE
 
 
 @st.composite

@@ -1,9 +1,11 @@
 """Every function and class in the package is reached from the package.
 
 An `ast` scan lists the module-level functions and classes of
-`src/multimult`, and the methods of those classes, that no name, attribute
-or import alias anywhere in `src/multimult` refers to.  Dunder methods are
-left out: Python calls them itself.  What is left is code only the tests
+`src/multimult`, and the methods of those classes, that nothing anywhere in
+`src/multimult` refers to.  A function or class is referred to by a name, an
+attribute or an import alias; a method only by an attribute or an import
+alias, since a bare name of the same spelling is some other variable.
+Dunder methods are left out: Python calls them itself.  What is left is code only the tests
 reach; it must be a constructor or primitive the tests build objects with,
 or the test-only `hilbert_samuel`, and nothing a refactor left behind.
 """
@@ -25,7 +27,7 @@ ALLOWED = {
 
 
 def unreferenced(package: Path) -> set[str]:
-    defined, referenced = set(), set()
+    defined, names, attributes = set(), set(), set()
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in tree.body:
@@ -39,12 +41,15 @@ def unreferenced(package: Path) -> set[str]:
                 )
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                referenced.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
+                attributes.add(node.attr)
             elif isinstance(node, ast.alias):
-                referenced.add(node.name)
-    return {name for name in defined if name.rsplit(".", 1)[-1] not in referenced}
+                attributes.add(node.name)
+    return {
+        name for name in defined
+        if name.rsplit(".", 1)[-1] not in (attributes if "." in name else names | attributes)
+    }
 
 
 def test_only_the_allowlist_is_unreferenced():
@@ -58,12 +63,16 @@ def test_the_scan_sees_a_new_helper(tmp_path):
         "        return helper()\n"
         "    def unused(self):\n"
         "        pass\n"
+        "    def shadowed(self):\n"
+        "        pass\n"
         "    def __repr__(self):\n"
         "        return ''\n"
         "def helper():\n"
-        "    return K().used()\n"
+        "    shadowed = K().used()\n"
+        "    return shadowed\n"
         "def orphan():\n"
         "    pass\n"
     )
     (tmp_path / "b.py").write_text("from a import K as Alias\n")
-    assert unreferenced(tmp_path) == {"K.unused", "orphan"}
+    # A local variable spelled like a method does not refer to it.
+    assert unreferenced(tmp_path) == {"K.unused", "K.shadowed", "orphan"}

@@ -45,7 +45,6 @@ from .reductions import (
 from .reports import (
     SCHEMA_VERSION,
     certificate_payload,
-    fraction_str,
     poly_payload,
     report_payload,
 )
@@ -73,13 +72,13 @@ def run_request(inst: InstanceFile, req: dict) -> dict:
         which = req.get("which", "P")
         fit = interpolate(fam, which)
         out["polynomial"] = poly_payload(fit.poly)
-        out["table"] = {"base": list(fit.table.base), "values": fit.table.values.tolist()}
+        out["table"] = {"base": [fit.base] * (fam.d + 1), "values": fit.values.tolist()}
         out["provenance"] = fit.provenance()
     elif command == "mixed":
         mt = _request_type(inst, req)
         value, defined = mixed_multiplicity(fam, mt)
         fit = interpolate(fam, "P")
-        out["value"] = fraction_str(value)
+        out["value"] = str(value)
         out["defined"] = defined
         out["provenance"] = fit.provenance()
     elif command == "verify-jr":

@@ -13,21 +13,25 @@ binomial-coefficient basis
 
     binom(n0 + k0, k0) * binom(n1 + k1, k1) * ... * binom(nd + kd, kd),
 
-and certify the fit on a disjoint verification band of grid values.  The mixed
-multiplicity of type (k0, k) is the basis coefficient at (k0, k); it is
-*defined* exactly when every coefficient at a componentwise-larger index
-vanishes.
+and certify the fit on a disjoint verification band of grid values.  Both
+change-of-basis steps are unitriangular over the integers, so every
+coefficient is a Python int.  A fit carries its window of values as an int64
+array.  The mixed multiplicity of type (k0, k) is the basis coefficient at
+(k0, k); it is *defined* exactly when every coefficient at a
+componentwise-larger index vanishes.
 
-Each Hilbert value is one length count with J (for ``hf_P``) or J^n0 (for
-``hf_F``) as its colon floor.  ``IdealFamily`` checks that J contains a power
-of every variable, so every value is finite.
+``IdealFamily.piece`` presents J^n0 * I^n * M inside A, without the
+relations; the Hilbert functions, the joint-reduction window and the Koszul
+strands all read their ideals from it.  Each Hilbert value is one length
+count with J (for ``hf_P``) or J^n0 (for ``hf_F``) as its colon floor.
+``IdealFamily`` checks that J contains a power of every variable, so every
+value is finite.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
@@ -140,13 +144,13 @@ class IdealFamily:
     def with_module(self, module: QuotientModule) -> IdealFamily:
         return IdealFamily(self.j, self.ideals, module)
 
-
-def weighted_power(fam: IdealFamily, deg: MultiDegree) -> MonomialIdeal:
-    """The ideal J^n0 * I_1^{n_1} * ... * I_d^{n_d}."""
-    out = ideal_power(fam.j, deg.n0)
-    for i, ni in zip(fam.ideals, deg.n):
-        out = ideal_product(out, ideal_power(i, ni))
-    return out
+    def piece(self, deg: MultiDegree) -> MonomialIdeal:
+        """The ideal J^n0 * I_1^{n_1} * ... * I_d^{n_d} * T presenting
+        J^n0 I^n M inside A, without the relations."""
+        out = ideal_power(self.j, deg.n0)
+        for i, ni in zip(self.ideals, deg.n):
+            out = ideal_product(out, ideal_power(i, ni))
+        return ideal_product(out, self.module.top)
 
 
 def hf_P(fam: IdealFamily, deg: MultiDegree) -> int:
@@ -154,11 +158,10 @@ def hf_P(fam: IdealFamily, deg: MultiDegree) -> int:
     if len(deg.n) != fam.d:
         raise ValueError("multidegree has wrong axis count")
     q = fam.module.relations
-    top = ideal_product(weighted_power(fam, deg), fam.module.top)
-    # J * top is the top of the next point in n0, built from the cached
+    top = fam.piece(deg)
+    # J * top is the piece at the next point in n0, built from the cached
     # J^(n0+1) * I_1^(n1) product rather than by minimalizing top x J.
-    nxt = weighted_power(fam, MultiDegree(deg.n0 + 1, deg.n))
-    bottom = ideal_product(nxt, fam.module.top)
+    bottom = fam.piece(MultiDegree(deg.n0 + 1, deg.n))
     return _count_difference(ideal_sum(top, q), ideal_sum(bottom, q), fam.j)
 
 
@@ -169,7 +172,7 @@ def hf_F(fam: IdealFamily, deg: MultiDegree) -> int:
     if deg.n0 == 0:
         return 0
     q = fam.module.relations
-    top = ideal_product(weighted_power(fam, MultiDegree(0, deg.n)), fam.module.top)
+    top = fam.piece(MultiDegree(0, deg.n))
     jpow = ideal_power(fam.j, deg.n0)
     bottom = ideal_product(top, jpow)
     return _count_difference(ideal_sum(top, q), ideal_sum(bottom, q), jpow)
@@ -181,14 +184,14 @@ def hf_F(fam: IdealFamily, deg: MultiDegree) -> int:
 class BinomialBasisPolynomial:
     """A polynomial stored by coefficients on products of binomial factors.
 
-    ``coeffs`` maps an index tuple (k0, ..., kd) to a rational coefficient;
+    ``coeffs`` maps an index tuple (k0, ..., kd) to an integer coefficient;
     the basis element at that index evaluates to the product of binom(vi+ki, ki)
     over all axes.  The zero polynomial has degree minus infinity.
     """
 
-    def __init__(self, num_axes: int, coeffs: dict[tuple[int, ...], Fraction]):
+    def __init__(self, num_axes: int, coeffs: dict[tuple[int, ...], int]):
         self.num_axes = num_axes
-        self.coeffs = {k: Fraction(v) for k, v in coeffs.items() if v != 0}
+        self.coeffs = {k: v for k, v in coeffs.items() if v != 0}
 
     @staticmethod
     def zero(num_axes: int) -> BinomialBasisPolynomial:
@@ -203,13 +206,13 @@ class BinomialBasisPolynomial:
             return MINUS_INFINITY
         return max(sum(k) for k in self.coeffs)
 
-    def coefficient(self, index: tuple[int, ...]) -> Fraction:
-        return self.coeffs.get(tuple(index), Fraction(0))
+    def coefficient(self, index: tuple[int, ...]) -> int:
+        return self.coeffs.get(tuple(index), 0)
 
-    def evaluate(self, point: tuple[int, ...]) -> Fraction:
+    def evaluate(self, point: tuple[int, ...]) -> int:
         if len(point) != self.num_axes:
             raise ValueError("point has wrong axis count")
-        total = Fraction(0)
+        total = 0
         for index, c in self.coeffs.items():
             term = c
             for v, k in zip(point, index):
@@ -224,12 +227,12 @@ class BinomialBasisPolynomial:
         spreads the coefficient onto every index value below t on that axis
         (the hockey-stick identity), and kills index value 0.
         """
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], int] = {}
         for index, c in self.coeffs.items():
             t = index[axis]
             for j in range(t):
                 tgt = index[:axis] + (j,) + index[axis + 1 :]
-                out[tgt] = out.get(tgt, Fraction(0)) + c
+                out[tgt] = out.get(tgt, 0) + c
         return BinomialBasisPolynomial(self.num_axes, out)
 
     def difference(self, mt: MixedType) -> BinomialBasisPolynomial:
@@ -253,44 +256,20 @@ class BinomialBasisPolynomial:
         return f"BinomialBasisPolynomial({self.num_axes}, {self.coeffs!r})"
 
 
-@dataclass(frozen=True)
-class HilbertTable:
-    """A dense window of Hilbert values with its base offset."""
-
-    base: tuple[int, ...]
-    values: np.ndarray  # shape = per-axis extents
-
-    def difference(self, mt: MixedType) -> HilbertTable:
-        steps = mt.as_tuple()
-        vals = self.values
-        for axis, count in enumerate(steps):
-            for _ in range(count):
-                if vals.shape[axis] < 2:
-                    raise ValueError("table too small to difference")
-                upper = [slice(None)] * vals.ndim
-                lower = [slice(None)] * vals.ndim
-                upper[axis] = slice(1, None)
-                lower[axis] = slice(0, -1)
-                vals = vals[tuple(upper)] - vals[tuple(lower)]
-        return HilbertTable(self.base, vals)
-
-    def is_constant(self) -> bool:
-        return bool(self.values.size) and bool((self.values == self.values.flat[0]).all())
-
-
 # -- exact interpolation ---------------------------------------------------
 
 
 @dataclass(frozen=True)
 class FitResult:
-    """A certified polynomial fit with the window that produced it."""
+    """A certified polynomial fit with the window that produced it: the
+    values on base + [0, extent)^num_axes, as an int64 array."""
 
     poly: BinomialBasisPolynomial
     base: int
     extent: int
     band_base: int
     band_extent: int
-    table: HilbertTable
+    values: np.ndarray
 
     def provenance(self) -> dict:
         return {
@@ -398,8 +377,8 @@ def _fit_window(value, num_axes: int, degree: int, start: int) -> FitResult:
                 if fitted != actual:
                     residuals.append((pt, actual - fitted))
             if not residuals:
-                table = HilbertTable((base,) * num_axes, values.astype(np.int64))
-                return FitResult(poly, base, extent, band_base, BAND_EXTENT, table)
+                window = values.astype(np.int64)
+                return FitResult(poly, base, extent, band_base, BAND_EXTENT, window)
             residual_log.append((base, residuals))
         else:
             residual_log.append((base, "inconsistent fit system"))
@@ -444,23 +423,22 @@ def interpolate(fam: IdealFamily, which: str = "P") -> FitResult:
 def _fit_zero(fam: IdealFamily, which: str, num_axes: int) -> FitResult:
     base = initial_offset(fam)
     extent = 2
-    table = table_on_window(fam, which, base, extent)
+    values = table_on_window(fam, which, base, extent)
     residuals = [
         (tuple(base + i for i in idx), int(v))
-        for idx, v in np.ndenumerate(table.values)
+        for idx, v in np.ndenumerate(values)
         if v != 0
     ]
     if residuals:
         raise StabilizationError("zero module produced nonzero Hilbert values", residuals)
     poly = BinomialBasisPolynomial.zero(num_axes)
-    return FitResult(poly, base, extent, base + extent, BAND_EXTENT, table)
+    return FitResult(poly, base, extent, base + extent, BAND_EXTENT, values)
 
 
-def table_on_window(fam: IdealFamily, which: str, base: int, extent: int) -> HilbertTable:
-    """Evaluate a dense Hilbert window at an arbitrary base/extent."""
-    num_axes = fam.d + 1
-    values = _grid(_hilbert_function(fam, which), num_axes, base, extent)
-    return HilbertTable((base,) * num_axes, values.astype(np.int64))
+def table_on_window(fam: IdealFamily, which: str, base: int, extent: int) -> np.ndarray:
+    """The Hilbert values on the box base + [0, extent)^(d+1), as an int64
+    array."""
+    return _grid(_hilbert_function(fam, which), fam.d + 1, base, extent).astype(np.int64)
 
 
 # -- mixed multiplicities --------------------------------------------------

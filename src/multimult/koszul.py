@@ -11,14 +11,16 @@ whose homology is computed by exact rank.
 Each piece of a strand is spanned by at most one monomial, so a strand is
 determined by its support pattern: which exterior subsets have a nonzero
 piece.  The strands of a whole internal-degree band are built at once: one
-membership mask per piece ideal (and one for the relations) over the band,
-shifted into one column per exterior subset.  Homology is then computed once
-per distinct pattern, by fraction-free integer (Bareiss) rank, and scattered
-back to the internal degrees that share it.
+membership mask per piece ideal (``IdealFamily.piece`` at n0 = 0, and one
+for the relations) over the band, shifted into one column per exterior
+subset.  Homology is then computed once per distinct pattern, by
+fraction-free integer (Bareiss) rank, and scattered back to the internal
+degrees that share it.
 
 The Euler characteristic itself is defined operationally as the constant value
-of the (k0, k)-difference of the Hilbert polynomial P (the DIFFERENCE method);
-the strand computation (the DIRECT method) is an independent verification
+of the (k0, k)-difference of the Hilbert polynomial P (the DIFFERENCE method),
+checked on the fitted coefficients and on the fit's window of values; the
+strand computation (the DIRECT method) is an independent verification
 channel carrying an empirical band certificate for the truncation of internal
 degrees.  These two channels, which the `chi` request runs, are all this
 module computes, and both refuse a datum whose candidate is not certified.
@@ -31,14 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import (
-    HilbertTable,
-    MultiDegree,
-    interpolate,
-    table_on_window,
-    weighted_power,
-)
-from .monomials import _box, _members_mask, ideal_product
+from .hilbert import MultiDegree, interpolate, table_on_window
+from .monomials import _box, _members_mask
 from .reductions import J_SOURCE, JointReductionCandidate, ReesDatum
 
 #: Internal-degree band doubles at most this many times before giving up.
@@ -150,7 +146,7 @@ def _support_patterns(datum: ReesDatum, deg: MultiDegree, bounds: tuple[int, ...
             continue
         n = tuple(bide[1:].tolist())
         if n not in in_piece:
-            piece = ideal_product(weighted_power(fam, MultiDegree(0, n)), fam.module.top)
+            piece = fam.piece(MultiDegree(0, n))
             in_piece[n] = _members_mask(piece, box).reshape(bounds) & outside
         src = tuple(slice(b - ei) for ei, b in zip(e, bounds))
         dst = tuple(slice(ei, None) for ei in e)
@@ -254,7 +250,8 @@ def euler_char_via_difference(datum: ReesDatum) -> EulerValue:
     """Chi as the constant of the (k0, k)-difference of the P polynomial.
 
     Constancy is checked both on the coefficient support of the fitted
-    polynomial and on a differenced value table.
+    polynomial and on the window values, differenced k_a times along each
+    axis a.
     """
     _require_certified(datum)
     fam = datum.fam
@@ -270,12 +267,12 @@ def euler_char_via_difference(datum: ReesDatum) -> EulerValue:
     value = dp.coefficient(origin)
     extent = max(mt.as_tuple()) + 2
     if extent <= fit.extent:
-        table = HilbertTable(fit.table.base, fit.table.values[(slice(extent),) * num_axes])
+        values = fit.values[(slice(extent),) * num_axes]
     else:
-        table = table_on_window(fam, "P", fit.base, extent)
-    diffed = table.difference(mt)
-    if not diffed.is_constant() or (diffed.values.size and diffed.values.flat[0] != value):
+        values = table_on_window(fam, "P", fit.base, extent)
+    for axis, count in enumerate(mt.as_tuple()):
+        values = np.diff(values, n=count, axis=axis)
+    if not values.size or (values != value).any():
         raise NonConstantDifferenceError("difference table disagrees with the fit")
-    assert value == int(value)
     prov = {"window_base": fit.base, "window_extent": fit.extent, "type": mt.as_tuple()}
-    return EulerValue(int(value), "DIFFERENCE", prov)
+    return EulerValue(value, "DIFFERENCE", prov)

@@ -506,15 +506,23 @@ def ideal_product(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
 
 
 @lru_cache(maxsize=None)
+def _powers(a: MonomialIdeal) -> list[MonomialIdeal]:
+    """The powers a^0, a^1, ... computed so far; ideal_power extends it."""
+    return [MonomialIdeal.unit(a.ctx), a]
+
+
 def ideal_power(a: MonomialIdeal, n: int) -> MonomialIdeal:
-    """The power a^n; a^0 is the unit ideal."""
+    """The power a^n; a^0 is the unit ideal.
+
+    Powers are built bottom-up from the highest one already known, and
+    equal ideals share them.
+    """
     if n < 0:
         raise ValueError("negative power")
-    if n == 0:
-        return MonomialIdeal.unit(a.ctx)
-    if n == 1:
-        return a
-    return ideal_product(ideal_power(a, n - 1), a)
+    powers = _powers(a)
+    while len(powers) <= n:
+        powers.append(ideal_product(powers[-1], a))
+    return powers[n]
 
 
 @lru_cache(maxsize=None)

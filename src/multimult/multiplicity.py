@@ -1,5 +1,5 @@
-"""The recursive multiplicity symbol, Hilbert-Samuel multiplicities, and the
-verification suite for the recursion formula and its corollaries.
+"""The recursive multiplicity symbol and the verification suite for the
+recursion formula and its corollaries.
 
 The multiplicity symbol e(y; M) of a sequence of monomials y on a subquotient
 module M is defined by e((); M) = length(M) and
@@ -13,27 +13,24 @@ multiplicity of the generated ideal.
 Each verify_* claim takes a ReesDatum, whose certificate is its "candidate
 certified" hypothesis, and recomputes both sides of its claim through
 independent routes (interpolation on one side, the symbol recursion on the
-other).  One verdict rule gives EQUAL, LEQ_STRICT, HYPOTHESIS_UNMET, or
-MISMATCH; a MISMATCH means a conclusion or the claimed relation failed with
-all hypotheses met, and is a build-failing event.  verify_corollaries runs
-the corollaries that apply to a datum, in report order.
+other), both as integers.  One verdict rule gives EQUAL, LEQ_STRICT,
+HYPOTHESIS_UNMET, or MISMATCH; a MISMATCH means a conclusion or the claimed
+relation failed with all hypotheses met, and is a build-failing event.
+verify_corollaries runs the corollaries that apply to a datum, in report
+order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
-
-from .hilbert import MixedType, StabilizationError, _fit_window, mixed_multiplicity
+from .hilbert import MixedType, StabilizationError, mixed_multiplicity
 from .monomials import (
     INFINITE,
     MINUS_INFINITY,
     Monomial,
-    MonomialIdeal,
     QuotientModule,
     colon_by_monomial,
-    ideal_power,
     krull_dim,
 )
 from .reductions import (
@@ -69,31 +66,6 @@ def mult_symbol(module: QuotientModule, y) -> int:
     return _symbol(module, y)
 
 
-def hilbert_samuel(module: QuotientModule, a: MonomialIdeal) -> int:
-    """The multiplicity of an ideal of definition: the top binomial-basis
-    coefficient of the exactly fitted polynomial n -> length(M / a^(n+1) M)."""
-    if module.is_zero():
-        return 0
-    if module.quotient_by(a).length() == INFINITE:
-        raise NotMultiplicitySystemError("not an ideal of definition")
-    dim = krull_dim(module)
-    degree = 0 if dim == MINUS_INFINITY else int(dim)
-    maxdeg = max(
-        1,
-        a.max_generator_degree()
-        + module.relations.max_generator_degree()
-        + module.top.max_generator_degree(),
-    )
-
-    def value(pt):
-        return int(module.quotient_by(ideal_power(a, pt[0] + 1)).length())
-
-    fit = _fit_window(value, 1, degree, degree + maxdeg)
-    top = fit.poly.coefficient((degree,))
-    assert top >= 0
-    return int(top)
-
-
 # -- verification reports --------------------------------------------------
 
 
@@ -110,8 +82,8 @@ class VerificationReport:
 
     claim_id: str
     instance: str
-    left: Fraction
-    right: Fraction
+    left: int
+    right: int
     hypotheses: tuple[tuple[str, bool], ...]
     verdict: Verdict
 
@@ -181,7 +153,7 @@ def verify_theorem_recursion(datum: ReesDatum, i: int) -> VerificationReport:
     M/x1*M minus the one of 0_M:x1, for x1 drawn from I_i with k_i > 0."""
     x1, smaller, hyps = _recursion_step(datum, i)
     if x1 is None:
-        return _report("recursion", datum, Fraction(0), Fraction(0), hyps)
+        return _report("recursion", datum, 0, 0, hyps)
     fam = datum.fam
     try:
         left, _ = mixed_multiplicity(fam, datum.mixed_type)
@@ -189,7 +161,7 @@ def verify_theorem_recursion(datum: ReesDatum, i: int) -> VerificationReport:
         tors, _ = mixed_multiplicity(fam.with_module(fam.module.annihilator_of(x1)), smaller)
     except StabilizationError:
         hyps.append(("interpolation stabilized", False))
-        return _report("recursion", datum, Fraction(0), Fraction(0), hyps)
+        return _report("recursion", datum, 0, 0, hyps)
     return _report("recursion", datum, left, quot - tors, hyps)
 
 
@@ -198,7 +170,7 @@ def verify_cor_filter_regular(datum: ReesDatum, i: int) -> VerificationReport:
     M-regular or I-filter-regular."""
     x1, smaller, hyps = _recursion_step(datum, i)
     if x1 is None:
-        return _report("quotient-comparison", datum, Fraction(0), Fraction(0), hyps)
+        return _report("quotient-comparison", datum, 0, 0, hyps)
     fam = datum.fam
     q = fam.module.relations
     regular = colon_by_monomial(q, x1) == q and fam.module.top.is_unit()
@@ -228,10 +200,10 @@ def verify_cor_transition(datum: ReesDatum) -> VerificationReport:
     left, _ = mixed_multiplicity(fam, datum.mixed_type)
     target = fam.module.quotient_by_elements(x_i).saturate(fam.product_ideal())
     try:
-        right = Fraction(mult_symbol(target, u_j))
+        right = mult_symbol(target, u_j)
     except NotMultiplicitySystemError:
         hyps.append(("J-block is a multiplicity system of the saturated quotient", False))
-        return _report("saturated-transition", datum, left, Fraction(0), hyps)
+        return _report("saturated-transition", datum, left, 0, hyps)
     relation = "eq" if _is_filter_regular_sequence(fam, x_i) else "le"
     return _report(f"saturated-transition-{relation}", datum, left, right, hyps, relation)
 
@@ -249,8 +221,8 @@ def verify_cor_sop(datum: ReesDatum) -> VerificationReport:
     ]
     left, _ = mixed_multiplicity(fam, datum.mixed_type)
     if not _holds(hyps):
-        return _report("sop-comparison", datum, left, Fraction(0), hyps)
-    right = Fraction(mult_symbol(fam.module, elems))
+        return _report("sop-comparison", datum, left, 0, hyps)
+    right = mult_symbol(fam.module, elems)
     cut = fam.module.quotient_by_elements(x_i)
     relation = "eq" if krull_dim(cut.quotient_by(fam.product_ideal())) < krull_dim(cut) else "le"
     return _report(f"sop-comparison-{relation}", datum, left, right, hyps, relation)
@@ -287,13 +259,13 @@ def verify_cor_height(datum: ReesDatum) -> VerificationReport:
         ("degree hypothesis k0+|k| = q-1", degree_ok),
     ]
     if not _holds(hyps):
-        return _report("height-criterion", datum, Fraction(0), Fraction(0), hyps)
+        return _report("height-criterion", datum, 0, 0, hyps)
     elems = list(datum.cand.monomials())
     sop = is_system_of_parameters(fam.module, elems)
     left, _ = mixed_multiplicity(fam, mt)
     # Without a system of parameters the conclusion itself fails, and the
     # right side reads -1.
-    right = Fraction(mult_symbol(fam.module, elems)) if sop else Fraction(-1)
+    right = mult_symbol(fam.module, elems) if sop else -1
     return _report("height-criterion", datum, left, right, hyps,
                    conclusions=[("conclusion: system of parameters", sop)])
 
@@ -308,9 +280,9 @@ def verify_rees_mprimary(datum: ReesDatum) -> VerificationReport:
         ("candidate certified", datum.certificate.holds),
     ]
     left, _ = mixed_multiplicity(fam, datum.mixed_type)
-    right = Fraction(0)
+    right = 0
     if _holds(hyps):
-        right = Fraction(mult_symbol(fam.module, list(datum.cand.monomials())))
+        right = mult_symbol(fam.module, list(datum.cand.monomials()))
     return _report("primary-recovery", datum, left, right, hyps)
 
 
@@ -326,12 +298,12 @@ def verify_base_type(datum: ReesDatum) -> VerificationReport:
     ]
     left, _ = mixed_multiplicity(fam, mt)
     if not _holds(hyps):
-        return _report("base-type", datum, left, Fraction(0), hyps)
+        return _report("base-type", datum, left, 0, hyps)
     try:
-        right = Fraction(mult_symbol(fam.saturated_module(), list(datum.cand.monomials())))
+        right = mult_symbol(fam.saturated_module(), list(datum.cand.monomials()))
     except NotMultiplicitySystemError:
         hyps.append(("J-block is a multiplicity system of the saturation", False))
-        return _report("base-type", datum, left, Fraction(0), hyps)
+        return _report("base-type", datum, left, 0, hyps)
     return _report("base-type", datum, left, right, hyps)
 
 

@@ -33,7 +33,6 @@ from .hilbert import (
     MixedType,
     MultiDegree,
     initial_offset,
-    weighted_power,
     window_points,
 )
 from .monomials import (
@@ -116,11 +115,6 @@ def _principal(ctx, u: Monomial) -> MonomialIdeal:
     return ideal(ctx, [u])
 
 
-def _module_piece(fam: IdealFamily, deg: MultiDegree) -> MonomialIdeal:
-    """The ideal presenting J^n0 I^n M inside A, without the relations."""
-    return ideal_product(weighted_power(fam, deg), fam.module.top)
-
-
 def _rhs_parts(fam: IdealFamily, cand: JointReductionCandidate, deg: MultiDegree) -> list[MonomialIdeal]:
     """The parts of the right side at `deg`: the relations, then u * piece
     for each element u."""
@@ -128,10 +122,10 @@ def _rhs_parts(fam: IdealFamily, cand: JointReductionCandidate, deg: MultiDegree
     parts = [fam.module.relations]
     for u, src in cand.elements:
         if src == J_SOURCE:
-            piece = _module_piece(fam, MultiDegree(deg.n0 - 1, deg.n))
+            piece = fam.piece(MultiDegree(deg.n0 - 1, deg.n))
         else:
             shifted = tuple(ni - (1 if i == src else 0) for i, ni in enumerate(deg.n))
-            piece = _module_piece(fam, MultiDegree(deg.n0, shifted))
+            piece = fam.piece(MultiDegree(deg.n0, shifted))
         parts.append(ideal_product(_principal(ctx, u), piece))
     return parts
 
@@ -165,7 +159,7 @@ def verify_joint_reduction(fam: IdealFamily, cand: JointReductionCandidate) -> C
         return MultiDegree(0, pt) if pure else MultiDegree(pt[0], pt[1:])
 
     return _check_window(
-        lambda pt: ideal_sum(_module_piece(fam, degree(pt)), q),
+        lambda pt: ideal_sum(fam.piece(degree(pt)), q),
         lambda pt: _rhs_parts(fam, cand, degree(pt)),
         window_points(fam.d if pure else fam.d + 1, base, extent),
         base,
@@ -208,7 +202,7 @@ def is_rees_superficial(fam: IdealFamily, u: Monomial, i: int) -> ContainmentCer
     t = fam.module.top
 
     def blob(n):
-        return _module_piece(fam, MultiDegree(0, n))
+        return fam.piece(MultiDegree(0, n))
 
     def lhs(n):
         return ideal_intersection(

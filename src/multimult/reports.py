@@ -7,20 +7,11 @@ every asserted equality names the two computation paths behind its sides.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 SCHEMA_VERSION = 2
 
 
-def fraction_str(value) -> str:
-    f = Fraction(value)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
 def poly_payload(poly) -> dict:
-    coeffs = {
-        ",".join(map(str, idx)): fraction_str(c) for idx, c in sorted(poly.coeffs.items())
-    }
+    coeffs = {",".join(map(str, idx)): str(c) for idx, c in sorted(poly.coeffs.items())}
     degree = poly.total_degree
     return {
         "basis": "binomial",
@@ -33,8 +24,8 @@ def report_payload(report) -> dict:
     return {
         "claim": report.claim_id,
         "instance": report.instance,
-        "left": fraction_str(report.left),
-        "right": fraction_str(report.right),
+        "left": str(report.left),
+        "right": str(report.right),
         "hypotheses": [{"name": n, "holds": ok} for n, ok in report.hypotheses],
         "verdict": report.verdict.value,
     }

@@ -135,8 +135,8 @@ class TestRequests:
                 table = table_on_window(
                     inst.family, which, prov["window_base"], prov["window_extent"]
                 )
-                assert out["table"]["values"] == table.values.tolist()
-                assert out["table"]["base"] == list(table.base)
+                assert out["table"]["values"] == table.tolist()
+                assert out["table"]["base"] == [prov["window_base"]] * (inst.family.d + 1)
 
     def test_determinism(self):
         doc = json.loads(MINIMAL)
@@ -327,6 +327,22 @@ class TestCliEntry:
             },
         }
         assert second["value"] == "1" and "failure" not in second
+
+    def test_generator_of_degree_1000_exit_0(self, tmp_path, capsys):
+        # The fit window of J = (x1^1000) starts at n0 = 1001, so J^n0 is a
+        # power past the interpreter's recursion limit.
+        doc = {
+            "variables": ["x1"],
+            "J": ["x1^1000"],
+            "ideals": {"I1": ["x1"]},
+            "requests": [{"command": "mixed", "type": {"k0": 0, "k": [0]}}],
+        }
+        f = tmp_path / "inst.json"
+        f.write_text(json.dumps(doc))
+        out_path = tmp_path / "report.json"
+        assert main(["run", str(f), "--json", str(out_path)]) == 0
+        (result,) = json.loads(out_path.read_text())["results"]
+        assert result["value"] == "1000"
 
     @pytest.mark.parametrize(
         "command, bad_type",

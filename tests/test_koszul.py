@@ -5,6 +5,7 @@ The per-point construction of a strand (``rees_piece_basis``,
 that the band-at-once ``strand_profile`` is checked against.
 """
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -21,10 +22,10 @@ from multimult.hilbert import (
     initial_offset,
     interpolate,
     table_on_window,
-    weighted_power,
 )
 from multimult.instances import parse_instance
 from multimult.koszul import (
+    NonConstantDifferenceError,
     _rank_exact,
     euler_char_direct,
     euler_char_via_difference,
@@ -35,7 +36,6 @@ from multimult.monomials import (
     QuotientModule,
     RingContext,
     ideal,
-    ideal_product,
     ideal_sum,
 )
 from multimult.reductions import (
@@ -92,10 +92,7 @@ def rees_piece_basis(datum: ReesDatum, deg: MultiDegree, a: tuple[int, ...]):
     if deg.n0 < 0 or any(ni < 0 for ni in deg.n) or any(x < 0 for x in a):
         return []
     mono = Monomial(tuple(a))
-    piece = ideal_sum(
-        ideal_product(weighted_power(fam, MultiDegree(0, deg.n)), fam.module.top),
-        fam.module.relations,
-    )
+    piece = ideal_sum(fam.piece(MultiDegree(0, deg.n)), fam.module.relations)
     if piece.contains(mono) and not fam.module.relations.contains(mono):
         return [mono]
     return []
@@ -426,6 +423,27 @@ class TestEulerDifference:
             assert direct.certified
             assert direct.value == diff.value
 
+    def test_bumped_window_value_is_refused(self, monkeypatch):
+        # One window value off by one breaks the differenced window, wherever
+        # it sits: every value enters some k-th difference with a nonzero
+        # binomial weight.
+        inst = parse_instance(SAMPLE.read_text())
+        data = (ReesDatum(inst.family, inst.candidates["x"]), datum_2var())
+        rng = random.Random(11)
+        for d in data:
+            fit = interpolate(d.fam, "P")
+            extent = max(d.mixed_type.as_tuple()) + 2
+            for point in ((0,) * (d.fam.d + 1),
+                          tuple(rng.randrange(extent) for _ in range(d.fam.d + 1))):
+                values = fit.values.copy()
+                values[point] += 1
+                bumped = dataclasses.replace(fit, values=values)
+                monkeypatch.setattr(koszul, "interpolate", lambda fam, which: bumped)
+                with pytest.raises(NonConstantDifferenceError):
+                    euler_char_via_difference(d)
+            monkeypatch.undo()
+            assert euler_char_via_difference(d).value == (0 if d is data[0] else 1)
+
     def test_reuses_the_fitted_table(self, monkeypatch):
         inst = parse_instance(SAMPLE.read_text())
         sample = ReesDatum(inst.family, inst.candidates["x"])
@@ -436,8 +454,8 @@ class TestEulerDifference:
             extent = max(d.mixed_type.as_tuple()) + 2
             assert extent <= fit.extent
             window = table_on_window(d.fam, "P", fit.base, extent)
-            sliced = fit.table.values[(slice(extent),) * (d.fam.d + 1)]
-            assert sliced.tolist() == window.values.tolist()
+            sliced = fit.values[(slice(extent),) * (d.fam.d + 1)]
+            assert sliced.tolist() == window.tolist()
 
         def unexpected(*args):
             raise AssertionError("the fitted table covers this window")

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from corpus import build_corpus
+from oracles import hilbert_samuel
 from multimult import multiplicity
 from multimult.hilbert import IdealFamily, MixedType, mixed_multiplicity
 from multimult.monomials import (
@@ -18,7 +19,6 @@ from multimult.multiplicity import (
     NotMultiplicitySystemError,
     Verdict,
     _verdict,
-    hilbert_samuel,
     mult_symbol,
     verify_base_type,
     verify_cor_filter_regular,

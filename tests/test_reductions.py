@@ -5,7 +5,7 @@ import json
 import pytest
 
 from multimult.cli import run_request
-from multimult.hilbert import IdealFamily, MixedType, MultiDegree, weighted_power
+from multimult.hilbert import IdealFamily, MixedType, MultiDegree
 from multimult.instances import parse_instance
 from multimult.monomials import QuotientModule, RingContext, ideal
 from multimult.reductions import (
@@ -104,7 +104,7 @@ class TestVerifyJointReduction:
         cert = verify_joint_reduction(fam, cand)
         assert not cert.holds
         (n0, *n), witness = cert.witness
-        lhs = weighted_power(fam, MultiDegree(n0, tuple(n)))
+        lhs = fam.piece(MultiDegree(n0, tuple(n)))
         assert lhs.contains(witness)
 
     def test_pure_witness_is_pinned(self):

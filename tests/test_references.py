@@ -5,9 +5,9 @@ An `ast` scan lists the module-level functions and classes of
 `src/multimult` refers to.  A function or class is referred to by a name, an
 attribute or an import alias; a method only by an attribute or an import
 alias, since a bare name of the same spelling is some other variable.
-Dunder methods are left out: Python calls them itself.  What is left is code only the tests
-reach; it must be a constructor or primitive the tests build objects with,
-or the test-only `hilbert_samuel`, and nothing a refactor left behind.
+Dunder methods are left out: Python calls them itself.  What is left is code
+only the tests reach; it must be a constructor or primitive the tests build
+objects with, and nothing a refactor left behind.
 """
 
 import ast
@@ -22,7 +22,6 @@ ALLOWED = {
     "RingContext.monomial",
     "Monomial.divides",
     "QuotientModule.free",
-    "hilbert_samuel",
 }
 
 

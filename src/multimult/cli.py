@@ -8,8 +8,9 @@ engine is recorded as {"request": ..., "failure": {"type", "message"}}, its
 traceback goes to stderr, and the run goes on with the next request.
 
 Exit codes: 0 when every request ran and no verified claim produced a
-MISMATCH verdict, 1 when any did, 2 on usage or parse errors, and 3 when a
-request failed and no MISMATCH was found.
+MISMATCH verdict, 1 when any did, 2 on usage or parse errors and on a file
+that cannot be read (or is not UTF-8) or a report that cannot be written,
+and 3 when a request failed and no MISMATCH was found.
 """
 
 from __future__ import annotations
@@ -182,9 +183,9 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 2
     try:
-        with open(args.file) as fh:
+        with open(args.file, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
@@ -195,8 +196,12 @@ def main(argv=None) -> int:
     doc = run_instance(inst)
     rendered = json.dumps(doc, indent=2, sort_keys=True)
     if args.json_out:
-        with open(args.json_out, "w") as fh:
-            fh.write(rendered + "\n")
+        try:
+            with open(args.json_out, "w") as fh:
+                fh.write(rendered + "\n")
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     print(rendered)
     if doc["mismatch_count"]:
         return 1

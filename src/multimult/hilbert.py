@@ -13,12 +13,15 @@ binomial-coefficient basis
 
     binom(n0 + k0, k0) * binom(n1 + k1, k1) * ... * binom(nd + kd, kd),
 
-and certify the fit on a disjoint verification band of grid values.  Both
-change-of-basis steps are unitriangular over the integers, so every
-coefficient is a Python int.  A fit carries its window of values as an int64
-array.  The mixed multiplicity of type (k0, k) is the basis coefficient at
-(k0, k); it is *defined* exactly when every coefficient at a
-componentwise-larger index vanishes.
+and certify the fit on a disjoint verification band of grid values.  The
+change of basis from binom(v - base, j) to binom(v + k, k) is unitriangular
+over the integers, one closed-form binomial per entry, so every coefficient
+is a Python int.  A fit carries its window of values as an int64 array.  The
+mixed multiplicity of type (k0, k) is the basis coefficient at (k0, k); it is
+*defined* exactly when every coefficient at a componentwise-larger index
+vanishes.  On this basis a difference only reads indices: the (k0, k)-th
+difference of the polynomial is constant exactly when the type is defined,
+and the constant is that coefficient.
 
 ``IdealFamily.piece`` presents J^n0 * I^n * M inside A, without the
 relations; the Hilbert functions, the joint-reduction window and the Koszul
@@ -193,13 +196,6 @@ class BinomialBasisPolynomial:
         self.num_axes = num_axes
         self.coeffs = {k: v for k, v in coeffs.items() if v != 0}
 
-    @staticmethod
-    def zero(num_axes: int) -> BinomialBasisPolynomial:
-        return BinomialBasisPolynomial(num_axes, {})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     @property
     def total_degree(self):
         if not self.coeffs:
@@ -219,38 +215,6 @@ class BinomialBasisPolynomial:
                 term *= comb(v + k, k)
             total += term
         return total
-
-    def difference_once(self, axis: int) -> BinomialBasisPolynomial:
-        """One forward difference along `axis`.
-
-        On the binomial basis, differencing an index value t along one axis
-        spreads the coefficient onto every index value below t on that axis
-        (the hockey-stick identity), and kills index value 0.
-        """
-        out: dict[tuple[int, ...], int] = {}
-        for index, c in self.coeffs.items():
-            t = index[axis]
-            for j in range(t):
-                tgt = index[:axis] + (j,) + index[axis + 1 :]
-                out[tgt] = out.get(tgt, 0) + c
-        return BinomialBasisPolynomial(self.num_axes, out)
-
-    def difference(self, mt: MixedType) -> BinomialBasisPolynomial:
-        steps = mt.as_tuple()
-        if len(steps) != self.num_axes:
-            raise ValueError("type has wrong axis count")
-        out = self
-        for axis, count in enumerate(steps):
-            for _ in range(count):
-                out = out.difference_once(axis)
-        return out
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BinomialBasisPolynomial)
-            and self.num_axes == other.num_axes
-            and self.coeffs == other.coeffs
-        )
 
     def __repr__(self):
         return f"BinomialBasisPolynomial({self.num_axes}, {self.coeffs!r})"
@@ -297,26 +261,14 @@ def _hilbert_function(fam: IdealFamily, which: str):
     return lambda pt: hf(fam, MultiDegree(pt[0], pt[1:]))
 
 
-def _binom_negative(b: int, m: int) -> int:
-    """binom(-b, m) for b >= 0."""
-    return 1 if m == 0 else (-1) ** m * comb(b + m - 1, m)
-
-
 def _shift_matrix(base: int, degree: int) -> list[list[int]]:
-    """Row j holds the coefficients of binom(v - base, j) on binom(v + k, k).
-
-    binom(v - b, j) = sum_i binom(-b, j - i) binom(v, i) (Vandermonde), and
-    binom(v, i) = sum_k (-1)^(i - k) binom(i, k) binom(v + k, k); both steps
-    are unitriangular over the integers.
+    """Row j holds the coefficients of binom(v - base, j) on binom(v + k, k):
+    (-1)^(j - k) binom(base + j, j - k) for k <= j, by Chu-Vandermonde, as
+    binom(v - b, j) = sum_k binom(-b - k - 1, j - k) binom(v + k, k).  The
+    matrix is unitriangular over the integers.
     """
     return [
-        [
-            sum(
-                _binom_negative(base, j - i) * (-1) ** (i - k) * comb(i, k)
-                for i in range(k, j + 1)
-            )
-            for k in range(degree + 1)
-        ]
+        [(-1) ** (j - k) * comb(base + j, j - k) if k <= j else 0 for k in range(degree + 1)]
         for j in range(degree + 1)
     ]
 
@@ -411,16 +363,20 @@ def interpolate(fam: IdealFamily, which: str = "P") -> FitResult:
         raise ValueError("which must be 'P' or 'F'")
     num_axes = fam.d + 1
     qdim = fam.saturated_dim()
-    if qdim == MINUS_INFINITY:
-        # Zero saturation: the function is eventually zero.
-        return _fit_zero(fam, which, num_axes)
-    degree = int(qdim) - 1 if which == "P" else int(qdim)
+    # A zero saturation has dimension minus infinity, and so has degree.
+    degree = qdim - 1 if which == "P" else qdim
     if degree < 0:
         return _fit_zero(fam, which, num_axes)
-    return _fit_window(_hilbert_function(fam, which), num_axes, degree, initial_offset(fam))
+    return _fit_window(_hilbert_function(fam, which), num_axes, int(degree), initial_offset(fam))
 
 
 def _fit_zero(fam: IdealFamily, which: str, num_axes: int) -> FitResult:
+    """The zero fit of an eventually-zero Hilbert function.
+
+    Only the window of 2^(d+1) values at the initial offset is checked to
+    be zero; the band fields record where a band would sit, and nothing
+    evaluates the function there.
+    """
     base = initial_offset(fam)
     extent = 2
     values = table_on_window(fam, which, base, extent)
@@ -431,7 +387,7 @@ def _fit_zero(fam: IdealFamily, which: str, num_axes: int) -> FitResult:
     ]
     if residuals:
         raise StabilizationError("zero module produced nonzero Hilbert values", residuals)
-    poly = BinomialBasisPolynomial.zero(num_axes)
+    poly = BinomialBasisPolynomial(num_axes, {})
     return FitResult(poly, base, extent, base + extent, BAND_EXTENT, values)
 
 

@@ -59,7 +59,7 @@ def parse_monomial(text: str, variables: list[str], ctx: RingContext, location: 
         if name not in variables:
             raise InstanceParseError(f"unknown variable {name!r}", where)
         if sep:
-            if not power.isdigit() or int(power) < 1:
+            if not power.isdecimal() or int(power) < 1:
                 raise InstanceParseError(f"malformed exponent {power!r}", where)
             e = int(power)
         else:
@@ -195,6 +195,8 @@ def parse_instance(text: str, name: str = "<instance>") -> InstanceFile:
         raise InstanceParseError(
             f"invalid JSON: {exc.msg}", f"line {exc.lineno}, column {exc.colno}"
         ) from exc
+    except RecursionError as exc:
+        raise InstanceParseError("invalid JSON: arrays or objects nested too deeply") from exc
     if not isinstance(raw, dict):
         raise InstanceParseError("top level must be an object")
 

@@ -18,11 +18,12 @@ fraction-free integer (Bareiss) rank, and scattered back to the internal
 degrees that share it.
 
 The Euler characteristic itself is defined operationally as the constant value
-of the (k0, k)-difference of the Hilbert polynomial P (the DIFFERENCE method),
-checked on the fitted coefficients and on the fit's window of values; the
-strand computation (the DIRECT method) is an independent verification
-channel carrying an empirical band certificate for the truncation of internal
-degrees.  These two channels, which the `chi` request runs, are all this
+of the (k0, k)-difference of the Hilbert polynomial P (the DIFFERENCE method).
+On the binomial basis that constant and its existence are the mixed
+multiplicity of type (k0, k) and its defined-flag, read off the coefficients;
+the fit's window of values, differenced, checks them.  The strand computation
+(the DIRECT method) is an independent verification channel carrying an
+empirical band certificate for the truncation of internal degrees.  These two channels, which the `chi` request runs, are all this
 module computes, and both refuse a datum whose candidate is not certified.
 """
 
@@ -33,7 +34,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import MultiDegree, interpolate, table_on_window
+from .hilbert import (
+    MultiDegree,
+    _index_strictly_above,
+    interpolate,
+    mixed_multiplicity,
+    table_on_window,
+)
 from .monomials import _box, _members_mask
 from .reductions import J_SOURCE, JointReductionCandidate, ReesDatum
 
@@ -249,30 +256,32 @@ def euler_char_direct(datum: ReesDatum, deg: MultiDegree) -> EulerValue:
 def euler_char_via_difference(datum: ReesDatum) -> EulerValue:
     """Chi as the constant of the (k0, k)-difference of the P polynomial.
 
-    Constancy is checked both on the coefficient support of the fitted
-    polynomial and on the window values, differenced k_a times along each
-    axis a.
+    On the binomial basis that difference is constant exactly when no
+    coefficient sits strictly above (k0, k), and the constant is then the
+    coefficient at (k0, k): the pair ``mixed_multiplicity`` reads.  The
+    constant is checked again on the window values, differenced k_a times
+    along each axis a.
     """
     _require_certified(datum)
     fam = datum.fam
     mt = datum.mixed_type
+    value, defined = mixed_multiplicity(fam, mt)
     fit = interpolate(fam, "P")
-    dp = fit.poly.difference(mt)
-    num_axes = fam.d + 1
-    origin = (0,) * num_axes
-    if any(idx != origin for idx in dp.coeffs):
+    target = mt.as_tuple()
+    if not defined:
+        above = sorted(idx for idx in fit.poly.coeffs if _index_strictly_above(idx, target))
         raise NonConstantDifferenceError(
-            f"difference of P has non-constant support {sorted(dp.coeffs)}"
+            f"difference of P at type {target} is not constant: "
+            f"nonzero coefficients strictly above it at {above}"
         )
-    value = dp.coefficient(origin)
-    extent = max(mt.as_tuple()) + 2
+    extent = max(target) + 2
     if extent <= fit.extent:
-        values = fit.values[(slice(extent),) * num_axes]
+        values = fit.values[(slice(extent),) * len(target)]
     else:
         values = table_on_window(fam, "P", fit.base, extent)
-    for axis, count in enumerate(mt.as_tuple()):
+    for axis, count in enumerate(target):
         values = np.diff(values, n=count, axis=axis)
     if not values.size or (values != value).any():
         raise NonConstantDifferenceError("difference table disagrees with the fit")
-    prov = {"window_base": fit.base, "window_extent": fit.extent, "type": mt.as_tuple()}
+    prov = {"window_base": fit.base, "window_extent": fit.extent, "type": target}
     return EulerValue(value, "DIFFERENCE", prov)

@@ -303,9 +303,6 @@ class MonomialIdeal:
     def is_unit(self) -> bool:
         return len(self.matrix) > 0 and int(self.degrees[0]) == 0
 
-    def monomials(self) -> tuple[Monomial, ...]:
-        return tuple(Monomial(g) for g in self.gens)
-
     def max_generator_degree(self) -> int:
         return int(self.degrees[-1]) if len(self.degrees) else 0
 

@@ -263,6 +263,18 @@ def _element_pool(source_ideal: MonomialIdeal, policy: PoolPolicy) -> list[Monom
     return sorted(pool, key=lambda u: _grlex_key(u.exponents))
 
 
+def _blocks(sources):
+    """One block of each (pool, size) source, as itertools.product orders
+    them, generated lazily: no source's blocks are ever listed."""
+    if not sources:
+        yield ()
+        return
+    (pool, size), rest = sources[0], sources[1:]
+    for block in itertools.combinations_with_replacement(pool, size):
+        for tail in _blocks(rest):
+            yield (block,) + tail
+
+
 def search_joint_reduction(
     fam: IdealFamily, mt: MixedType, policy: PoolPolicy = PoolPolicy()
 ) -> JointReductionCandidate | None:
@@ -275,14 +287,10 @@ def search_joint_reduction(
     """
     if len(mt.k) != fam.d:
         raise ValueError("type has wrong axis count")
-    per_source = []
-    for i, ki in enumerate(mt.k):
-        pool = _element_pool(fam.ideals[i], policy)
-        per_source.append(list(itertools.combinations_with_replacement(pool, ki)))
-    j_pool = _element_pool(fam.j, policy)
-    per_source.append(list(itertools.combinations_with_replacement(j_pool, mt.k0 + 1)))
+    sources = [(_element_pool(fam.ideals[i], policy), ki) for i, ki in enumerate(mt.k)]
+    sources.append((_element_pool(fam.j, policy), mt.k0 + 1))
     tried = 0
-    for combo in itertools.product(*per_source):
+    for combo in _blocks(sources):
         elements = []
         for i, block in enumerate(combo[:-1]):
             elements.extend((u, i) for u in block)

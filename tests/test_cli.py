@@ -250,10 +250,11 @@ def assert_rejected(tmp_path, capsys, bad, path):
 
 
 def assert_document_rejected(tmp_path, capsys, doc, path):
-    """The run of `doc` exits 2 at parse time with `path` on stderr and no
-    traceback, and writes no report."""
+    """The run of `doc` (a document, or its text) exits 2 at parse time with
+    `path` on stderr and no traceback, and writes no report."""
+    text = doc if isinstance(doc, str) else json.dumps(doc)
     f = tmp_path / "inst.json"
-    f.write_text(json.dumps(doc))
+    f.write_text(text)
     out_path = tmp_path / "report.json"
     assert main(["run", str(f), "--json", str(out_path)]) == 2
     captured = capsys.readouterr()
@@ -261,7 +262,7 @@ def assert_document_rejected(tmp_path, capsys, doc, path):
     assert "Traceback" not in captured.err
     assert captured.out == "" and not out_path.exists()
     with pytest.raises(InstanceParseError, match=re.escape(path)):
-        parse_instance(json.dumps(doc))
+        parse_instance(text)
 
 
 class TestCliEntry:
@@ -419,13 +420,40 @@ class TestCliEntry:
             pytest.param(lambda doc: doc["candidates"]["c"]["elements"][1].update(
                 monomial=f"x2^{2**62}*x1^{2**62}"), "candidates.c.elements[1]",
                 id="degree-past-int64"),
+            # str.isdigit accepts a superscript two, which int() refuses.
+            pytest.param(lambda doc: doc.update(J=["x1^\u00b2", "x2"]), "J[0]",
+                         id="superscript-exponent"),
+            pytest.param(lambda doc: json.dumps(doc)[:-1]
+                         + ', "deep": ' + "[" * 200_000 + "]" * 200_000 + "}",
+                         "nested too deeply", id="nested-past-the-recursion-limit"),
         ],
     )
     def test_malformed_document_exit_2(self, tmp_path, capsys, mutate, path):
         doc = json.loads(MINIMAL)
         doc["requests"] = [{"command": "mixed", "type": {"k0": 0, "k": [1]}}]
-        mutate(doc)
-        assert_document_rejected(tmp_path, capsys, doc, path)
+        text = mutate(doc)
+        assert_document_rejected(tmp_path, capsys, text or doc, path)
+
+    def test_instance_that_is_not_utf8_exit_2(self, tmp_path, capsys):
+        # A UTF-16 byte-order mark, ff fe, is no UTF-8.
+        f = tmp_path / "inst.json"
+        f.write_bytes(MINIMAL.encode("utf-16"))
+        assert f.read_bytes()[:2] == b"\xff\xfe"
+        assert main(["run", str(f)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "utf-8" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    def test_unwritable_report_exit_2(self, tmp_path, capsys):
+        doc = json.loads(MINIMAL)
+        doc["requests"] = [{"command": "mixed", "type": {"k0": 0, "k": [1]}}]
+        f = tmp_path / "inst.json"
+        f.write_text(json.dumps(doc))
+        out_path = tmp_path / "missing" / "report.json"
+        assert main(["run", str(f), "--json", str(out_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out_path) in err
+        assert "Traceback" not in err and not out_path.exists()
 
     def test_parse_error_inside_a_request_exit_2(self, tmp_path, capsys):
         doc = json.loads(MINIMAL)

@@ -2,11 +2,14 @@
 
 import itertools
 import random
-from math import comb
+from math import comb, factorial
 from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from corpus import build_corpus
 from multimult import hilbert, monomials
@@ -17,6 +20,7 @@ from multimult.hilbert import (
     MixedType,
     MultiDegree,
     _fit_window,
+    _shift_matrix,
     interpolate,
     hf_F,
     hf_P,
@@ -144,30 +148,64 @@ class TestBinomialBasisPolynomial:
         p = BinomialBasisPolynomial(2, {(1, 1): 1})
         assert p.evaluate((2, 3)) == 12
 
-    def test_difference_identity(self):
-        p = BinomialBasisPolynomial(2, {(1, 1): 2, (0, 0): 5})
-        assert p.difference(MixedType(0, (0,))) == p
-
-    def test_difference_of_constant_is_zero(self):
-        p = BinomialBasisPolynomial(2, {(0, 0): 7})
-        assert p.difference(MixedType(1, (0,))).is_zero()
-
-    def test_difference_drops_to_constant(self):
-        p = BinomialBasisPolynomial(2, {(1, 1): 1})
-        d = p.difference(MixedType(1, (1,)))
-        assert d.coeffs == {(0, 0): 1}
-
-    def test_difference_matches_pointwise(self):
-        p = BinomialBasisPolynomial(2, {(2, 1): 3, (1, 0): -2})
-        d = p.difference(MixedType(1, (0,)))
-        for a in range(5):
-            for b in range(5):
-                assert d.evaluate((a, b)) == p.evaluate((a + 1, b)) - p.evaluate((a, b))
-
     def test_total_degree(self):
         p = BinomialBasisPolynomial(2, {(2, 1): 3})
         assert p.total_degree == 3
-        assert BinomialBasisPolynomial.zero(2).total_degree == MINUS_INFINITY
+        assert BinomialBasisPolynomial(2, {}).total_degree == MINUS_INFINITY
+
+
+def generalized_binomial(x: int, j: int) -> int:
+    """binom(x, j) for any integer x, as the falling factorial over j!."""
+    num = 1
+    for i in range(j):
+        num *= x - i
+    return num // factorial(j)
+
+
+@st.composite
+def polynomial_and_type(draw):
+    """A coefficient dict on the binomial basis in 1-4 axes, and a type."""
+    num_axes = draw(st.integers(1, 4))
+    index = st.tuples(*(st.integers(0, 4 - num_axes // 2) for _ in range(num_axes)))
+    coeffs = draw(st.dictionaries(index, st.integers(-5, 5), max_size=5))
+    mt = draw(st.tuples(*(st.integers(0, 3) for _ in range(num_axes))))
+    return BinomialBasisPolynomial(num_axes, coeffs), mt
+
+
+class TestClosedForms:
+    """The index readings of the binomial basis against pointwise oracles."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(polynomial_and_type())
+    def test_difference_is_constant_exactly_when_mixed_multiplicity_is_defined(self, case):
+        # On a box wider than degree + max(t) per axis, the t-th difference
+        # of the values is constant exactly when the polynomial's t-th
+        # difference is.  mixed_multiplicity reads only the coefficients.
+        poly, t = case
+        extent = max(0, poly.total_degree) + max(t) + 2
+        values = np.array(
+            [poly.evaluate(pt) for pt in itertools.product(range(extent), repeat=len(t))],
+            dtype=object,
+        ).reshape((extent,) * len(t))
+        for axis, count in enumerate(t):
+            values = np.diff(values, n=count, axis=axis)
+        constant = values.flat[0] if (values == values.flat[0]).all() else None
+        fit = hilbert.FitResult(poly, 1, 2, 3, 2, np.zeros(1, dtype=np.int64))
+        fam = SimpleNamespace(d=len(t) - 1)
+        with mock.patch.object(hilbert, "interpolate", lambda fam, which: fit):
+            value, defined = mixed_multiplicity(fam, MixedType(t[0], t[1:]))
+        assert defined == (constant is not None)
+        if defined:
+            assert value == constant == poly.coefficient(t)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 40), st.integers(0, 8))
+    def test_shift_rows_reproduce_shifted_binomials(self, base, degree):
+        shift = _shift_matrix(base, degree)
+        for v in range(base + degree + 3):
+            for j, row in enumerate(shift):
+                lhs = sum(c * comb(v + k, k) for k, c in enumerate(row))
+                assert lhs == generalized_binomial(v - base, j), (base, degree, v, j)
 
 
 class TestInterpolation:
@@ -197,7 +235,7 @@ class TestInterpolation:
     def test_zero_module_gives_zero_poly(self):
         m = ideal(C2, [(1, 0), (0, 1)])
         fam = IdealFamily(m, (m,), QuotientModule(C2, MonomialIdeal.unit(C2)))
-        assert interpolate(fam, "P").poly.is_zero()
+        assert not interpolate(fam, "P").poly.coeffs
 
     def test_f_p_compatibility(self):
         # The first difference of F along axis 0 equals P on a common window.

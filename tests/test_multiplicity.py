@@ -1,5 +1,8 @@
 """Unit tests for the multiplicity symbol and the verification suite."""
 
+import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -33,6 +36,7 @@ from multimult.reductions import J_SOURCE, JointReductionCandidate, ReesDatum
 
 C1 = RingContext(1)
 C2 = RingContext(2)
+C3 = RingContext(3)
 C4 = RingContext(4)
 
 
@@ -159,6 +163,71 @@ def teissier_2var(a: MonomialIdeal) -> int:
     return int(2 * area)
 
 
+def _twice_hull_area(points) -> int:
+    """Twice the area of the convex hull of integer points in the plane,
+    by Andrew's monotone chain and the shoelace formula."""
+    pts = sorted(set(points))
+
+    def half(seq):
+        chain = []
+        for p in seq:
+            while len(chain) >= 2 and (
+                (chain[-1][0] - chain[-2][0]) * (p[1] - chain[-2][1])
+                - (chain[-1][1] - chain[-2][1]) * (p[0] - chain[-2][0])
+            ) <= 0:
+                chain.pop()
+            chain.append(p)
+        return chain[:-1]
+
+    hull = half(pts) + half(pts[::-1])
+    return abs(sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(hull, hull[1:] + hull[:1])))
+
+
+def teissier_3var(a: MonomialIdeal) -> int:
+    """e(a) = 3! * vol(R^3_>=0 minus NP(a)) for an m-primary monomial ideal a
+    of k[x1, x2, x3] (Teissier), in exact rationals.
+
+    The region is the union of the cones from the origin over the compact
+    facets of NP(a).  Those are the planes n . v = c through three
+    generators whose integer normal n is strictly positive and on which
+    every generator has n . g >= c.  The cone over a facet F has volume
+    c * area_xy(F) / (3 * n_z), where area_xy is the area of F projected to
+    the x1x2-plane, so 3! times it is c * |2 area_xy| / n_z.
+    """
+    gens = a.gens
+    facets = set()
+    for p, q, r in itertools.combinations(gens, 3):
+        u = [qi - pi for pi, qi in zip(p, q)]
+        v = [ri - pi for pi, ri in zip(p, r)]
+        n = (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+        if all(c < 0 for c in n):
+            n = tuple(-c for c in n)
+        if not all(c > 0 for c in n):
+            continue  # collinear, or not a compact facet's normal
+        g = math.gcd(*n)
+        n = tuple(c // g for c in n)
+        c = sum(ni * pi for ni, pi in zip(n, p))
+        if all(sum(ni * gi for ni, gi in zip(n, h)) >= c for h in gens):
+            facets.add((n, c))
+    total = Fraction(0)
+    for n, c in facets:
+        on_plane = [h[:2] for h in gens if sum(ni * hi for ni, hi in zip(n, h)) == c]
+        total += Fraction(c * _twice_hull_area(on_plane), n[2])
+    assert total.denominator == 1
+    return int(total)
+
+
+def seeded_primary_3var(seed: int) -> MonomialIdeal:
+    """Pure powers of degree at most 4 and up to four mixed generators, each
+    with two or three variables."""
+    rng = random.Random(seed)
+    gens = [tuple(rng.randint(1, 4) if i == j else 0 for j in range(3)) for i in range(3)]
+    for _ in range(rng.randint(1, 4)):
+        support = rng.sample(range(3), rng.randint(2, 3))
+        gens.append(tuple(rng.randint(1, 2) if i in support else 0 for i in range(3)))
+    return ideal(C3, gens)
+
+
 class TestTeissierOracle:
     def test_closed_forms(self):
         # e(x1^a, x2^b) = a * b.
@@ -182,6 +251,34 @@ class TestTeissierOracle:
         free = QuotientModule.free(C2)
         for a in sorted(primary, key=lambda a: a.gens):
             assert hilbert_samuel(free, a) == teissier_2var(a), a
+
+    def test_closed_forms_3var(self):
+        # e(x1^a, x2^b, x3^c) = a * b * c, and e(m^2) = 2^3.
+        for a, b, c in [(1, 1, 1), (2, 3, 4), (4, 1, 3)]:
+            assert teissier_3var(ideal(C3, [(a, 0, 0), (0, b, 0), (0, 0, c)])) == a * b * c
+        m = ideal(C3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+        assert teissier_3var(ideal_product(m, m)) == 8
+        # x1*x2*x3 lies on the plane through the cubes and leaves NP as it is;
+        # below the plane through the fourth powers it makes three facets,
+        # such as n = (1, 1, 2), c = 4 through x1^4 and x2^4, each giving
+        # c * |2 area_xy| / n_z = 4 * 8 / 2, so 48 against 64.
+        assert teissier_3var(ideal(C3, [(3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1)])) == 27
+        assert teissier_3var(ideal(C3, [(4, 0, 0), (0, 4, 0), (0, 0, 4), (1, 1, 1)])) == 48
+
+    def test_hilbert_samuel_on_three_variable_ideals(self):
+        corpus = {
+            a
+            for c in build_corpus()
+            if c.fam.ctx.num_vars == 3
+            for a in (c.fam.j, *c.fam.ideals, *(ideal_product(c.fam.j, i) for i in c.fam.ideals))
+            if a.is_primary_to_max_ideal()
+        }
+        assert len(corpus) >= 2
+        seeded = [seeded_primary_3var(seed) for seed in range(25)]
+        assert sum(len(a.gens) > 3 for a in seeded) >= 10
+        free = QuotientModule.free(C3)
+        for a in sorted(corpus, key=lambda a: a.gens) + seeded:
+            assert hilbert_samuel(free, a) == teissier_3var(a), a.gens
 
     def test_corpus_25_left_side(self):
         # corpus-25: J = (x1^3, x2^2, x1^2*x2), I1 = (x1, x2^2), I2 = (x1).

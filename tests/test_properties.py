@@ -92,7 +92,7 @@ class TestSaturationIdempotence:
 
 
 def _is_minimal(q: MonomialIdeal) -> bool:
-    gens = q.monomials()
+    gens = [Monomial(g) for g in q.gens]
     return all(
         not a.divides(b) for a, b in itertools.permutations(gens, 2)
     )
@@ -216,7 +216,7 @@ def candidate_scenario(draw):
     fam = IdealFamily(j, (i1,), QuotientModule(ctx, q))
 
     def pick(src: MonomialIdeal) -> Monomial:
-        gens = src.monomials()
+        gens = [Monomial(g) for g in src.gens]
         a = draw(st.sampled_from(gens))
         b = draw(st.sampled_from(gens))
         return draw(st.sampled_from([a, a * b]))

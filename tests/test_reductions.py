@@ -1,9 +1,12 @@
 """Unit tests for joint-reduction certificates and element properties."""
 
+import itertools
 import json
+import tracemalloc
 
 import pytest
 
+from multimult import reductions
 from multimult.cli import run_request
 from multimult.hilbert import IdealFamily, MixedType, MultiDegree
 from multimult.instances import parse_instance
@@ -11,6 +14,8 @@ from multimult.monomials import QuotientModule, RingContext, ideal
 from multimult.reductions import (
     J_SOURCE,
     JointReductionCandidate,
+    PoolPolicy,
+    _element_pool,
     is_filter_regular,
     is_multiplicity_system,
     is_rees_superficial,
@@ -242,6 +247,65 @@ class TestSearch:
         cand = search_joint_reduction(family_dim4(), MixedType(2, (0, 1)))
         assert cand is not None
         assert verify_joint_reduction(family_dim4(), cand).holds
+
+    @staticmethod
+    def eager_order(fam, mt, policy):
+        """Every candidate, in the order of itertools.product over fully
+        listed per-source blocks."""
+        per_source = [
+            list(itertools.combinations_with_replacement(_element_pool(i, policy), ki))
+            for i, ki in zip(fam.ideals, mt.k)
+        ]
+        per_source.append(
+            list(itertools.combinations_with_replacement(_element_pool(fam.j, policy), mt.k0 + 1))
+        )
+        out = []
+        for combo in itertools.product(*per_source):
+            elements = [(u, i) for i, block in enumerate(combo[:-1]) for u in block]
+            elements += [(u, J_SOURCE) for u in combo[-1]]
+            out.append(JointReductionCandidate(tuple(elements), mt))
+        return out
+
+    @pytest.mark.parametrize("budget", [3, 2000])
+    def test_tries_candidates_in_product_order(self, monkeypatch, budget):
+        tried = []
+        verify = reductions.verify_joint_reduction
+        monkeypatch.setattr(reductions, "verify_joint_reduction",
+                            lambda fam, cand: tried.append(cand) or verify(fam, cand))
+        m = ideal(C2, [(1, 0), (0, 1)])
+        cases = [
+            (family_dim4(), MixedType(2, (0, 1))),
+            (family_2var(), MixedType(1, (1,))),
+            (IdealFamily(ideal(C2, [(2, 0), (0, 2)]), (m, ideal(C2, [(0, 1)])),
+                         QuotientModule.free(C2)), MixedType(1, (0, 1))),
+            # One monomial is no reduction of m: the search runs to its end.
+            (family_2var(), MixedType(0, (0,))),
+        ]
+        for fam, mt in cases:
+            policy = PoolPolicy(budget=budget)
+            tried.clear()
+            found = search_joint_reduction(fam, mt, policy)
+            # Every pool monomial lies in its source, so every candidate is tried.
+            order = self.eager_order(fam, mt, policy)
+            assert tried == order[:len(tried)]
+            assert len(tried) == min(budget, order.index(found) + 1 if found else len(order))
+            assert found is None or found == tried[-1]
+
+    def test_many_j_elements_stay_small(self):
+        # J = (x1, x2), I1 = (x1), type (45, (1)): the J pool has 5 monomials,
+        # so the J source alone has C(50, 4) = 230 300 blocks of 46 elements.
+        fam = IdealFamily(ideal(C2, [(1, 0), (0, 1)]), (ideal(C2, [(1, 0)]),),
+                          QuotientModule.free(C2))
+        tracemalloc.start()
+        try:
+            cand = search_joint_reduction(fam, MixedType(45, (1,)), PoolPolicy(budget=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
+        first = _element_pool(fam.j, PoolPolicy())[0]
+        assert cand.elements == ((C2.monomial(1, 0), 0),) + ((first, J_SOURCE),) * 46
+        assert verify_joint_reduction(fam, cand).holds
 
 
 class TestSubmoduleStability:

@@ -8,6 +8,11 @@ alias, since a bare name of the same spelling is some other variable.
 Dunder methods are left out: Python calls them itself.  What is left is code
 only the tests reach; it must be a constructor or primitive the tests build
 objects with, and nothing a refactor left behind.
+
+The scan matches by spelling alone, so it cannot see a method that only the
+tests call when `src` refers to another method or attribute of the same name
+(`JointReductionCandidate.monomials` kept a `MonomialIdeal.monomials` alive
+that way).  Such a pair has to be found by reading.
 """
 
 import ast

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 import traceback
@@ -193,6 +194,14 @@ def main(argv=None) -> int:
     except InstanceParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if args.json_out:
+        # Checked before the run, without creating the file: a report that
+        # cannot be written would cost the whole run.
+        directory = os.path.dirname(os.path.abspath(args.json_out))
+        if not os.path.isdir(directory) or not os.access(directory, os.W_OK):
+            print(f"error: cannot write {args.json_out}: {directory} is not a writable "
+                  "directory", file=sys.stderr)
+            return 2
     doc = run_instance(inst)
     rendered = json.dumps(doc, indent=2, sort_keys=True)
     if args.json_out:

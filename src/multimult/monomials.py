@@ -14,9 +14,11 @@ A :class:`MonomialIdeal` keeps its minimal generators as one read-only
 (n, m) int64 matrix in grlex order, with the vector of their total degrees.
 The arithmetic works on these matrices directly, and membership of many
 monomials at once is one vectorized test, ``_members_mask``.  The
-ideal's hash is computed once from the matrix bytes, so the lru caches below
-look ideals up in constant time.  ``gens``, the generators as exponent
-tuples, is a view made on first use.
+ideal's hash is computed from the matrix bytes on first use and kept, so the
+lru caches below look ideals up in constant time, and ideals that never
+enter a cache (principal shifts, most Hilbert pieces) never pay for it.
+Whether the ideal is the unit ideal is a flag set at construction.
+``gens``, the generators as exponent tuples, is a view made on first use.
 
 Every result that may hold redundant rows goes through one minimalizer,
 ``_minimal_rows``.  It sorts by packed grlex keys (``_grlex_words``): the
@@ -30,6 +32,16 @@ and a product with the unit ideal the other factor.  Containment in a sum of
 ideals, ``first_outside_sum``, never builds the sum: a monomial lies in a
 sum of monomial ideals iff it lies in one of them.
 
+Any other product, and the candidates of a count, are the distinct pairwise
+sums of two generator matrices, ``_sum_rows``.  Packing is linear: when
+each key column's radix is at least the sum of the two operands' maxima plus
+one, the word of g+h is word(g) + word(h).  So the pairs are one outer sum
+of two int64 word vectors, one in-place sort keeps the first of each run,
+and divmod over the radices unpacks the rows; no (pairs, m) matrix is built.
+Keys that need more than one word fall back to the broadcast rows and
+``_grlex_unique``.  A product then needs only the degree-block divisibility
+pass of the minimalizer, ``_drop_divisible``.
+
 Reductions over the exponent axis of many rows run column-wise, through
 two kernels.  Exponent matrices are C-ordered (n, m) with m small, and a
 numpy reduction along that short inner axis (``rows.sum(axis=1)``, or the
@@ -37,19 +49,20 @@ broadcast ``(gens[None] <= pts[:, None]).all(axis=2)``) pays its per-row
 set-up on a handful of elements.  So total degrees are one matrix-vector
 product, ``_row_sums``, and "some generator divides this point" is
 ``_divides_any``, which ANDs one (points, generators) comparison per column
-and reduces only along the long generator axis; the grlex keys are likewise
-built as an (m+1, n) matrix.  Degrees known by construction (minimalized
-rows, shifted ideals) are passed to the constructor rather than summed
-again.
+(``_divides``) and reduces only along the long generator axis; the grlex
+keys are likewise built as an (m+1, n) matrix.  Degrees known by
+construction (minimalized rows, shifted ideals) are passed to the
+constructor rather than summed again.
 
 Every length is one count, ``_count_difference(top, bot, colon_floor)``, of
 the monomials in `top` outside `bot`.  Its colon floor is an ideal primary to
 the maximal ideal whose product with `top` lies in `bot`, so each counted
 monomial is a generator of `top` times a standard monomial of the floor.
-The floor's standard monomials are enumerated once per floor ideal and kept
-on it, the way ``gens`` is.  The Hilbert values take J or J^n0 as the floor,
-and ``QuotientModule.length`` takes the module's annihilator B : T.  That
-method is the one place that decides finiteness: the module has finite
+The floor's standard monomials are enumerated once per floor ideal, as a
+staircase that grows them one variable at a time (``_standard_rows``), and
+kept on it, the way ``gens`` is.  The Hilbert values take J or J^n0 as the
+floor, and ``QuotientModule.length`` takes the module's annihilator B : T.
+That method is the one place that decides finiteness: the module has finite
 length exactly when B : T contains a power of every variable.
 """
 
@@ -151,14 +164,36 @@ def _row_sums(rows: np.ndarray) -> np.ndarray:
     return rows @ ones
 
 
-def _divides_any(gens: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Boolean mask over the rows of `points`: whether some row of `gens`
-    divides it.  One (len(points), len(gens)) comparison per exponent
-    column, AND-ed together."""
+def _divides(gens: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Boolean (len(points), len(gens)) matrix: whether each row of `gens`
+    divides each row of `points`.  One comparison per exponent column,
+    AND-ed together."""
     ok = gens[:, 0] <= points[:, 0, None]
     for col in range(1, gens.shape[1]):
         ok &= gens[:, col] <= points[:, col, None]
-    return ok.any(axis=1)
+    return ok
+
+
+def _divides_any(gens: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Boolean mask over the rows of `points`: whether some row of `gens`
+    divides it."""
+    return _divides(gens, points).any(axis=1)
+
+
+def _grlex_places(radices: list[int]) -> np.ndarray:
+    """Place values that pack grlex key columns, digits with the given
+    radices, exactly into int64 words: a (words, columns) matrix, most
+    significant word first.  From the least significant end, columns join a
+    word while the product of its radices stays at most 2**63."""
+    places = [[0] * len(radices)]
+    span = 1
+    for col in range(len(radices) - 1, -1, -1):
+        if span * radices[col] > 1 << 63:
+            places.append([0] * len(radices))
+            span = 1
+        places[-1][col] = span
+        span *= radices[col]
+    return np.array(places[::-1], dtype=np.int64)
 
 
 def _grlex_words(rows: np.ndarray, degrees: np.ndarray) -> np.ndarray:
@@ -167,27 +202,17 @@ def _grlex_words(rows: np.ndarray, degrees: np.ndarray) -> np.ndarray:
     matrix, most significant word first.
 
     The key of a row is (degree, x1, ..., xm), held as an (m+1, n) matrix.
-    Each key column is a digit whose radix is its own maximum plus one; from
-    the least significant end, columns join a word while the product of its
-    radices stays at most 2**63, and the words are one matrix product of
-    their place values with the keys.  The words, compared in order, compare
-    the keys, and equal words mean equal rows.  Exponents of moderate size
-    give a single word.
+    Each key column is a digit whose radix is its own maximum plus one, and
+    the words are one matrix product of their place values
+    (``_grlex_places``) with the keys.  The words, compared in order,
+    compare the keys, and equal words mean equal rows.  Exponents of
+    moderate size give a single word.
     """
     keys = np.empty((rows.shape[1] + 1, len(rows)), dtype=np.int64)
     keys[0] = degrees
     keys[1:] = rows.T
-    radices = keys.max(axis=1, initial=0).tolist()
-    places = [[0] * len(radices)]
-    span = 1
-    for col in range(len(radices) - 1, -1, -1):
-        radix = radices[col] + 1
-        if span * radix > 1 << 63:
-            places.append([0] * len(radices))
-            span = 1
-        places[-1][col] = span
-        span *= radix
-    return np.array(places[::-1], dtype=np.int64) @ keys
+    radices = [top + 1 for top in keys.max(axis=1, initial=0).tolist()]
+    return _grlex_places(radices) @ keys
 
 
 def _grlex_runs(rows: np.ndarray, degrees: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -212,15 +237,51 @@ def _grlex_unique(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows[keep], degrees[keep]
 
 
-def _minimal_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The minimal rows of an (n, m) int64 exponent matrix, in grlex order,
+def _sum_rows(a: np.ndarray, a_degrees: np.ndarray,
+              b: np.ndarray, b_degrees: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct sums of a row of `a` and a row of `b`, int64 exponent
+    matrices with total degrees `a_degrees` and `b_degrees`, in grlex order,
     and their total degrees.
+
+    Packing is linear: when each key column's radix is at least its maximum
+    in `a` plus its maximum in `b` plus one, no digit of a sum carries, so
+    the word of g+h is word(g) + word(h).  With one word per key, the pairs
+    are one outer sum of two word vectors, sorted in place; the first entry
+    of each run is kept and unpacked by divmod over the radices.  Keys that
+    need more than one word take the broadcast rows through
+    ``_grlex_unique``.
+    """
+    m = a.shape[1]
+    if not len(a) or not len(b):
+        return np.zeros((0, m), dtype=np.int64), np.zeros(0, dtype=np.int64)
+    radices = [int(a_degrees.max()) + int(b_degrees.max()) + 1] + [
+        top_a + top_b + 1 for top_a, top_b in zip(a.max(axis=0).tolist(), b.max(axis=0).tolist())
+    ]
+    places = _grlex_places(radices)
+    if len(places) > 1:
+        return _grlex_unique((a[:, None, :] + b[None, :, :]).reshape(-1, m))
+    place = places[0]
+    words = np.add.outer(a @ place[1:] + a_degrees * place[0],
+                         b @ place[1:] + b_degrees * place[0]).ravel()
+    words.sort()
+    fresh = np.empty(len(words), dtype=bool)
+    fresh[0] = True
+    np.not_equal(words[1:], words[:-1], out=fresh[1:])
+    words = words[fresh]
+    rows = np.empty((len(words), m), dtype=np.int64)
+    for col in range(m, 0, -1):
+        words, rows[:, col - 1] = np.divmod(words, radices[col])
+    return rows, words
+
+
+def _drop_divisible(rows: np.ndarray, degs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of a distinct, grlex-sorted (n, m) int64 exponent matrix
+    with total degrees `degs` that no other row divides, and their degrees.
 
     Rows of equal total degree cannot properly divide each other, so each
     degree block is tested only against the kept rows of strictly lower
     degree.
     """
-    rows, degs = _grlex_unique(rows)
     starts = np.flatnonzero(np.diff(degs)) + 1
     keep = np.ones(len(rows), dtype=bool)
     for start, end in zip(starts, [*starts[1:], len(rows)]):
@@ -228,6 +289,12 @@ def _minimal_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         block = rows[start:end]
         keep[start:end] = ~_divides_any(below, block)
     return rows[keep], degs[keep]
+
+
+def _minimal_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The minimal rows of an (n, m) int64 exponent matrix, in grlex order,
+    and their total degrees."""
+    return _drop_divisible(*_grlex_unique(rows))
 
 
 class MonomialIdeal:
@@ -241,7 +308,7 @@ class MonomialIdeal:
     or the arithmetic below.
     """
 
-    __slots__ = ("ctx", "matrix", "degrees", "_key", "_hash", "_gens", "_standard")
+    __slots__ = ("ctx", "matrix", "degrees", "_unit", "_key", "_hash", "_gens", "_standard")
 
     def __init__(self, ctx: RingContext, matrix: np.ndarray, degrees: np.ndarray):
         matrix.flags.writeable = False
@@ -249,18 +316,29 @@ class MonomialIdeal:
         self.ctx = ctx
         self.matrix = matrix
         self.degrees = degrees
-        self._key = (ctx.num_vars, matrix.tobytes())
-        self._hash = hash(self._key)
+        # A minimal generator set holding 1 holds nothing else.
+        self._unit = len(degrees) == 1 and int(degrees[0]) == 0
+        self._key = None
+        self._hash = None
         self._gens = None
         self._standard = None
 
+    def _identity(self) -> tuple[int, bytes]:
+        """The variable count and the matrix bytes, made on first use: equal
+        exactly for equal ideals."""
+        if self._key is None:
+            self._key = (self.ctx.num_vars, self.matrix.tobytes())
+        return self._key
+
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(self._identity())
         return self._hash
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MonomialIdeal):
             return NotImplemented
-        return self._key == other._key
+        return self is other or self._identity() == other._identity()
 
     def __repr__(self) -> str:
         return f"MonomialIdeal({self.ctx!r}, {self.gens!r})"
@@ -274,9 +352,9 @@ class MonomialIdeal:
 
     @property
     def standard_rows(self) -> np.ndarray:
-        """The monomials outside the ideal, one per row in box order, for an
-        ideal containing a power of every variable; enumerated on first use
-        and read-only."""
+        """The monomials outside the ideal, one per row in lexicographic
+        order, for an ideal containing a power of every variable; enumerated
+        on first use and read-only."""
         if self._standard is None:
             rows = _standard_rows(self)
             rows.flags.writeable = False
@@ -301,7 +379,7 @@ class MonomialIdeal:
         return len(self.matrix) == 0
 
     def is_unit(self) -> bool:
-        return len(self.matrix) > 0 and int(self.degrees[0]) == 0
+        return self._unit
 
     def max_generator_degree(self) -> int:
         return int(self.degrees[-1]) if len(self.degrees) else 0
@@ -479,8 +557,8 @@ def ideal_sum(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
 
 @lru_cache(maxsize=None)
 def _ideal_product_cached(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
-    prods = a.matrix[:, None, :] + b.matrix[None, :, :]
-    return MonomialIdeal(a.ctx, *_minimal_rows(prods.reshape(-1, a.ctx.num_vars)))
+    sums = _sum_rows(a.matrix, a.degrees, b.matrix, b.degrees)
+    return MonomialIdeal(a.ctx, *_drop_divisible(*sums))
 
 
 def ideal_product(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
@@ -574,13 +652,35 @@ def _box(bounds) -> np.ndarray:
 
 
 def _standard_rows(w: MonomialIdeal) -> np.ndarray:
-    """The monomials outside `w`, one per row, for `w` containing a power of
-    every variable."""
+    """The monomials outside `w`, one per row in lexicographic (box) order,
+    for `w` containing a power of every variable.
+
+    The rows grow one variable at a time, as a staircase: a standard prefix
+    in x1..x_{k-1} extends by x_k^e exactly for e below its cap, the least
+    k-th exponent of a generator that involves x_k last and whose earlier
+    exponents divide the prefix.  The pure power of x_k is such a
+    generator, so every cap is at most its exponent.  A prefix that some
+    generator ending at x_k divides has cap 0 and is dropped; by the last
+    variable every generator has been tested, so the rows are exactly the
+    standard monomials.
+    """
     bounds = w.pure_power_bounds()
     if bounds is None:
         raise ValueError("ideal is not primary to the maximal ideal")
-    pts = _box(bounds)
-    return pts[~_members_mask(w, pts)]
+    gens = w.matrix
+    # The last variable each generator involves.
+    last = gens.shape[1] - 1 - np.argmax(gens[:, ::-1] > 0, axis=1)
+    rows = np.arange(bounds[0], dtype=np.int64)[:, None]
+    for var in range(1, len(bounds)):
+        ending = gens[last == var]
+        divides = _divides(ending[:, :var], rows)
+        caps = np.where(divides, ending[:, var], bounds[var]).min(axis=1, initial=bounds[var])
+        total = int(caps.sum())
+        grown = np.empty((total, var + 1), dtype=np.int64)
+        grown[:, :var] = np.repeat(rows, caps, axis=0)
+        grown[:, var] = np.arange(total) - np.repeat(np.cumsum(caps) - caps, caps)
+        rows = grown
+    return rows
 
 
 def standard_monomials(w: MonomialIdeal) -> list[tuple[int, ...]]:
@@ -610,8 +710,7 @@ def _count_difference(top: MonomialIdeal, bot: MonomialIdeal, colon_floor: Monom
     elif top.is_unit():
         pts = std
     else:
-        cands = (top.matrix[:, None, :] + std[None, :, :]).reshape(-1, top.ctx.num_vars)
-        pts, _ = _grlex_unique(cands)
+        pts, _ = _sum_rows(top.matrix, top.degrees, std, _row_sums(std))
     return int(np.count_nonzero(~_members_mask(bot, pts)))
 
 

@@ -4,6 +4,7 @@ import json
 import re
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -445,15 +446,20 @@ class TestCliEntry:
         assert "Traceback" not in captured.err and captured.out == ""
 
     def test_unwritable_report_exit_2(self, tmp_path, capsys):
+        # The report's directory is missing, or is a file; either is found
+        # before any request runs.
         doc = json.loads(MINIMAL)
         doc["requests"] = [{"command": "mixed", "type": {"k0": 0, "k": [1]}}]
         f = tmp_path / "inst.json"
         f.write_text(json.dumps(doc))
-        out_path = tmp_path / "missing" / "report.json"
-        assert main(["run", str(f), "--json", str(out_path)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and str(out_path) in err
-        assert "Traceback" not in err and not out_path.exists()
+        for out_path in (tmp_path / "missing" / "report.json", f / "report.json"):
+            with mock.patch("multimult.cli.run_request") as run:
+                assert main(["run", str(f), "--json", str(out_path)]) == 2
+            assert not run.called
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: ") and str(out_path) in captured.err
+            assert "Traceback" not in captured.err and captured.out == ""
+            assert not out_path.exists()
 
     def test_parse_error_inside_a_request_exit_2(self, tmp_path, capsys):
         doc = json.loads(MINIMAL)

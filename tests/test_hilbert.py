@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from corpus import build_corpus
+from oracles import box_count
 from multimult import hilbert, monomials
 from multimult.cli import run_request
 from multimult.hilbert import (
@@ -29,16 +30,11 @@ from multimult.hilbert import (
 )
 from multimult.instances import parse_instance
 from multimult.monomials import (
-    INFINITE,
     MINUS_INFINITY,
     MonomialIdeal,
     QuotientModule,
     RingContext,
-    _box,
     _count_difference,
-    _grlex_unique,
-    _members_mask,
-    _row_sums,
     ideal,
     ideal_power,
     ideal_product,
@@ -324,46 +320,6 @@ class TestNextTopBottom:
             self._check(fam, MultiDegree(n0, (n1,)))
 
 
-def _colon_pure_bounds(bot, g):
-    """Per-variable least pure-power exponent of (bot : x^g), without
-    minimalizing the colon.  None marks a variable with no pure power.
-
-    A colon row is a power of x_j (or 1) exactly when its degree equals its
-    j-th exponent."""
-    colon = np.maximum(bot.matrix - np.asarray(g, dtype=np.int64), 0)
-    degs = _row_sums(colon)
-    bounds = []
-    for j in range(bot.ctx.num_vars):
-        pure = colon[degs == colon[:, j], j]
-        bounds.append(int(pure.min()) if len(pure) else None)
-    return bounds
-
-
-def box_count(top, bot):
-    """The per-generator colon-box counter, with no floor: the monomials in
-    `top` and not in `bot`, or INFINITE.
-
-    Every such monomial factors as g*v with g a minimal generator of `top`
-    and v a standard monomial of bot : g, so the count is the size of the
-    deduplicated candidate set { g*v : g*v not in bot }.  Finiteness holds
-    exactly when every colon bot : g contains a power of each variable.
-    """
-    if top.is_zero() or bot.is_unit():
-        return 0
-    blocks = []
-    for g in top.matrix:
-        bounds = _colon_pure_bounds(bot, g)
-        if all(b == 0 for b in bounds):
-            continue  # g already lies in bot
-        if any(b is None for b in bounds):
-            return INFINITE
-        blocks.append(_box(bounds) + g)
-    if not blocks:
-        return 0
-    pts, _ = _grlex_unique(np.concatenate(blocks))
-    return int(np.count_nonzero(~_members_mask(bot, pts)))
-
-
 def floorless_p(fam, deg):
     """hf_P counted by the per-generator colon analysis, with no floor."""
     q = fam.module.relations
@@ -382,11 +338,11 @@ def floorless_f(fam, deg):
 def count_floor_enumerations(monkeypatch):
     """The ideals whose standard monomials get enumerated from now on."""
     seen = []
-    enumerate_box = monomials._standard_rows
+    enumerate_rows = monomials._standard_rows
 
     def counted(w):
         seen.append(w)
-        return enumerate_box(w)
+        return enumerate_rows(w)
 
     monkeypatch.setattr(monomials, "_standard_rows", counted)
     return seen

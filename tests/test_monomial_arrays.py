@@ -9,20 +9,27 @@ in eight variables) make the packed grlex keys span several words, and the
 fast paths (principal products, zero sums, containment in a sum by parts)
 are checked against the general arithmetic.  The column-wise kernels
 (`_row_sums`, `_divides_any`) are checked against the broadcast reductions
-they replaced, kept here as oracles.
+they replaced, kept here as oracles.  The sum-set kernel behind products and
+count candidates is checked against the pairwise oracle and the floor-less
+box counter, on one-word and multi-word keys, and the staircase enumeration
+of standard monomials against the box filter.
 """
 
+import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from oracles import box_count, box_standard_rows
 from multimult.monomials import (
     ContextMismatchError,
     Monomial,
     MonomialIdeal,
     RingContext,
+    _count_difference,
     _divides_any,
     _grlex_unique,
     _grlex_words,
@@ -30,6 +37,7 @@ from multimult.monomials import (
     _members_mask,
     _row_sums,
     _rows_in,
+    _standard_rows,
     colon_by_monomial,
     first_outside_sum,
     ideal,
@@ -97,6 +105,22 @@ def wide_operands(draw):
     xs += draw(st.lists(st.sampled_from(xs), max_size=2))
     ys += draw(st.lists(st.sampled_from(xs), max_size=2))
     return m, xs, ys
+
+
+@st.composite
+def primary_ideals(draw, m_values=(2, 3, 4), top=5):
+    """(m, rows): a power x_i^e of every variable, e in 1..top, with extra
+    rows, and sometimes the zero row (the unit ideal)."""
+    m = draw(st.sampled_from(m_values))
+    pure = [tuple(draw(st.integers(1, top)) if j == i else 0 for j in range(m)) for i in range(m)]
+    extra = draw(st.lists(st.tuples(*(st.integers(0, top - 1) for _ in range(m))), max_size=6))
+    unit = [(0,) * m] if draw(st.integers(0, 9)) == 0 else []
+    return m, pure + extra + unit
+
+
+def with_floor(case):
+    """`case` with the rows of a small m-primary ideal in its ring."""
+    return st.tuples(st.just(case), primary_ideals(m_values=(case[0],), top=3))
 
 
 def as_matrix(rows, m):
@@ -343,6 +367,103 @@ class TestPackedKeys:
         assert ideal_sum(ideal(ctx, xs), ideal(ctx, ys)).gens == oracle(xs + ys)
 
 
+def several_words(a, b):
+    """Whether the grlex keys of the sums of a row of `a` and a row of `b`
+    overflow one int64 word: the product of the key radices, each column's
+    greatest value over the sums plus one, exceeds 2**63."""
+    rows_a, rows_b = a.tolist(), b.tolist()
+    radices = [max(map(sum, rows_a)) + max(map(sum, rows_b)) + 1] + [
+        max(col_a) + max(col_b) + 1 for col_a, col_b in zip(zip(*rows_a), zip(*rows_b))
+    ]
+    return math.prod(radices) > 1 << 63
+
+
+def multiword_spy():
+    """A spy on `_grlex_unique`, which the sum-set kernel calls only when
+    the keys of the sums need more than one word."""
+    return mock.patch("multimult.monomials._grlex_unique", wraps=_grlex_unique)
+
+
+class TestSumKernel:
+    """Products and count candidates are distinct pairwise sums of packed
+    grlex words, with a multi-word fallback."""
+
+    @CASES
+    @given(operands())
+    def test_product_in_one_word(self, case):
+        m, xs, ys = case
+        a, b = ideal(CONTEXTS[m], xs), ideal(CONTEXTS[m], ys)
+        with multiword_spy() as spy:
+            got = _ideal_product_cached.__wrapped__(a, b)
+        assert not spy.called
+        assert got.gens == oracle(oracle_product(xs, ys))
+        assert got.degrees.tolist() == [sum(g) for g in got.gens]
+
+    @CASES
+    @given(wide_operands())
+    @example((2, [(2**40, 0), (0, 2**40)], [(1, 0), (0, 1)]))
+    def test_product_in_several_words(self, case):
+        m, xs, ys = case
+        a, b = ideal(CONTEXTS[m], xs), ideal(CONTEXTS[m], ys)
+        with multiword_spy() as spy:
+            got = _ideal_product_cached.__wrapped__(a, b)
+        assert spy.called == (bool(ys) and several_words(a.matrix, b.matrix))
+        assert got.gens == oracle(oracle_product(xs, ys))
+        assert got.degrees.tolist() == [sum(g) for g in got.gens]
+
+    @CASES
+    @given(st.one_of(operands(), wide_operands()).flatmap(with_floor))
+    @example(((2, [(2**40, 0), (0, 2**40)], [(1, 1)]), (2, [(2, 0), (0, 2)])))
+    def test_count_difference(self, cases):
+        # bot holds floor * top, so the floor is a colon floor of the pair.
+        (m, xs, ys), (_, floor_rows) = cases
+        ctx = CONTEXTS[m]
+        floor = ideal(ctx, floor_rows)
+        top = ideal(ctx, xs)
+        bot = ideal_sum(ideal_product(top, floor), ideal(ctx, ys))
+        std = floor.standard_rows
+        with multiword_spy() as spy:
+            got = _count_difference(top, bot, floor)
+        assert got == box_count(top, bot)
+        pairs = not (top.is_zero() or top.is_unit() or bot.is_unit()) and len(std) > 1
+        assert spy.called == (pairs and several_words(top.matrix, std))
+
+    def test_product_peak_memory(self):
+        # 455 x 78 pairs in four variables: the broadcast pair matrix alone
+        # held 455 * 78 * 4 * 8 bytes.
+        ctx = CONTEXTS[4]
+        variables = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+        a = ideal_power(ideal(ctx, variables), 12)
+        b = ideal_power(ideal(ctx, variables[:3]), 11)
+        pair_matrix = len(a.matrix) * len(b.matrix) * 4 * 8
+        tracemalloc.start()
+        try:
+            got = _ideal_product_cached.__wrapped__(a, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (len(a.matrix), len(b.matrix)) == (455, 78)
+        assert peak < pair_matrix / 2
+        # Every monomial of degree 23 with x4 at most 12.
+        assert set(got.degrees.tolist()) == {23} and got.matrix[:, 3].max() == 12
+        assert len(got.matrix) == sum((25 - x4) * (24 - x4) // 2 for x4 in range(13))
+
+
+class TestStandardRows:
+    @CASES
+    @given(primary_ideals())
+    def test_staircase_against_the_box_filter(self, case):
+        m, rows = case
+        w = ideal(CONTEXTS[m], rows)
+        got = _standard_rows(w)
+        assert got.shape[1] == m
+        assert got.tolist() == box_standard_rows(w).tolist()
+
+    def test_requires_a_power_of_every_variable(self):
+        with pytest.raises(ValueError):
+            _standard_rows(ideal(CONTEXTS[2], [(3, 0), (1, 1)]))
+
+
 class TestFastPaths:
     @CASES
     @given(st.one_of(operands(), wide_operands()), st.data())
@@ -409,6 +530,42 @@ class TestIdentity:
         assert a != b
         assert MonomialIdeal.zero(CONTEXTS[2]) != MonomialIdeal.zero(CONTEXTS[3])
         assert MonomialIdeal.unit(CONTEXTS[1]) != MonomialIdeal.unit(CONTEXTS[2])
+
+    def test_equal_ideals_from_different_routes(self):
+        # (x1, x2)^2 * x3 built from rows, as a product of two non-principal
+        # ideals, and as a shift; each is the same key of the product cache.
+        ctx = CONTEXTS[3]
+        maximal = ideal(ctx, [(1, 0, 0), (0, 1, 0)])
+        routes = [
+            ideal(ctx, [(0, 2, 1), (1, 1, 1), (2, 0, 1), (1, 1, 1)]),
+            ideal_product(maximal, ideal(ctx, [(1, 0, 1), (0, 1, 1)])),
+            ideal_product(ideal(ctx, [(0, 0, 1)]), ideal_power(maximal, 2)),
+        ]
+        assert routes[0] is not routes[1] and routes[1] is not routes[2]
+        assert all(r == routes[0] for r in routes)
+        assert len({hash(r) for r in routes}) == 1
+        other = ideal(ctx, [(0, 0, 2), (1, 0, 0), (0, 3, 0)])
+        first = ideal_product(routes[0], other)
+        hits = _ideal_product_cached.cache_info().hits
+        for r in routes:
+            assert ideal_product(r, other) is first
+        assert _ideal_product_cached.cache_info().hits == hits + len(routes)
+
+    def test_hash_on_first_use(self):
+        shift = ideal_product(ideal(CONTEXTS[2], [(1, 0), (0, 1)]), ideal(CONTEXTS[2], [(2, 2)]))
+        assert shift._key is None and shift._hash is None
+        assert hash(shift) == hash(ideal(CONTEXTS[2], [(2, 3), (3, 2)]))
+        assert shift._key is not None
+
+    def test_is_unit(self):
+        for ctx in CONTEXTS.values():
+            m = ctx.num_vars
+            assert not MonomialIdeal.zero(ctx).is_unit()
+            assert MonomialIdeal.unit(ctx).is_unit()
+            holds_one = ideal(ctx, [(2,) * m, (0,) * m, (1,) * m, (0,) * m])
+            assert holds_one.is_unit() and holds_one == MonomialIdeal.unit(ctx)
+            assert not ideal(ctx, [(1,) * m]).is_unit()
+            assert not ideal_product(holds_one, ideal(ctx, [(1,) * m])).is_unit()
 
     def test_stored_arrays_are_read_only(self):
         i = ideal(CONTEXTS[2], [(2, 0), (0, 1)])

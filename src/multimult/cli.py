@@ -197,6 +197,9 @@ def main(argv=None) -> int:
     if args.json_out:
         # Checked before the run, without creating the file: a report that
         # cannot be written would cost the whole run.
+        if os.path.isdir(args.json_out):
+            print(f"error: cannot write {args.json_out}: it is a directory", file=sys.stderr)
+            return 2
         directory = os.path.dirname(os.path.abspath(args.json_out))
         if not os.path.isdir(directory) or not os.access(directory, os.W_OK):
             print(f"error: cannot write {args.json_out}: {directory} is not a writable "

@@ -41,7 +41,7 @@ from .hilbert import (
     mixed_multiplicity,
     table_on_window,
 )
-from .monomials import _box, _members_mask
+from .monomials import _box, _members_mask, _row_sums
 from .reductions import J_SOURCE, JointReductionCandidate, ReesDatum
 
 #: Internal-degree band doubles at most this many times before giving up.
@@ -143,7 +143,8 @@ def _support_patterns(datum: ReesDatum, deg: MultiDegree, bounds: tuple[int, ...
     exp_shift = np.array([e for _, e in shifts], dtype=np.int64).reshape(-1, fam.ctx.num_vars)
     point = np.array(deg.as_tuple(), dtype=np.int64)
     box = _box(bounds)
-    outside = ~_members_mask(fam.module.relations, box).reshape(bounds)
+    box_degrees = _row_sums(box)
+    outside = ~_members_mask(fam.module.relations, box, box_degrees).reshape(bounds)
     in_piece = {}
     present = np.zeros(bounds + (len(subsets),), dtype=bool)
     for col, subset in enumerate(subsets):
@@ -154,7 +155,7 @@ def _support_patterns(datum: ReesDatum, deg: MultiDegree, bounds: tuple[int, ...
         n = tuple(bide[1:].tolist())
         if n not in in_piece:
             piece = fam.piece(MultiDegree(0, n))
-            in_piece[n] = _members_mask(piece, box).reshape(bounds) & outside
+            in_piece[n] = _members_mask(piece, box, box_degrees).reshape(bounds) & outside
         src = tuple(slice(b - ei) for ei, b in zip(e, bounds))
         dst = tuple(slice(ei, None) for ei in e)
         present[dst + (col,)] = in_piece[n][src]

@@ -18,7 +18,8 @@ ideal's hash is computed from the matrix bytes on first use and kept, so the
 lru caches below look ideals up in constant time, and ideals that never
 enter a cache (principal shifts, most Hilbert pieces) never pay for it.
 Whether the ideal is the unit ideal is a flag set at construction.
-``gens``, the generators as exponent tuples, is a view made on first use.
+``gens``, the generators as exponent tuples, and ``maxima``, the greatest
+exponent of each variable over them, are made on first use and kept.
 
 Every result that may hold redundant rows goes through one minimalizer,
 ``_minimal_rows``.  It sorts by packed grlex keys (``_grlex_words``): the
@@ -27,10 +28,11 @@ column's maximum plus one as its radix, into as few int64 words as hold it
 exactly, so one lexsort of the words (usually one) orders the rows.  Results
 that are minimal by construction skip it: the product with a principal
 ideal (x^u) is the other factor's matrix plus u, which stays minimal,
-distinct and grlex-ordered; a sum with the zero ideal is the other operand
-and a product with the unit ideal the other factor.  Containment in a sum of
-ideals, ``first_outside_sum``, never builds the sum: a monomial lies in a
-sum of monomial ideals iff it lies in one of them.
+distinct and grlex-ordered; a sum with the zero ideal is the other operand,
+a product with the zero ideal the zero factor and a product with the unit
+ideal the other factor.  Containment in a sum of ideals,
+``first_outside_sum``, never builds the sum: a monomial lies in a sum of
+monomial ideals iff it lies in one of them.
 
 Any other product, and the candidates of a count, are the distinct pairwise
 sums of two generator matrices, ``_sum_rows``.  Packing is linear: when
@@ -38,9 +40,13 @@ each key column's radix is at least the sum of the two operands' maxima plus
 one, the word of g+h is word(g) + word(h).  So the pairs are one outer sum
 of two int64 word vectors, one in-place sort keeps the first of each run,
 and divmod over the radices unpacks the rows; no (pairs, m) matrix is built.
-Keys that need more than one word fall back to the broadcast rows and
-``_grlex_unique``.  A product then needs only the degree-block divisibility
-pass of the minimalizer, ``_drop_divisible``.
+The radices come from what the operands carry (``key_tops``: an ideal's
+last degree, since its degrees are grlex-sorted, and its kept maxima), so
+no maximum is reduced per call.  Keys that need more than one word fall
+back to the broadcast rows and ``_grlex_unique``.  A product then needs only
+the degree-block divisibility pass of the minimalizer, ``_drop_divisible``,
+which returns rows of a single degree as they are: rows of equal degree
+cannot properly divide each other.
 
 Reductions over the exponent axis of many rows run column-wise, through
 two kernels.  Exponent matrices are C-ordered (n, m) with m small, and a
@@ -52,7 +58,9 @@ product, ``_row_sums``, and "some generator divides this point" is
 (``_divides``) and reduces only along the long generator axis; the grlex
 keys are likewise built as an (m+1, n) matrix.  Degrees known by
 construction (minimalized rows, shifted ideals) are passed to the
-constructor rather than summed again.
+constructor rather than summed again, and ``_members_mask`` takes the
+points' degrees from its caller, which holds them: an ideal's ``degrees``,
+those ``_sum_rows`` returns, or a floor's standard-row degrees.
 
 Every length is one count, ``_count_difference(top, bot, colon_floor)``, of
 the monomials in `top` outside `bot`.  Its colon floor is an ideal primary to
@@ -60,8 +68,9 @@ the maximal ideal whose product with `top` lies in `bot`, so each counted
 monomial is a generator of `top` times a standard monomial of the floor.
 The floor's standard monomials are enumerated once per floor ideal, as a
 staircase that grows them one variable at a time (``_standard_rows``), and
-kept on it, the way ``gens`` is.  The Hilbert values take J or J^n0 as the
-floor, and ``QuotientModule.length`` takes the module's annihilator B : T.
+kept on it with their degrees and key maxima (``standard``), the way
+``gens`` is.  The Hilbert values take J or J^n0 as the floor, and
+``QuotientModule.length`` takes the module's annihilator B : T.
 That method is the one place that decides finiteness: the module has finite
 length exactly when B : T contains a power of every variable.
 """
@@ -237,11 +246,14 @@ def _grlex_unique(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows[keep], degrees[keep]
 
 
-def _sum_rows(a: np.ndarray, a_degrees: np.ndarray,
-              b: np.ndarray, b_degrees: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _sum_rows(a: np.ndarray, a_degrees: np.ndarray, a_tops: tuple[int, ...],
+              b: np.ndarray, b_degrees: np.ndarray,
+              b_tops: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """The distinct sums of a row of `a` and a row of `b`, int64 exponent
     matrices with total degrees `a_degrees` and `b_degrees`, in grlex order,
-    and their total degrees.
+    and their total degrees.  `a_tops` and `b_tops` are the greatest value
+    of each grlex key column (degree, x1, ..., xm) over the rows, which the
+    operands carry (``MonomialIdeal.key_tops``, ``MonomialIdeal.standard``).
 
     Packing is linear: when each key column's radix is at least its maximum
     in `a` plus its maximum in `b` plus one, no digit of a sum carries, so
@@ -254,9 +266,7 @@ def _sum_rows(a: np.ndarray, a_degrees: np.ndarray,
     m = a.shape[1]
     if not len(a) or not len(b):
         return np.zeros((0, m), dtype=np.int64), np.zeros(0, dtype=np.int64)
-    radices = [int(a_degrees.max()) + int(b_degrees.max()) + 1] + [
-        top_a + top_b + 1 for top_a, top_b in zip(a.max(axis=0).tolist(), b.max(axis=0).tolist())
-    ]
+    radices = [top_a + top_b + 1 for top_a, top_b in zip(a_tops, b_tops)]
     places = _grlex_places(radices)
     if len(places) > 1:
         return _grlex_unique((a[:, None, :] + b[None, :, :]).reshape(-1, m))
@@ -280,8 +290,10 @@ def _drop_divisible(rows: np.ndarray, degs: np.ndarray) -> tuple[np.ndarray, np.
 
     Rows of equal total degree cannot properly divide each other, so each
     degree block is tested only against the kept rows of strictly lower
-    degree.
+    degree, and rows of a single degree are returned as they are.
     """
+    if not len(degs) or degs[0] == degs[-1]:
+        return rows, degs
     starts = np.flatnonzero(np.diff(degs)) + 1
     keep = np.ones(len(rows), dtype=bool)
     for start, end in zip(starts, [*starts[1:], len(rows)]):
@@ -308,7 +320,8 @@ class MonomialIdeal:
     or the arithmetic below.
     """
 
-    __slots__ = ("ctx", "matrix", "degrees", "_unit", "_key", "_hash", "_gens", "_standard")
+    __slots__ = ("ctx", "matrix", "degrees", "_unit", "_key", "_hash", "_gens", "_maxima",
+                 "_standard")
 
     def __init__(self, ctx: RingContext, matrix: np.ndarray, degrees: np.ndarray):
         matrix.flags.writeable = False
@@ -321,6 +334,7 @@ class MonomialIdeal:
         self._key = None
         self._hash = None
         self._gens = None
+        self._maxima = None
         self._standard = None
 
     def _identity(self) -> tuple[int, bytes]:
@@ -351,15 +365,38 @@ class MonomialIdeal:
         return self._gens
 
     @property
-    def standard_rows(self) -> np.ndarray:
-        """The monomials outside the ideal, one per row in lexicographic
-        order, for an ideal containing a power of every variable; enumerated
-        on first use and read-only."""
+    def maxima(self) -> tuple[int, ...]:
+        """The greatest exponent of each variable over the generators (0 for
+        the zero ideal), made on first use."""
+        if self._maxima is None:
+            self._maxima = tuple(self.matrix.max(axis=0, initial=0).tolist())
+        return self._maxima
+
+    def key_tops(self) -> tuple[int, ...]:
+        """The greatest value of each grlex key column (degree, x1, ..., xm)
+        over the generators: the last degree, since they are grlex-sorted,
+        and the kept maxima."""
+        return (self.max_generator_degree(), *self.maxima)
+
+    @property
+    def standard(self) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+        """The monomials outside the ideal, for an ideal containing a power
+        of every variable: the read-only rows in lexicographic order, their
+        read-only total degrees, and the greatest value of each grlex key
+        column over them; enumerated on first use."""
         if self._standard is None:
             rows = _standard_rows(self)
+            degrees = _row_sums(rows)
             rows.flags.writeable = False
-            self._standard = rows
+            degrees.flags.writeable = False
+            tops = (int(degrees.max(initial=0)), *rows.max(axis=0, initial=0).tolist())
+            self._standard = rows, degrees, tops
         return self._standard
+
+    @property
+    def standard_rows(self) -> np.ndarray:
+        """The rows of :attr:`standard`."""
+        return self.standard[0]
 
     # -- constructors ------------------------------------------------------
 
@@ -464,7 +501,8 @@ def ideal(ctx: RingContext, monomials) -> MonomialIdeal:
 
 
 def _check_ctx(a: MonomialIdeal, b: MonomialIdeal) -> None:
-    if a.ctx != b.ctx:
+    # The ideals of one instance share one context, so identity decides first.
+    if a.ctx is not b.ctx and a.ctx != b.ctx:
         raise ContextMismatchError("ideals live in different rings")
 
 
@@ -487,8 +525,9 @@ def _rows_in(
     return mask
 
 
-def _members_mask(a: MonomialIdeal, points: np.ndarray) -> np.ndarray:
-    """Boolean mask: which rows of `points` lie in the ideal `a`.
+def _members_mask(a: MonomialIdeal, points: np.ndarray, degrees: np.ndarray) -> np.ndarray:
+    """Boolean mask: which rows of `points`, with total degrees `degrees`,
+    lie in the ideal `a`.
 
     Points of lower total degree than every generator lie outside, so when
     all of them do the mask is all False with no sort.  A generator divides
@@ -500,12 +539,11 @@ def _members_mask(a: MonomialIdeal, points: np.ndarray) -> np.ndarray:
     n = len(points)
     if a.is_zero() or n == 0:
         return np.zeros(n, dtype=bool)
-    degs = _row_sums(points)
-    if degs.max() < a.degrees[0]:
+    if degrees.max() < a.degrees[0]:
         return np.zeros(n, dtype=bool)
-    mask = _rows_in(points, a.matrix, degs, a.degrees)
+    mask = _rows_in(points, a.matrix, degrees, a.degrees)
     rest = np.flatnonzero(~mask)
-    pdeg = degs[rest]
+    pdeg = degrees[rest]
     by_degree = np.argsort(pdeg, kind="stable")
     rest = rest[by_degree]
     pdeg = pdeg[by_degree]
@@ -530,7 +568,7 @@ def first_outside_sum(parts, other: MonomialIdeal) -> Monomial | None:
     outside = np.arange(len(other.matrix))
     for part in parts:
         _check_ctx(part, other)
-        outside = outside[~_members_mask(part, other.matrix[outside])]
+        outside = outside[~_members_mask(part, other.matrix[outside], other.degrees[outside])]
     if not len(outside):
         return None
     return Monomial(tuple(other.matrix[outside[0]].tolist()))
@@ -557,15 +595,20 @@ def ideal_sum(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
 
 @lru_cache(maxsize=None)
 def _ideal_product_cached(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
-    sums = _sum_rows(a.matrix, a.degrees, b.matrix, b.degrees)
+    sums = _sum_rows(a.matrix, a.degrees, a.key_tops(), b.matrix, b.degrees, b.key_tops())
     return MonomialIdeal(a.ctx, *_drop_divisible(*sums))
 
 
 def ideal_product(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
-    """The product ideal a*b, minimalized; the other factor itself when one
-    factor is the unit ideal, and the other factor's generators times x^u
-    when one factor is the principal ideal (x^u)."""
+    """The product ideal a*b, minimalized; the zero factor itself when one
+    factor is the zero ideal, the other factor itself when one factor is the
+    unit ideal, and the other factor's generators times x^u when one factor
+    is the principal ideal (x^u)."""
     _check_ctx(a, b)
+    if a.is_zero():
+        return a
+    if b.is_zero():
+        return b
     if a.is_unit():
         return b
     if b.is_unit():
@@ -704,14 +747,15 @@ def _count_difference(top: MonomialIdeal, bot: MonomialIdeal, colon_floor: Monom
     """
     if top.is_zero() or bot.is_unit():
         return 0
-    std = colon_floor.standard_rows
+    std, std_degrees, std_tops = colon_floor.standard
     if len(std) == 1:
-        pts = top.matrix
+        pts, degrees = top.matrix, top.degrees
     elif top.is_unit():
-        pts = std
+        pts, degrees = std, std_degrees
     else:
-        pts, _ = _sum_rows(top.matrix, top.degrees, std, _row_sums(std))
-    return int(np.count_nonzero(~_members_mask(bot, pts)))
+        pts, degrees = _sum_rows(top.matrix, top.degrees, top.key_tops(),
+                                 std, std_degrees, std_tops)
+    return int(np.count_nonzero(~_members_mask(bot, pts, degrees)))
 
 
 def graded_quotient_length(top: MonomialIdeal, bottom: MonomialIdeal,

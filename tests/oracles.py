@@ -45,7 +45,7 @@ def box_standard_rows(w):
     """The box filter: the points of the box of pure-power bounds of `w`
     that lie outside `w`, in box order."""
     pts = _box(w.pure_power_bounds())
-    return pts[~_members_mask(w, pts)]
+    return pts[~_members_mask(w, pts, _row_sums(pts))]
 
 
 def _colon_pure_bounds(bot, g):
@@ -84,5 +84,5 @@ def box_count(top, bot):
         blocks.append(_box(bounds) + g)
     if not blocks:
         return 0
-    pts, _ = _grlex_unique(np.concatenate(blocks))
-    return int(np.count_nonzero(~_members_mask(bot, pts)))
+    pts, degrees = _grlex_unique(np.concatenate(blocks))
+    return int(np.count_nonzero(~_members_mask(bot, pts, degrees)))

@@ -446,20 +446,22 @@ class TestCliEntry:
         assert "Traceback" not in captured.err and captured.out == ""
 
     def test_unwritable_report_exit_2(self, tmp_path, capsys):
-        # The report's directory is missing, or is a file; either is found
-        # before any request runs.
+        # The report's directory is missing or is a file, or the report path
+        # is itself a directory; each is found before any request runs.
         doc = json.loads(MINIMAL)
         doc["requests"] = [{"command": "mixed", "type": {"k0": 0, "k": [1]}}]
         f = tmp_path / "inst.json"
         f.write_text(json.dumps(doc))
-        for out_path in (tmp_path / "missing" / "report.json", f / "report.json"):
+        existing = tmp_path / "reports"
+        existing.mkdir()
+        for out_path in (tmp_path / "missing" / "report.json", f / "report.json", existing):
             with mock.patch("multimult.cli.run_request") as run:
                 assert main(["run", str(f), "--json", str(out_path)]) == 2
             assert not run.called
             captured = capsys.readouterr()
             assert captured.err.startswith("error: ") and str(out_path) in captured.err
             assert "Traceback" not in captured.err and captured.out == ""
-            assert not out_path.exists()
+            assert not out_path.exists() or (out_path.is_dir() and not any(out_path.iterdir()))
 
     def test_parse_error_inside_a_request_exit_2(self, tmp_path, capsys):
         doc = json.loads(MINIMAL)

@@ -6,13 +6,14 @@ operation is checked on unminimalized inputs, so duplicate rows, the zero
 ideal (no rows), the unit ideal (a zero row), one variable and rows of equal
 degree all reach the minimalizer.  Rows with exponents up to 2**40 (or 2**20
 in eight variables) make the packed grlex keys span several words, and the
-fast paths (principal products, zero sums, containment in a sum by parts)
-are checked against the general arithmetic.  The column-wise kernels
-(`_row_sums`, `_divides_any`) are checked against the broadcast reductions
-they replaced, kept here as oracles.  The sum-set kernel behind products and
-count candidates is checked against the pairwise oracle and the floor-less
-box counter, on one-word and multi-word keys, and the staircase enumeration
-of standard monomials against the box filter.
+fast paths (principal and zero products, zero sums, containment in a sum
+by parts, the one-degree exit of the divisibility pass) are checked against
+the general arithmetic.  The column-wise kernels (`_row_sums`,
+`_divides_any`) and the membership test are checked against the broadcast
+reductions they replaced, kept here as oracles.  The sum-set kernel behind
+products and count candidates is checked against the pairwise oracle and the
+floor-less box counter, on one-word and multi-word keys, and the staircase
+enumeration of standard monomials against the box filter.
 """
 
 import math
@@ -30,7 +31,9 @@ from multimult.monomials import (
     MonomialIdeal,
     RingContext,
     _count_difference,
+    _divides,
     _divides_any,
+    _drop_divisible,
     _grlex_unique,
     _grlex_words,
     _ideal_product_cached,
@@ -165,10 +168,14 @@ class TestAgainstOracle:
     @given(operands())
     def test_ideal(self, case):
         m, xs, _ = case
-        got = ideal(CONTEXTS[m], xs)
+        # The divisibility pass compares rows only across degree blocks.
+        with mock.patch("multimult.monomials._divides", wraps=_divides) as spy:
+            got = ideal(CONTEXTS[m], xs)
+        assert spy.called == (len({sum(x) for x in xs}) > 1)
         assert got.gens == oracle(xs)
         assert got.matrix.tolist() == [list(g) for g in got.gens]
         assert got.degrees.tolist() == [sum(g) for g in got.gens]
+        assert got.maxima == tuple(got.matrix.max(axis=0, initial=0).tolist())
 
     @CASES
     @given(operands())
@@ -232,8 +239,10 @@ class TestAgainstOracle:
         m, xs, ys = case
         i = ideal(CONTEXTS[m], xs)
         points = ys + xs[:2] + ys[:2]
-        mask = _members_mask(i, np.array(points, dtype=np.int64).reshape(len(points), m))
+        pts = as_matrix(points, m)
+        mask = _members_mask(i, pts, broadcast_row_sums(pts))
         assert mask.tolist() == [any(divides(g, p) for g in i.gens) for p in points]
+        assert mask.tolist() == broadcast_divides_any(i.matrix, pts).tolist()
 
 
 class TestColumnKernels:
@@ -273,7 +282,7 @@ class TestColumnKernels:
         points = as_matrix([below(p, int(i.degrees[0])) for p in ys + xs], m)
         # The gate answers before the sort that finds generators among the points.
         with mock.patch("multimult.monomials._rows_in", side_effect=AssertionError):
-            assert not _members_mask(i, points).any()
+            assert not _members_mask(i, points, broadcast_row_sums(points)).any()
 
     @CASES
     @given(operands())
@@ -282,7 +291,8 @@ class TestColumnKernels:
         i = ideal(CONTEXTS[m], xs)
         assume(not i.is_zero() and not i.is_unit())
         points = [below(p, int(i.degrees[0])) for p in ys + xs] + ys + xs
-        mask = _members_mask(i, as_matrix(points, m))
+        pts = as_matrix(points, m)
+        mask = _members_mask(i, pts, broadcast_row_sums(pts))
         assert mask.tolist() == [any(divides(g, p) for g in i.gens) for p in points]
 
     @CASES
@@ -311,7 +321,8 @@ class TestColumnKernels:
         # of them lie in the ideal through x1.
         i = ideal(CONTEXTS[2], [(1, 0), (0, 3)])
         points = as_matrix([(0, 0), (0, 1), (1, 1), (0, 2), (2, 0)], 2)
-        assert _members_mask(i, points).tolist() == [False, False, True, False, True]
+        mask = _members_mask(i, points, broadcast_row_sums(points))
+        assert mask.tolist() == [False, False, True, False, True]
 
 
 class TestPackedKeys:
@@ -339,6 +350,15 @@ class TestPackedKeys:
         expected = sorted(set(xs + ys), key=lambda r: (sum(r), r))
         assert list(map(tuple, rows.tolist())) == expected
         assert degs.tolist() == [sum(r) for r in expected]
+        # The divisibility pass on these rows is the rest of the minimalizer;
+        # rows of one degree come back as they are, with no comparison.
+        one_block = len(set(degs.tolist())) <= 1
+        with mock.patch("multimult.monomials._divides", wraps=_divides) as spy:
+            kept, kept_degs = _drop_divisible(rows, degs)
+        assert spy.called == (not one_block)
+        assert (kept is rows and kept_degs is degs) == one_block
+        assert tuple(map(tuple, kept.tolist())) == oracle(xs + ys)
+        assert kept_degs.tolist() == [sum(r) for r in oracle(xs + ys)]
 
     @CASES
     @given(st.one_of(operands(), wide_operands()))
@@ -356,8 +376,10 @@ class TestPackedKeys:
         m, xs, ys = case
         i = ideal(CONTEXTS[m], xs)
         points = ys + xs[:2] + ys[:2]
-        mask = _members_mask(i, as_matrix(points, m))
+        pts = as_matrix(points, m)
+        mask = _members_mask(i, pts, broadcast_row_sums(pts))
         assert mask.tolist() == [any(divides(g, p) for g in xs) for p in points]
+        assert mask.tolist() == broadcast_divides_any(i.matrix, pts).tolist()
 
     @CASES
     @given(wide_operands())
@@ -414,6 +436,8 @@ class TestSumKernel:
     @CASES
     @given(st.one_of(operands(), wide_operands()).flatmap(with_floor))
     @example(((2, [(2**40, 0), (0, 2**40)], [(1, 1)]), (2, [(2, 0), (0, 2)])))
+    # The last standard row (1, 0) is not of the greatest degree, 2.
+    @example(((2, [(1, 0), (0, 1)], [(3, 3)]), (2, [(2, 0), (1, 1), (0, 3)])))
     def test_count_difference(self, cases):
         # bot holds floor * top, so the floor is a colon floor of the pair.
         (m, xs, ys), (_, floor_rows) = cases
@@ -421,12 +445,20 @@ class TestSumKernel:
         floor = ideal(ctx, floor_rows)
         top = ideal(ctx, xs)
         bot = ideal_sum(ideal_product(top, floor), ideal(ctx, ys))
-        std = floor.standard_rows
-        with multiword_spy() as spy:
+        std, std_degrees, std_tops = floor.standard
+        assert std_degrees.tolist() == broadcast_row_sums(std).tolist()
+        assert std_tops == (max(std_degrees.tolist(), default=0),
+                            *std.max(axis=0, initial=0).tolist())
+        # Only the multi-word fallback sums the candidate rows, once; the
+        # membership test takes the degrees it is given.
+        with multiword_spy() as spy, mock.patch(
+            "multimult.monomials._row_sums", wraps=_row_sums
+        ) as row_sums:
             got = _count_difference(top, bot, floor)
         assert got == box_count(top, bot)
         pairs = not (top.is_zero() or top.is_unit() or bot.is_unit()) and len(std) > 1
         assert spy.called == (pairs and several_words(top.matrix, std))
+        assert row_sums.call_count == spy.call_count
 
     def test_product_peak_memory(self):
         # 455 x 78 pairs in four variables: the broadcast pair matrix alone
@@ -490,6 +522,16 @@ class TestFastPaths:
             assert ideal_sum(zero, a) is a
 
     @CASES
+    @given(st.one_of(operands(), wide_operands()))
+    def test_product_with_zero_is_the_zero_factor(self, case):
+        m, xs, _ = case
+        a, zero = ideal(CONTEXTS[m], xs), MonomialIdeal.zero(CONTEXTS[m])
+        with mock.patch("multimult.monomials._ideal_product_cached") as cached:
+            assert ideal_product(a, zero) is (a if a.is_zero() else zero)
+            assert ideal_product(zero, a) is zero
+        assert not cached.called
+
+    @CASES
     @given(st.integers(1, 4).flatmap(
         lambda m: st.tuples(st.just(m), st.lists(row_lists(m), max_size=4), row_lists(m))
     ), st.sampled_from(["none", "zero", "unit"]))
@@ -530,6 +572,10 @@ class TestIdentity:
         assert a != b
         assert MonomialIdeal.zero(CONTEXTS[2]) != MonomialIdeal.zero(CONTEXTS[3])
         assert MonomialIdeal.unit(CONTEXTS[1]) != MonomialIdeal.unit(CONTEXTS[2])
+        # Equal rings held in distinct objects are one ring.
+        c = ideal(RingContext(2), [(2, 0), (0, 1)])
+        assert c.ctx is not a.ctx
+        assert ideal_product(a, c) == ideal(CONTEXTS[2], [(3, 0), (1, 1), (0, 2)])
 
     def test_equal_ideals_from_different_routes(self):
         # (x1, x2)^2 * x3 built from rows, as a product of two non-principal
@@ -574,6 +620,19 @@ class TestIdentity:
         with pytest.raises(ValueError):
             i.degrees[0] = 7
         assert i.gens == ((0, 1), (2, 0))
+        assert i.maxima == (2, 1) and i.key_tops() == (2, 2, 1)
+        with pytest.raises(TypeError):
+            i.maxima[0] = 7
+        with pytest.raises(AttributeError):
+            i.maxima = (7, 7)
+        std, std_degrees, _ = ideal(CONTEXTS[2], [(2, 0), (0, 2)]).standard
+        for array in (std, std_degrees):
+            with pytest.raises(ValueError):
+                array[0] = 7
+        for ctx in CONTEXTS.values():
+            for edge in (MonomialIdeal.zero(ctx), MonomialIdeal.unit(ctx)):
+                assert edge.maxima == (0,) * ctx.num_vars
+                assert edge.maxima == tuple(edge.matrix.max(axis=0, initial=0).tolist())
 
     def test_first_outside_checks_the_ring(self):
         with pytest.raises(ContextMismatchError):

@@ -35,18 +35,27 @@ ideal the other factor.  Containment in a sum of ideals,
 monomial ideals iff it lies in one of them.
 
 Any other product, and the candidates of a count, are the distinct pairwise
-sums of two generator matrices, ``_sum_rows``.  Packing is linear: when
-each key column's radix is at least the sum of the two operands' maxima plus
-one, the word of g+h is word(g) + word(h).  So the pairs are one outer sum
-of two int64 word vectors, one in-place sort keeps the first of each run,
-and divmod over the radices unpacks the rows; no (pairs, m) matrix is built.
-The radices come from what the operands carry (``key_tops``: an ideal's
-last degree, since its degrees are grlex-sorted, and its kept maxima), so
-no maximum is reduced per call.  Keys that need more than one word fall
-back to the broadcast rows and ``_grlex_unique``.  A product then needs only
-the degree-block divisibility pass of the minimalizer, ``_drop_divisible``,
-which returns rows of a single degree as they are: rows of equal degree
-cannot properly divide each other.
+sums of two generator matrices, ``_sum_rows``.  Its key is (degree, x1, ...,
+x_{m-1}): the degree fixes x_m, which is left out of the key and recovered
+as the degree minus the others, so the key spans one radix fewer.  Packing
+is linear: when each key column's radix is at least the sum of the two
+operands' maxima plus one, the word of g+h is word(g) + word(h).  So the
+pairs are one outer sum of two int64 word vectors.  When the pair words span
+at most eight cells per pair, they mark a boolean map of that span, and its
+marked cells are the distinct words in grlex order with no sort
+(``_marked_sums``); sparser words, such as those of high-degree pure powers,
+are sorted in place and the first of each run kept (``_sorted_sums``).
+Divmod over the radices unpacks the rows; no (pairs, m) matrix is built.
+The radices come from what the operands carry (``key_tops``: an ideal's last
+degree, since its degrees are grlex-sorted, and its kept maxima), and the
+span from the ends of an ideal's increasing words, or for a floor's standard
+rows, which are in lex order, from 0 and the word of their key maxima; no
+maximum is reduced per call.  Keys that need more than one word fall back to
+the broadcast rows and ``_grlex_unique``.  A sum whose degree would pass
+int64 raises OverflowError, here and in the principal shift, rather than
+wrap.  A product then needs only the degree-block divisibility pass of the
+minimalizer, ``_drop_divisible``, which returns rows of a single degree as
+they are: rows of equal degree cannot properly divide each other.
 
 Reductions over the exponent axis of many rows run column-wise, through
 two kernels.  Exponent matrices are C-ordered (n, m) with m small, and a
@@ -246,41 +255,91 @@ def _grlex_unique(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows[keep], degrees[keep]
 
 
-def _sum_rows(a: np.ndarray, a_degrees: np.ndarray, a_tops: tuple[int, ...],
-              b: np.ndarray, b_degrees: np.ndarray,
-              b_tops: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct sums of a row of `a` and a row of `b`, int64 exponent
-    matrices with total degrees `a_degrees` and `b_degrees`, in grlex order,
-    and their total degrees.  `a_tops` and `b_tops` are the greatest value
-    of each grlex key column (degree, x1, ..., xm) over the rows, which the
-    operands carry (``MonomialIdeal.key_tops``, ``MonomialIdeal.standard``).
+def _marked_sums(words_a: np.ndarray, words_b: np.ndarray, low: int, cells: int) -> np.ndarray:
+    """The distinct sums of an entry of `words_a` and one of `words_b`, in
+    increasing order, when they all lie in low .. low + cells - 1: the cells
+    they mark in a boolean map of that range."""
+    marked = np.zeros(cells, dtype=bool)
+    marked[np.add.outer(words_a, words_b - low)] = True
+    return marked.nonzero()[0] + low
 
-    Packing is linear: when each key column's radix is at least its maximum
-    in `a` plus its maximum in `b` plus one, no digit of a sum carries, so
-    the word of g+h is word(g) + word(h).  With one word per key, the pairs
-    are one outer sum of two word vectors, sorted in place; the first entry
-    of each run is kept and unpacked by divmod over the radices.  Keys that
-    need more than one word take the broadcast rows through
-    ``_grlex_unique``.
-    """
-    m = a.shape[1]
-    if not len(a) or not len(b):
-        return np.zeros((0, m), dtype=np.int64), np.zeros(0, dtype=np.int64)
-    radices = [top_a + top_b + 1 for top_a, top_b in zip(a_tops, b_tops)]
-    places = _grlex_places(radices)
-    if len(places) > 1:
-        return _grlex_unique((a[:, None, :] + b[None, :, :]).reshape(-1, m))
-    place = places[0]
-    words = np.add.outer(a @ place[1:] + a_degrees * place[0],
-                         b @ place[1:] + b_degrees * place[0]).ravel()
+
+def _sorted_sums(words_a: np.ndarray, words_b: np.ndarray) -> np.ndarray:
+    """The distinct sums of an entry of `words_a` and one of `words_b`, in
+    increasing order: all of them sorted in place, the first of each run
+    kept."""
+    words = np.add.outer(words_a, words_b).ravel()
     words.sort()
     fresh = np.empty(len(words), dtype=bool)
     fresh[0] = True
     np.not_equal(words[1:], words[:-1], out=fresh[1:])
-    words = words[fresh]
+    return words[fresh]
+
+
+def _sum_rows(a: np.ndarray, a_tops: tuple[int, ...], b: np.ndarray, b_tops: tuple[int, ...],
+              b_sorted: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct sums of a row of `a` and a row of `b`, (n, m) int64
+    exponent matrices, in grlex order, and their total degrees.  `a_tops`
+    and `b_tops` are the greatest value of each grlex key column (degree,
+    x1, ..., xm) over the rows, which the operands carry
+    (``MonomialIdeal.key_tops``, ``MonomialIdeal.standard``).  The rows of
+    `a` are grlex-sorted, and so are those of `b` unless `b_sorted` is
+    false.  Raises OverflowError when a sum's degree would pass int64; no
+    exponent of a sum can then pass it either.
+
+    The key of a sum is (degree, x1, ..., x_{m-1}): the degree fixes x_m, so
+    its digit is left out (its place value is zero) and recovered as the
+    degree minus the others.  Since the degree is x1 + ... + xm, the word of
+    a row is one matrix-vector product, each exponent weighted by its own
+    place value plus the degree's.  Packing is linear: when each key
+    column's radix is at least its maximum in `a` plus its maximum in `b`
+    plus one, no digit of a sum carries, so the word of g+h is word(g) +
+    word(h), and the pairs are one outer sum of two word vectors.
+
+    Sorted rows have increasing words, so the least and greatest pair words
+    are sums of the ends; the words of unsorted rows of `b` lie between 0
+    and the word of its key tops.  When that span is at most eight cells per
+    pair, the pair words mark a boolean map of it, never larger than the
+    words themselves, and the marked cells are the distinct words in order.
+    Sparser words are sorted in place and the first of each run kept.  The
+    distinct words are unpacked by divmod over the radices.  Keys that need
+    more than one word take the broadcast rows through ``_grlex_unique``.
+    """
+    m = a.shape[1]
+    if not len(a) or not len(b):
+        return np.zeros((0, m), dtype=np.int64), np.zeros(0, dtype=np.int64)
+    radices = [top_a + top_b + 1 for top_a, top_b in zip(a_tops[:m], b_tops[:m])]
+    # Every exponent is at most its row's degree, so the degree radix is
+    # the greatest.
+    if radices[0] > 1 << 63:
+        raise OverflowError("a product's degree exceeds the int64 range")
+    # Place values of the key columns; place[m], x_m's, stays zero.
+    place = [0] * (m + 1)
+    span = 1
+    for col in range(m - 1, -1, -1):
+        place[col] = span
+        span *= radices[col]
+    if span > 1 << 63:
+        return _grlex_unique((a[:, None, :] + b[None, :, :]).reshape(-1, m))
+    weights = np.array([value + place[0] for value in place[1:]], dtype=np.int64)
+    words_a, words_b = a @ weights, b @ weights
+    low_a = int(words_a[0])
+    if b_sorted:
+        low_b, high_b = int(words_b[0]), int(words_b[-1])
+    else:
+        low_b, high_b = 0, sum(top * value for top, value in zip(b_tops, place))
+    cells = int(words_a[-1]) + high_b - low_a - low_b + 1
+    if cells <= 8 * len(a) * len(b):
+        words = _marked_sums(words_a, words_b, low_a + low_b, cells)
+    else:
+        words = _sorted_sums(words_a, words_b)
     rows = np.empty((len(words), m), dtype=np.int64)
-    for col in range(m, 0, -1):
-        words, rows[:, col - 1] = np.divmod(words, radices[col])
+    others = np.zeros(len(words), dtype=np.int64)
+    for col in range(m - 1, 0, -1):
+        words, digit = np.divmod(words, radices[col])
+        rows[:, col - 1] = digit
+        others += digit
+    np.subtract(words, others, out=rows[:, m - 1])
     return rows, words
 
 
@@ -595,7 +654,7 @@ def ideal_sum(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
 
 @lru_cache(maxsize=None)
 def _ideal_product_cached(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
-    sums = _sum_rows(a.matrix, a.degrees, a.key_tops(), b.matrix, b.degrees, b.key_tops())
+    sums = _sum_rows(a.matrix, a.key_tops(), b.matrix, b.key_tops())
     return MonomialIdeal(a.ctx, *_drop_divisible(*sums))
 
 
@@ -613,11 +672,16 @@ def ideal_product(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
         return b
     if b.is_unit():
         return a
-    # Adding u keeps the rows minimal, distinct and in grlex order.
-    if len(a.matrix) == 1:
-        return MonomialIdeal(a.ctx, b.matrix + a.matrix[0], b.degrees + a.degrees[0])
     if len(b.matrix) == 1:
-        return MonomialIdeal(a.ctx, a.matrix + b.matrix[0], a.degrees + b.degrees[0])
+        a, b = b, a
+    if len(a.matrix) == 1:
+        # Adding u keeps the rows minimal, distinct and in grlex order.  The
+        # array add wraps silently: past int64, the greatest degree turns
+        # negative.
+        degrees = b.degrees + a.degrees[0]
+        if degrees[-1] < 0:
+            raise OverflowError("a product's degree exceeds the int64 range")
+        return MonomialIdeal(a.ctx, b.matrix + a.matrix[0], degrees)
     if len(b.matrix) > len(a.matrix):
         a, b = b, a
     return _ideal_product_cached(a, b)
@@ -753,8 +817,7 @@ def _count_difference(top: MonomialIdeal, bot: MonomialIdeal, colon_floor: Monom
     elif top.is_unit():
         pts, degrees = std, std_degrees
     else:
-        pts, degrees = _sum_rows(top.matrix, top.degrees, top.key_tops(),
-                                 std, std_degrees, std_tops)
+        pts, degrees = _sum_rows(top.matrix, top.key_tops(), std, std_tops, b_sorted=False)
     return int(np.count_nonzero(~_members_mask(bot, pts, degrees)))
 
 

@@ -1,0 +1,56 @@
+"""Microbenchmarks of the sum-set kernel behind products and count candidates.
+
+Not collected by the test suite (the name does not match ``test_*.py``).
+Run from the root of a checkout with
+
+    pytest tests/bench_kernels.py --benchmark-only
+
+Each benchmark times one ``_sum_rows`` call on operands built beforehand:
+the sample's largest product, J^12 * I1^10 in four variables (30 030 pairs);
+a product of two three-generator ideals, the size the seeded corpus makes
+most; and the candidates of one count, a product's generators against the
+standard monomials of a colon floor (lex order, so unsorted).
+"""
+
+import pytest
+
+pytest.importorskip("pytest_benchmark")
+
+from multimult.monomials import (  # noqa: E402
+    RingContext,
+    _sum_rows,
+    ideal,
+    ideal_power,
+    ideal_product,
+)
+
+
+def variables(m, count):
+    return [tuple(int(i == j) for j in range(m)) for i in range(count)]
+
+
+def test_sample_largest_product(benchmark):
+    ctx = RingContext(4)
+    j = ideal_power(ideal(ctx, variables(4, 4)), 12)
+    i1 = ideal_power(ideal(ctx, variables(4, 3)), 10)
+    rows, _ = benchmark(_sum_rows, j.matrix, j.key_tops(), i1.matrix, i1.key_tops())
+    assert (len(j.matrix), len(i1.matrix), len(rows)) == (455, 66, 2080)
+
+
+def test_corpus_sized_product(benchmark):
+    ctx = RingContext(3)
+    a = ideal(ctx, [(2, 0, 0), (1, 1, 0), (0, 0, 3)])
+    b = ideal(ctx, [(0, 2, 0), (1, 0, 1), (0, 1, 2)])
+    rows, _ = benchmark(_sum_rows, a.matrix, a.key_tops(), b.matrix, b.key_tops())
+    assert len(rows) == 9
+
+
+def test_count_candidates(benchmark):
+    ctx = RingContext(3)
+    j = ideal(ctx, [(1, 0, 0), (0, 2, 0), (0, 0, 2), (0, 1, 1)])
+    i1 = ideal(ctx, [(1, 0, 0), (0, 1, 0)])
+    top = ideal_product(ideal_power(j, 2), ideal_power(i1, 3))
+    std, _, std_tops = ideal_power(j, 3).standard
+    rows, _ = benchmark(_sum_rows, top.matrix, top.key_tops(), std, std_tops, b_sorted=False)
+    sums = {tuple(x + y for x, y in zip(g, v)) for g in top.gens for v in std.tolist()}
+    assert len(rows) == len(sums)

@@ -346,6 +346,22 @@ class TestCliEntry:
         (result,) = json.loads(out_path.read_text())["results"]
         assert result["value"] == "1000"
 
+    def test_product_past_int64_exit_3(self, tmp_path, capsys):
+        # Each generator's degree fits int64, but J * J does not: the run
+        # reports an OverflowError rather than computing on wrapped exponents.
+        doc = {
+            "variables": ["x1", "x2"],
+            "J": [f"x1^{2**62}", "x2"],
+            "ideals": {"I1": ["x1", "x2"]},
+            "requests": [{"command": "hilbert", "which": "P"}],
+        }
+        f = tmp_path / "inst.json"
+        f.write_text(json.dumps(doc))
+        out_path = tmp_path / "report.json"
+        assert main(["run", str(f), "--json", str(out_path)]) == 3
+        (result,) = json.loads(out_path.read_text())["results"]
+        assert result["failure"]["type"] == "OverflowError"
+
     @pytest.mark.parametrize(
         "command, bad_type",
         [

@@ -12,12 +12,16 @@ the general arithmetic.  The column-wise kernels (`_row_sums`,
 `_divides_any`) and the membership test are checked against the broadcast
 reductions they replaced, kept here as oracles.  The sum-set kernel behind
 products and count candidates is checked against the pairwise oracle and the
-floor-less box counter, on one-word and multi-word keys, and the staircase
-enumeration of standard monomials against the box filter.
+floor-less box counter, on multi-word keys and on both one-word branches (a
+boolean map of the pair keys, or a sort) in one to eight variables, with a
+spy on the branch taken; products whose degree passes int64 raise.  The
+staircase enumeration of standard monomials is checked against the box
+filter.
 """
 
 import math
 import tracemalloc
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -37,10 +41,13 @@ from multimult.monomials import (
     _grlex_unique,
     _grlex_words,
     _ideal_product_cached,
+    _marked_sums,
     _members_mask,
     _row_sums,
     _rows_in,
+    _sorted_sums,
     _standard_rows,
+    _sum_rows,
     colon_by_monomial,
     first_outside_sum,
     ideal,
@@ -389,15 +396,35 @@ class TestPackedKeys:
         assert ideal_sum(ideal(ctx, xs), ideal(ctx, ys)).gens == oracle(xs + ys)
 
 
-def several_words(a, b):
-    """Whether the grlex keys of the sums of a row of `a` and a row of `b`
-    overflow one int64 word: the product of the key radices, each column's
-    greatest value over the sums plus one, exceeds 2**63."""
+def sum_radices(a, b):
+    """The radices of the packed keys (degree, x1, ..., x_{m-1}) of the sums
+    of a row of `a` and a row of `b`: each key column's greatest value over
+    the sums plus one.  The degree fixes x_m, so the key leaves it out."""
     rows_a, rows_b = a.tolist(), b.tolist()
-    radices = [max(map(sum, rows_a)) + max(map(sum, rows_b)) + 1] + [
-        max(col_a) + max(col_b) + 1 for col_a, col_b in zip(zip(*rows_a), zip(*rows_b))
+    columns = list(zip(zip(*rows_a), zip(*rows_b)))[:-1]
+    return [max(map(sum, rows_a)) + max(map(sum, rows_b)) + 1] + [
+        max(col_a) + max(col_b) + 1 for col_a, col_b in columns
     ]
-    return math.prod(radices) > 1 << 63
+
+
+def several_words(a, b):
+    """Whether the keys of the sums of a row of `a` and a row of `b`
+    overflow one int64 word: the product of their radices exceeds 2**63."""
+    return math.prod(sum_radices(a, b)) > 1 << 63
+
+
+def key_word(digits, radices):
+    """Key digits (degree, x1, ..., x_{m-1}) as one Python integer, with the
+    given radices."""
+    word = 0
+    for digit, radix in zip(digits, radices):
+        word = word * radix + digit
+    return word
+
+
+def row_word(row, radices):
+    """The packed key of an exponent row, as one Python integer."""
+    return key_word((sum(row), *row[:-1]), radices)
 
 
 def multiword_spy():
@@ -406,9 +433,27 @@ def multiword_spy():
     return mock.patch("multimult.monomials._grlex_unique", wraps=_grlex_unique)
 
 
+@contextmanager
+def branch_spy():
+    """Spies on the three branches of the sum-set kernel: several words, a
+    boolean map, a sort.  Yields a function naming the branch taken (None
+    when the kernel did not run), which checks that at most one ran, once."""
+    with multiword_spy() as several, mock.patch(
+        "multimult.monomials._marked_sums", wraps=_marked_sums
+    ) as marked, mock.patch("multimult.monomials._sorted_sums", wraps=_sorted_sums) as ordered:
+        spies = {"several": several, "marked": marked, "sorted": ordered}
+
+        def taken():
+            ran = [name for name, spy in spies.items() if spy.called]
+            assert len(ran) <= 1 and all(spy.call_count <= 1 for spy in spies.values())
+            return ran[0] if ran else None
+
+        yield taken
+
+
 class TestSumKernel:
     """Products and count candidates are distinct pairwise sums of packed
-    grlex words, with a multi-word fallback."""
+    grlex keys (degree, x1, ..., x_{m-1}), with a multi-word fallback."""
 
     @CASES
     @given(operands())
@@ -479,6 +524,136 @@ class TestSumKernel:
         # Every monomial of degree 23 with x4 at most 12.
         assert set(got.degrees.tolist()) == {23} and got.matrix[:, 3].max() == 12
         assert len(got.matrix) == sum((25 - x4) * (24 - x4) // 2 for x4 in range(13))
+
+
+    def test_the_implied_exponent_saves_a_word(self):
+        # Keys (degree, x1, x2) of these sums need three radices of 2**21 + 2,
+        # past one word; (degree, x1) needs two.
+        xs, ys = [(2**21, 0), (0, 2**21)], [(1, 0), (0, 1)]
+        a, b = ideal(CONTEXTS[2], xs), ideal(CONTEXTS[2], ys)
+        assert math.prod([2**21 + 2] * 3) > 1 << 63
+        assert sum_radices(a.matrix, b.matrix) == [2**21 + 2] * 2
+        with multiword_spy() as spy:
+            got = _ideal_product_cached.__wrapped__(a, b)
+        assert not spy.called
+        assert got.gens == oracle(oracle_product(xs, ys))
+        assert got.degrees.tolist() == [sum(g) for g in got.gens]
+
+    def test_products_past_int64_raise(self):
+        # x1^(2^62) squared has degree 2^63, one past int64: the kernel and
+        # the principal shift raise instead of wrapping to negative exponents.
+        ctx = CONTEXTS[2]
+        a = ideal(ctx, [(2**62, 0), (0, 1)])
+        power = ideal(ctx, [(2**62, 0)])
+        for left, right in ((a, a), (power, a), (a, power)):
+            with pytest.raises(OverflowError):
+                ideal_product(left, right)
+        with pytest.raises(OverflowError):
+            _ideal_product_cached.__wrapped__(a, a)
+        # Degree 2^63 - 1 still fits, by either route.
+        b = ideal(ctx, [(2**62 - 1, 0), (0, 1)])
+        for left, right in ((a, b), (ideal(ctx, [(2**62 - 1, 0)]), a)):
+            got = ideal_product(left, right)
+            assert got.gens == oracle(oracle_product(left.gens, right.gens))
+            assert got.degrees.tolist() == [sum(g) for g in got.gens]
+            assert got.max_generator_degree() == 2**63 - 1
+
+
+@st.composite
+def spread_operands(draw):
+    """(m, xs, ys) in one to eight variables, with exponents up to a drawn
+    spread: small spreads give dense pair keys, large ones sparse keys, and
+    the largest in many variables keys of several words."""
+    m = draw(st.integers(1, 8))
+    top = draw(st.sampled_from([1, 3, 12, 100, 5000]))
+    row = st.tuples(*(st.integers(0, top) for _ in range(m)))
+    return m, draw(st.lists(row, min_size=1, max_size=6)), draw(st.lists(row, min_size=1,
+                                                                          max_size=6))
+
+
+def with_small_floor(case):
+    """`case` with the rows of an m-primary ideal whose standard monomials
+    are few in any number of variables."""
+    top = 3 if case[0] <= 4 else 2
+    return st.tuples(st.just(case), primary_ideals(m_values=(case[0],), top=top))
+
+
+def expected_branch(a, b, b_sorted=True):
+    """The branch of the sum-set kernel for rows `a` (grlex-sorted) and `b`:
+    several words, or one word marked in a map of at most eight cells per
+    pair, or one word sorted.  The map spans the least to the greatest pair
+    key, read off the ends of sorted rows; unsorted rows of `b` are bounded
+    by 0 and the key of their column maxima."""
+    if not len(a) or not len(b):
+        return None
+    if several_words(a, b):
+        return "several"
+    radices = sum_radices(a, b)
+    words_a = [row_word(row, radices) for row in a.tolist()]
+    if b_sorted:
+        words_b = [row_word(row, radices) for row in b.tolist()]
+        low_b, high_b = min(words_b), max(words_b)
+    else:
+        rows_b = b.tolist()
+        low_b = 0
+        high_b = key_word((max(map(sum, rows_b)), *map(max, zip(*rows_b))), radices)
+    cells = max(words_a) + high_b - min(words_a) - low_b + 1
+    return "marked" if cells <= 8 * len(a) * len(b) else "sorted"
+
+
+class TestMarkedSums:
+    """The one-word sum-set kernel marks the pair keys in a boolean map when
+    they span at most eight cells per pair, and sorts them otherwise; both
+    branches, and the several-word fallback, against the oracles."""
+
+    @CASES
+    @given(spread_operands())
+    @example((2, [(1, 0), (0, 1)], [(2, 0), (1, 1), (0, 2)]))
+    @example((2, [(100, 0), (0, 100)], [(1, 0)]))
+    @example((8, [(5000,) * 8], [(1,) * 8, (5000,) + (0,) * 7]))
+    def test_product(self, case):
+        m, xs, ys = case
+        ctx = RingContext(m)
+        a, b = ideal(ctx, xs), ideal(ctx, ys)
+        with branch_spy() as taken:
+            got = _ideal_product_cached.__wrapped__(a, b)
+        assert taken() == expected_branch(a.matrix, b.matrix)
+        assert got.gens == oracle(oracle_product(xs, ys))
+        assert got.degrees.tolist() == [sum(g) for g in got.gens]
+
+    @CASES
+    @given(spread_operands().flatmap(with_small_floor))
+    @example(((3, [(1, 0, 0), (0, 1, 1)], [(2, 2, 2)]), (3, [(2, 0, 0), (0, 2, 0), (0, 0, 2)])))
+    @example(((2, [(100, 0), (0, 100)], [(1, 1)]), (2, [(2, 0), (0, 2)])))
+    def test_count(self, cases):
+        # The second operand is the floor's standard rows, in lex order.
+        (m, xs, ys), (_, floor_rows) = cases
+        ctx = RingContext(m)
+        floor, top = ideal(ctx, floor_rows), ideal(ctx, xs)
+        bot = ideal_sum(ideal_product(top, floor), ideal(ctx, ys))
+        std = floor.standard_rows
+        pairs = not (top.is_unit() or bot.is_unit()) and len(std) > 1
+        with branch_spy() as taken:
+            got = _count_difference(top, bot, floor)
+        assert got == box_count(top, bot)
+        assert taken() == (expected_branch(top.matrix, std, b_sorted=False) if pairs else None)
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_the_bound_is_eight_cells_per_pair(self, m):
+        # Rows 1 and xm^d times 1 and xm: the keys (degree, x1, ..., x_{m-1})
+        # of the pairs are the degrees 0 .. d + 1, d + 2 cells against the
+        # 8 * 4 = 32 allowed.
+        for d, branch in ((30, "marked"), (31, "sorted")):
+            a = as_matrix([(0,) * m, (0,) * (m - 1) + (d,)], m)
+            b = as_matrix([(0,) * m, (0,) * (m - 1) + (1,)], m)
+            tops_a, tops_b = (d, *a.max(axis=0).tolist()), (1, *b.max(axis=0).tolist())
+            with branch_spy() as taken:
+                rows, degrees = _sum_rows(a, tops_a, b, tops_b)
+            assert taken() == branch
+            expected = sorted(set(oracle_product(a.tolist(), b.tolist())),
+                              key=lambda r: (sum(r), r))
+            assert list(map(tuple, rows.tolist())) == expected
+            assert degrees.tolist() == [sum(r) for r in expected]
 
 
 class TestStandardRows:

@@ -24,18 +24,30 @@ difference of the polynomial is constant exactly when the type is defined,
 and the constant is that coefficient.
 
 ``IdealFamily.piece`` presents J^n0 * I^n * M inside A, without the
-relations; the Hilbert functions, the joint-reduction window and the Koszul
-strands all read their ideals from it.  Each Hilbert value is one length
-count with J (for ``hf_P``) or J^n0 (for ``hf_F``) as its colon floor.
-``IdealFamily`` checks that J contains a power of every variable, so every
-value is finite.
+relations; the joint-reduction window and the Koszul strands read their
+ideals from it, and the Hilbert functions its content-free part.  The
+content c(X) of a monomial ideal X is the gcd of its generators, so
+X = c(X) X'.  Each family splits I_1, ..., I_d and the top T once, on first
+use (J is not split), and the piece at (n0, n) is c(n) X'(n0, n), one row
+shift of X'(n0, n) = J^n0 * I_1'^{n_1} * ... * I_d'^{n_d} * T' by
+c(n) = c(T) * c(I_1)^{n_1} * ... * c(I_d)^{n_d}.
+
+For Y' inside X' and any monomial c, the monomials of cX' + Q outside
+cY' + Q are c times those of X' outside Y' + (Q : c).  So each Hilbert value
+is one length count of X'(n0, n) modulo Q : c(n), with J (for ``hf_P``) or
+J^n0 (for ``hf_F``) as its colon floor.  A principal I_i has I_i' = (1), and
+its n_i then enters a count only through Q : c(n), which is Q when Q = 0
+and stops changing once c(n) passes Q's exponents.  Each family keeps its
+values in a memo keyed by (which, n0, the n_i of the other axes,
+Q : c(n)), so those axes reuse one count.  ``IdealFamily`` checks that J
+contains a power of every variable, so every value is finite.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
 
 import numpy as np
@@ -43,13 +55,17 @@ import numpy as np
 from .monomials import (
     MINUS_INFINITY,
     ContextMismatchError,
+    Monomial,
     MonomialIdeal,
     QuotientModule,
     _count_difference,
+    colon_by_monomial,
     ideal_power,
     ideal_product,
+    ideal_shift,
     ideal_sum,
     krull_dim,
+    split_content,
 )
 
 #: Extent (per axis) of the disjoint verification band used to certify a fit.
@@ -101,7 +117,11 @@ class MixedType:
 
 @dataclass(frozen=True)
 class IdealFamily:
-    """An m-primary ideal J, the ideals I_1..I_d, and the module they act on."""
+    """An m-primary ideal J, the ideals I_1..I_d, and the module they act on.
+
+    Each instance keeps, made on first use, the content split of I_1..I_d and
+    T, the contents c(n) and the Hilbert values it has counted; equal
+    families from two parses share none of them."""
 
     j: MonomialIdeal
     ideals: tuple[MonomialIdeal, ...]
@@ -147,25 +167,111 @@ class IdealFamily:
     def with_module(self, module: QuotientModule) -> IdealFamily:
         return IdealFamily(self.j, self.ideals, module)
 
+    @cached_property
+    def _content_split(self):
+        """I_i = x^(c_i) I_i' and T = x^(c_T) T', split on first use: the
+        axes whose part I_i' is not the unit ideal, with their parts; T';
+        and the content vectors, None when all of them are 0, else c_T with
+        the axes whose c_i is not 0 and their c_i."""
+        splits = [split_content(i) for i in self.ideals]
+        top_content, top_part = split_content(self.module.top)
+        factors = tuple((i, part) for i, (_, part) in enumerate(splits) if not part.is_unit())
+        contents = tuple((i, c) for i, (c, _) in enumerate(splits) if any(c))
+        vectors = (top_content, contents) if contents or any(top_content) else None
+        return factors, top_part, vectors
+
+    @cached_property
+    def _contents(self) -> dict:
+        """The contents c(n) made so far, keyed by n."""
+        return {}
+
+    @cached_property
+    def _hilbert_values(self) -> dict:
+        """The Hilbert values counted so far, keyed as in ``_memoized_count``."""
+        return {}
+
+    def content(self, n: tuple[int, ...]) -> tuple[tuple[int, ...], np.ndarray, int]:
+        """c(n) = c_T + n_1 c_1 + ... + n_d c_d, the content of the piece at
+        (n0, n) for every n0: as a tuple, as a read-only int64 row, and its
+        total degree; made once per n.  Raises OverflowError when the degree
+        passes int64."""
+        found = self._contents.get(n)
+        if found is None:
+            if min(n) < 0:
+                raise ValueError("negative power")
+            out, contents = self._content_split[2] or ((0,) * self.ctx.num_vars, ())
+            for i, ci in contents:
+                out = tuple(a + n[i] * b for a, b in zip(out, ci))
+            degree = sum(out)
+            if degree >= 1 << 63:
+                raise OverflowError("a product's degree exceeds the int64 range")
+            row = np.array(out, dtype=np.int64)
+            row.flags.writeable = False
+            found = self._contents[n] = out, row, degree
+        return found
+
+    def content_free_piece(self, n0: int, n: tuple[int, ...]) -> MonomialIdeal:
+        """X'(n0, n) = J^n0 * I_1'^{n_1} * ... * I_d'^{n_d} * T', the piece at
+        (n0, n) with its content c(n) divided out.  The n_i of an axis with
+        I_i' = (1) does not enter it."""
+        factors, top, _ = self._content_split
+        out = ideal_power(self.j, n0)
+        for i, part in factors:
+            out = ideal_product(out, ideal_power(part, n[i]))
+        return ideal_product(out, top)
+
     def piece(self, deg: MultiDegree) -> MonomialIdeal:
         """The ideal J^n0 * I_1^{n_1} * ... * I_d^{n_d} * T presenting
-        J^n0 I^n M inside A, without the relations."""
-        out = ideal_power(self.j, deg.n0)
-        for i, ni in zip(self.ideals, deg.n):
-            out = ideal_product(out, ideal_power(i, ni))
-        return ideal_product(out, self.module.top)
+        J^n0 I^n M inside A, without the relations: c(n) * X'(n0, n), one
+        row shift of the content-free piece."""
+        out = self.content_free_piece(deg.n0, deg.n)
+        if self._content_split[2] is None:
+            return out
+        _, row, degree = self.content(deg.n)
+        return ideal_shift(out, row, degree)
+
+
+def _memoized_count(fam: IdealFamily, which: str, deg: MultiDegree, count) -> int:
+    """The Hilbert value ``which`` at `deg`, as count(Q : c(n)), counted
+    once per key on the family.
+
+    Both functions count the monomials of c(n) X'(n0, n) + Q outside
+    c(n) Y' + Q, for an ideal Y' inside X'(n0, n).  Such a monomial is c(n) v
+    with v in X' and outside Y' + (Q : c(n)), so `count` takes Q : c(n) as
+    its relations and the value depends on (n0, n) only through X'(n0, n)
+    and that colon.  The key is (which, n0, the n_i of the axes with
+    I_i' != (1), Q : c(n)).  The colon is taken by c(n) clipped to Q's
+    exponent maxima, which gives the same ideal: it stops changing once c(n)
+    passes them, and is Q itself when Q = 0.
+    """
+    q = fam.module.relations
+    factors, _, vectors = fam._content_split
+    if vectors is not None:
+        content, _, degree = fam.content(deg.n)
+        if degree and not q.is_zero():
+            q = colon_by_monomial(q, Monomial(tuple(map(min, content, q.maxima))))
+    key = (which, deg.n0, tuple(deg.n[i] for i, _ in factors), q)
+    memo = fam._hilbert_values
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = count(q)
+    return value
 
 
 def hf_P(fam: IdealFamily, deg: MultiDegree) -> int:
     """Length of J^n0 I^n M / J^(n0+1) I^n M."""
     if len(deg.n) != fam.d:
         raise ValueError("multidegree has wrong axis count")
-    q = fam.module.relations
-    top = fam.piece(deg)
-    # J * top is the piece at the next point in n0, built from the cached
-    # J^(n0+1) * I_1^(n1) product rather than by minimalizing top x J.
-    bottom = fam.piece(MultiDegree(deg.n0 + 1, deg.n))
-    return _count_difference(ideal_sum(top, q), ideal_sum(bottom, q), fam.j)
+
+    def count(q):
+        top = fam.content_free_piece(deg.n0, deg.n)
+        # J * top is the piece at the next point in n0, built from the
+        # cached J^(n0+1) * I_1'^(n1) product rather than by minimalizing
+        # top x J.
+        bottom = fam.content_free_piece(deg.n0 + 1, deg.n)
+        return _count_difference(ideal_sum(top, q), ideal_sum(bottom, q), fam.j)
+
+    return _memoized_count(fam, "P", deg, count)
 
 
 def hf_F(fam: IdealFamily, deg: MultiDegree) -> int:
@@ -174,11 +280,14 @@ def hf_F(fam: IdealFamily, deg: MultiDegree) -> int:
         raise ValueError("multidegree has wrong axis count")
     if deg.n0 == 0:
         return 0
-    q = fam.module.relations
-    top = fam.piece(MultiDegree(0, deg.n))
-    jpow = ideal_power(fam.j, deg.n0)
-    bottom = ideal_product(top, jpow)
-    return _count_difference(ideal_sum(top, q), ideal_sum(bottom, q), jpow)
+
+    def count(q):
+        top = fam.content_free_piece(0, deg.n)
+        jpow = ideal_power(fam.j, deg.n0)
+        bottom = ideal_product(top, jpow)
+        return _count_difference(ideal_sum(top, q), ideal_sum(bottom, q), jpow)
+
+    return _memoized_count(fam, "F", deg, count)
 
 
 # -- polynomials on the binomial basis ------------------------------------

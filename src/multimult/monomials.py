@@ -27,10 +27,13 @@ key (degree, x1, ..., xm) of each row is written, digit by digit with each
 column's maximum plus one as its radix, into as few int64 words as hold it
 exactly, so one lexsort of the words (usually one) orders the rows.  Results
 that are minimal by construction skip it: the product with a principal
-ideal (x^u) is the other factor's matrix plus u, which stays minimal,
-distinct and grlex-ordered; a sum with the zero ideal is the other operand,
-a product with the zero ideal the zero factor and a product with the unit
-ideal the other factor.  Containment in a sum of ideals,
+ideal (x^u) is the other factor's matrix plus u (``ideal_shift``), which
+stays minimal, distinct and grlex-ordered; a sum with the zero ideal is the
+other operand, a product with the zero ideal the zero factor and a product
+with the unit ideal the other factor.  Subtracting the column minimum, the
+content (the gcd of the generators), keeps a matrix minimal the same way,
+so ``split_content`` writes an ideal as x^c times a content-free ideal
+without minimalizing.  Containment in a sum of ideals,
 ``first_outside_sum``, never builds the sum: a monomial lies in a sum of
 monomial ideals iff it lies in one of them.
 
@@ -52,8 +55,8 @@ span from the ends of an ideal's increasing words, or for a floor's standard
 rows, which are in lex order, from 0 and the word of their key maxima; no
 maximum is reduced per call.  Keys that need more than one word fall back to
 the broadcast rows and ``_grlex_unique``.  A sum whose degree would pass
-int64 raises OverflowError, here and in the principal shift, rather than
-wrap.  A product then needs only the degree-block divisibility pass of the
+int64 raises OverflowError, here, in the principal shift and for a
+generator given to ``ideal``, rather than wrap.  A product then needs only the degree-block divisibility pass of the
 minimalizer, ``_drop_divisible``, which returns rows of a single degree as
 they are: rows of equal degree cannot properly divide each other.
 
@@ -552,6 +555,8 @@ def ideal(ctx: RingContext, monomials) -> MonomialIdeal:
             )
         if any(e < 0 for e in exps):
             raise ValueError(f"negative exponent in {exps}")
+        if sum(exps) >= 1 << 63:
+            raise OverflowError("a generator's degree exceeds the int64 range")
         rows.append(exps)
     matrix = np.array(rows, dtype=np.int64).reshape(len(rows), ctx.num_vars)
     if len(rows) > 1:
@@ -675,16 +680,41 @@ def ideal_product(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
     if len(b.matrix) == 1:
         a, b = b, a
     if len(a.matrix) == 1:
-        # Adding u keeps the rows minimal, distinct and in grlex order.  The
-        # array add wraps silently: past int64, the greatest degree turns
-        # negative.
-        degrees = b.degrees + a.degrees[0]
-        if degrees[-1] < 0:
-            raise OverflowError("a product's degree exceeds the int64 range")
-        return MonomialIdeal(a.ctx, b.matrix + a.matrix[0], degrees)
+        return ideal_shift(b, a.matrix[0], a.degrees[0])
     if len(b.matrix) > len(a.matrix):
         a, b = b, a
     return _ideal_product_cached(a, b)
+
+
+def ideal_shift(a: MonomialIdeal, u, degree) -> MonomialIdeal:
+    """The product x^u * a, for an exponent vector `u` of total degree
+    `degree` (at most 2^63 - 1): the rows of `a` plus u, which stay minimal,
+    distinct and in grlex order; `a` itself when u is 0 or `a` is the zero
+    ideal.  Raises OverflowError when a degree would pass int64."""
+    if not degree or a.is_zero():
+        return a
+    # The array add wraps silently: past int64, the greatest degree turns
+    # negative, and no exponent can pass int64 unless it does.
+    degrees = a.degrees + degree
+    if degrees[-1] < 0:
+        raise OverflowError("a product's degree exceeds the int64 range")
+    return MonomialIdeal(a.ctx, a.matrix + u, degrees)
+
+
+def split_content(a: MonomialIdeal) -> tuple[tuple[int, ...], MonomialIdeal]:
+    """The content of `a`, the exponent vector c of the gcd of its
+    generators (0 for the zero ideal), and the content-free ideal a' with
+    a = x^c * a'; `a` itself when c is 0.
+
+    c is the column minimum of the generators, and subtracting it keeps the
+    rows minimal, distinct and in grlex order."""
+    if a.is_zero():
+        return (0,) * a.ctx.num_vars, a
+    content = tuple(map(min, zip(*a.gens)))
+    if not any(content):
+        return content, a
+    shift = np.array(content, dtype=np.int64)
+    return content, MonomialIdeal(a.ctx, a.matrix - shift, a.degrees - sum(content))
 
 
 @lru_cache(maxsize=None)

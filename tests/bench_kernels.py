@@ -1,4 +1,5 @@
-"""Microbenchmarks of the sum-set kernel behind products and count candidates.
+"""Microbenchmarks of the sum-set kernel behind products and count
+candidates, and of one Hilbert fit.
 
 Not collected by the test suite (the name does not match ``test_*.py``).
 Run from the root of a checkout with
@@ -10,12 +11,21 @@ the sample's largest product, J^12 * I1^10 in four variables (30 030 pairs);
 a product of two three-generator ideals, the size the seeded corpus makes
 most; and the candidates of one count, a product's generators against the
 standard monomials of a colon floor (lex order, so unsorted).
+
+The fit benchmark times ``interpolate(family, "P")`` on the shipped dim4
+sample, the fit behind its ``mixed`` request, on a fresh parse with the fit
+cache cleared each round: the family's content split and value memo start
+empty, while the ideal caches of ``monomials`` stay warm.
 """
+
+from pathlib import Path
 
 import pytest
 
 pytest.importorskip("pytest_benchmark")
 
+from multimult.hilbert import interpolate  # noqa: E402
+from multimult.instances import parse_instance  # noqa: E402
 from multimult.monomials import (  # noqa: E402
     RingContext,
     _sum_rows,
@@ -23,6 +33,8 @@ from multimult.monomials import (  # noqa: E402
     ideal_power,
     ideal_product,
 )
+
+SAMPLE = Path(__file__).resolve().parent.parent / "docs" / "instances" / "dim4_joint_reduction.json"
 
 
 def variables(m, count):
@@ -54,3 +66,16 @@ def test_count_candidates(benchmark):
     rows, _ = benchmark(_sum_rows, top.matrix, top.key_tops(), std, std_tops, b_sorted=False)
     sums = {tuple(x + y for x, y in zip(g, v)) for g in top.gens for v in std.tolist()}
     assert len(rows) == len(sums)
+
+
+def test_sample_fit(benchmark):
+    text = SAMPLE.read_text()
+
+    def fresh_family():
+        # Equal families would otherwise hit the fit cache.
+        interpolate.cache_clear()
+        return (parse_instance(text, SAMPLE.name).family, "P"), {}
+
+    fit = benchmark.pedantic(interpolate, setup=fresh_family, rounds=50)
+    assert fit.poly.coefficient((2, 0, 1)) == 0
+    assert len(fit.values.ravel()) == 125

@@ -11,6 +11,7 @@ from multimult.monomials import (
     _members_mask,
     _row_sums,
     ideal_power,
+    ideal_product,
     krull_dim,
 )
 from multimult.multiplicity import NotMultiplicitySystemError
@@ -86,3 +87,13 @@ def box_count(top, bot):
         return 0
     pts, degrees = _grlex_unique(np.concatenate(blocks))
     return int(np.count_nonzero(~_members_mask(bot, pts, degrees)))
+
+
+def direct_piece(fam, deg):
+    """J^n0 * I_1^{n_1} * ... * I_d^{n_d} * T, the product of the powers of
+    the family's own ideals, with no content divided out and not through
+    ``IdealFamily.piece``."""
+    out = ideal_power(fam.j, deg.n0)
+    for i, ni in zip(fam.ideals, deg.n):
+        out = ideal_product(out, ideal_power(i, ni))
+    return ideal_product(out, fam.module.top)

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from functools import partial
 from math import comb, factorial
 from pathlib import Path
 from types import SimpleNamespace
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from corpus import build_corpus
-from oracles import box_count
+from oracles import box_count, direct_piece
 from multimult import hilbert, monomials
 from multimult.cli import run_request
 from multimult.hilbert import (
@@ -27,6 +28,7 @@ from multimult.hilbert import (
     hf_P,
     mixed_multiplicity,
     table_on_window,
+    window_points,
 )
 from multimult.instances import parse_instance
 from multimult.monomials import (
@@ -321,16 +323,18 @@ class TestNextTopBottom:
 
 
 def floorless_p(fam, deg):
-    """hf_P counted by the per-generator colon analysis, with no floor."""
+    """hf_P counted by the per-generator colon analysis, with no floor, on
+    the directly built piece."""
     q = fam.module.relations
-    top = fam.piece(deg)
+    top = direct_piece(fam, deg)
     return box_count(ideal_sum(top, q), ideal_sum(ideal_product(top, fam.j), q))
 
 
 def floorless_f(fam, deg):
-    """hf_F counted by the per-generator colon analysis, with no floor."""
+    """hf_F counted by the per-generator colon analysis, with no floor, on
+    the directly built piece."""
     q = fam.module.relations
-    top = fam.piece(MultiDegree(0, deg.n))
+    top = direct_piece(fam, MultiDegree(0, deg.n))
     bottom = ideal_product(top, ideal_power(fam.j, deg.n0))
     return box_count(ideal_sum(top, q), ideal_sum(bottom, q))
 
@@ -415,6 +419,167 @@ class TestColonFloor:
         lengths = [module.length() for _ in range(3)]
         assert lengths == [box_count(MonomialIdeal.unit(C3), b)] * 3
         assert seen == [b]
+
+
+def spy_counts(monkeypatch):
+    """The arguments of every length count the Hilbert functions make from
+    now on."""
+    calls = []
+    count = hilbert._count_difference
+    monkeypatch.setattr(hilbert, "_count_difference", lambda *args: calls.append(args) or count(*args))
+    return calls
+
+
+@st.composite
+def content_families(draw):
+    """A family in 2-4 variables whose ideals carry contents.  J holds a
+    power of every variable; each I_i is principal, has a common factor, or
+    is drawn freely; the top is sometimes not the unit ideal; the relations
+    are zero, drawn freely (so Q : c(n) stabilizes), or hold the generator
+    of a principal I_i (so Q : c(n) becomes the unit ideal)."""
+    m = draw(st.integers(2, 4))
+    ctx = RingContext(m)
+
+    def rows(top, **kwargs):
+        return st.lists(st.tuples(*(st.integers(0, top) for _ in range(m))), **kwargs)
+
+    pure = [tuple(draw(st.integers(1, 2)) if j == i else 0 for j in range(m)) for i in range(m)]
+    j = ideal(ctx, pure + draw(rows(1, max_size=2)))
+    ideals = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["principal", "common", "drawn"]))
+        if kind == "principal":
+            gens = draw(rows(2, min_size=1, max_size=1))
+        elif kind == "common":
+            (factor,) = draw(rows(1, min_size=1, max_size=1))
+            gens = [tuple(a + b for a, b in zip(factor, g)) for g in draw(rows(1, min_size=2, max_size=3))]
+        else:
+            gens = draw(rows(2, min_size=1, max_size=3))
+        ideals.append(ideal(ctx, gens))
+    top = ideal(ctx, draw(rows(1, min_size=1, max_size=2)))
+    relations_kind = draw(st.sampled_from(["zero", "drawn", "principal"]))
+    relations = draw(rows(3, min_size=1, max_size=2)) if relations_kind != "zero" else []
+    principal = [i.gens[0] for i in ideals if len(i.gens) == 1]
+    if relations_kind == "principal" and principal:
+        relations = [draw(st.sampled_from(principal))]
+    return IdealFamily(j, tuple(ideals), QuotientModule(ctx, ideal(ctx, relations), top))
+
+
+class TestContentFreeCounts:
+    """Each Hilbert value is counted on the content-free piece X'(n0, n)
+    modulo Q : c(n), once per memo key on the family, and piece(n0, n) is
+    c(n) X'(n0, n)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(content_families(), st.integers(0, 2))
+    def test_against_the_direct_floorless_count(self, fam, base):
+        for pt in window_points(fam.d + 1, base, 2):
+            deg = MultiDegree(pt[0], pt[1:])
+            assert fam.piece(deg) == direct_piece(fam, deg), deg
+            assert hf_P(fam, deg) == floorless_p(fam, deg), ("P", deg)
+            assert hf_F(fam, deg) == floorless_f(fam, deg), ("F", deg)
+        # An equal family from the same parts keeps its own memo.
+        twin = IdealFamily(fam.j, fam.ideals, fam.module)
+        assert twin == fam and not twin._hilbert_values
+        deg = MultiDegree(base + 1, (base,) * fam.d)
+        assert hf_P(twin, deg) == hf_P(fam, deg)
+
+    @pytest.mark.parametrize("relations, counts", [
+        # Q = 0: one count per (n0, n1), whatever n2.
+        ([], 2),
+        # Q : x3^n2 = (x1 x3^(2 - n2)) changes twice, then stays (x1).
+        ([(1, 0, 2)], 6),
+        # Q : x3^n2 is the unit ideal once n2 >= 1.
+        ([(0, 0, 1)], 4),
+    ])
+    def test_principal_axis_counts_once_per_colon(self, monkeypatch, relations, counts):
+        j = ideal(C3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+        fam = IdealFamily(j, (ideal(C3, [(1, 0, 0), (0, 1, 0)]), ideal(C3, [(0, 0, 1)])),
+                          QuotientModule(C3, ideal(C3, relations)))
+        calls = spy_counts(monkeypatch)
+        for n0, n1, n2 in itertools.product((2,), (1, 2), range(5)):
+            deg = MultiDegree(n0, (n1, n2))
+            assert hf_P(fam, deg) == floorless_p(fam, deg), deg
+        assert len(calls) == counts
+
+    def test_common_factor_is_divided_out(self, monkeypatch):
+        # I1 = x1 * (x2, x3): the counts see (x2, x3)^n1, not I1^n1.
+        i1 = ideal(C3, [(1, 1, 0), (1, 0, 1)])
+        j = ideal(C3, [(2, 0, 0), (0, 1, 0), (0, 0, 1)])
+        fam = IdealFamily(j, (i1,), QuotientModule(C3, ideal(C3, [(3, 2, 0)])))
+        calls = spy_counts(monkeypatch)
+        deg = MultiDegree(1, (2,))
+        assert hf_P(fam, deg) == floorless_p(fam, deg)
+        ((top, bot, floor),) = calls
+        part = ideal(C3, [(0, 1, 0), (0, 0, 1)])
+        assert fam.content_free_piece(1, (2,)) == ideal_product(j, ideal_power(part, 2))
+        assert floor == j
+        # Q : x1^2 = (x1 x2^2) enters both sides of the count.
+        assert top.contains(C3.monomial(1, 2, 0)) and bot.contains(C3.monomial(1, 2, 0))
+        assert fam.piece(deg) == direct_piece(fam, deg)
+        assert fam.content((2,))[0] == (2, 0, 0)
+
+    def test_sample_mixed_reuses_counts(self, monkeypatch):
+        calls = spy_counts(monkeypatch)
+        evals = []
+        evaluate = hilbert.hf_P
+        monkeypatch.setattr(hilbert, "hf_P", lambda fam, deg: evals.append(deg) or evaluate(fam, deg))
+        interpolate.cache_clear()
+        inst = parse_instance(SAMPLE.read_text(), SAMPLE.name)
+        run_request(inst, next(r for r in inst.requests if r["command"] == "mixed"))
+        # I2 = (x3) is principal and M = A, so n2 never enters a count.
+        assert len(evals) == 133
+        assert len(calls) == 29
+        assert len({(deg.n0, deg.n[0]) for deg in evals}) == 29
+
+    def test_two_parses_keep_their_own_memo(self, monkeypatch):
+        first, second = (parse_instance(SAMPLE.read_text(), SAMPLE.name).family for _ in range(2))
+        assert first == second and hash(first) == hash(second)
+        calls = spy_counts(monkeypatch)
+        deg = MultiDegree(3, (2, 5))
+        assert hf_P(first, deg) == hf_P(second, deg)
+        assert len(calls) == 2
+        assert hf_P(first, MultiDegree(3, (2, 9))) == hf_P(second, deg)
+        assert len(calls) == 2
+        assert first._hilbert_values is not second._hilbert_values
+
+    def test_piece_shift_near_int64(self):
+        # c(n) = x2^(2 (2^62 - 1)), of degree 2^63 - 2, times J^n0.
+        j = ideal(C2, [(1, 0), (0, 1)])
+        fam = IdealFamily(j, (j, ideal(C2, [(0, 2**62 - 1)])), QuotientModule.free(C2))
+        got = fam.piece(MultiDegree(1, (0, 2)))
+        assert got.gens == ((0, 2**63 - 1), (1, 2**63 - 2))
+        assert got.degrees.tolist() == [2**63 - 1] * 2
+        for deg in (MultiDegree(2, (0, 2)), MultiDegree(1, (1, 2)), MultiDegree(0, (0, 3))):
+            with pytest.raises(OverflowError):
+                fam.piece(deg)
+        # c(n) = (2^62, 2^62): each exponent fits int64 and the degree does
+        # not, so the Hilbert values there raise as the piece does.
+        fam = IdealFamily(j, (ideal(C2, [(2**61, 2**61)]),), QuotientModule.free(C2))
+        assert fam.content((1,))[2] == 2**62
+        for evaluate in (fam.piece, partial(hf_P, fam), partial(hf_F, fam)):
+            with pytest.raises(OverflowError):
+                evaluate(MultiDegree(1, (2,)))
+
+    def test_zero_pieces_with_content(self):
+        # A zero top, and a zero I_2 beside a principal I_1: the shifted
+        # content-free piece is the zero ideal, and every value is 0.
+        j = ideal(C2, [(1, 0), (0, 1)])
+        zero = MonomialIdeal.zero(C2)
+        families = (
+            IdealFamily(j, (ideal(C2, [(1, 0)]),), QuotientModule(C2, zero, zero)),
+            IdealFamily(j, (ideal(C2, [(1, 1)]), zero), QuotientModule.free(C2)),
+        )
+        for fam in families:
+            deg = MultiDegree(1, (2,) * fam.d)
+            assert fam.piece(deg).is_zero() and direct_piece(fam, deg).is_zero()
+            assert hf_P(fam, deg) == hf_F(fam, deg) == 0
+
+    def test_negative_exponents_are_refused(self):
+        fam = family_dim4()
+        for deg in (MultiDegree(1, (1, -1)), MultiDegree(1, (-1, 1)), MultiDegree(-1, (1, 1))):
+            with pytest.raises(ValueError):
+                fam.piece(deg)
 
 
 class TestMixedMultiplicity:

@@ -54,7 +54,9 @@ from multimult.monomials import (
     ideal_intersection,
     ideal_power,
     ideal_product,
+    ideal_shift,
     ideal_sum,
+    split_content,
 )
 
 CONTEXTS = {m: RingContext(m) for m in (1, 2, 3, 4, 8)}
@@ -558,6 +560,30 @@ class TestSumKernel:
             assert got.degrees.tolist() == [sum(g) for g in got.gens]
             assert got.max_generator_degree() == 2**63 - 1
 
+    def test_generators_past_int64_raise(self):
+        # A generator of degree 2^63 would wrap to -2^63, sort first, and
+        # keep the generator x1 that divides it.
+        ctx = CONTEXTS[2]
+        for rows in ([(2**62, 2**62), (1, 0)], [(2**62, 2**62)], [(0, 2**63)]):
+            with pytest.raises(OverflowError):
+                ideal(ctx, rows)
+        # Three exponents whose sum wraps to a positive int64.
+        with pytest.raises(OverflowError):
+            ideal(CONTEXTS[3], [(2**62 + 2**61,) * 3])
+        got = ideal(ctx, [(2**62, 2**62 - 1), (1, 0)])
+        assert got.gens == ((1, 0),)
+        assert ideal(ctx, [(2**62, 2**62 - 1)]).degrees.tolist() == [2**63 - 1]
+
+    def test_shift_past_int64_raises(self):
+        ctx = CONTEXTS[2]
+        a = ideal(ctx, [(1, 0), (0, 1)])
+        u = np.array([0, 2**63 - 2], dtype=np.int64)
+        got = ideal_shift(a, u, 2**63 - 2)
+        assert got.gens == ((0, 2**63 - 1), (1, 2**63 - 2))
+        assert got.degrees.tolist() == [2**63 - 1] * 2
+        with pytest.raises(OverflowError):
+            ideal_shift(a, u + np.array([0, 1]), 2**63 - 1)
+
 
 @st.composite
 def spread_operands(draw):
@@ -684,6 +710,25 @@ class TestFastPaths:
             assert got.gens == oracle(oracle_product(xs, [u]))
             assert got.matrix.tolist() == (a.matrix + np.array(u)).tolist()
         assert _ideal_product_cached.cache_info().currsize == entries
+
+    @CASES
+    @given(st.one_of(operands(), wide_operands()))
+    def test_split_content(self, case):
+        # a = x^c * a', with c the exponents of the gcd of the generators.
+        m, xs, _ = case
+        a = ideal(CONTEXTS[m], xs)
+        gens = oracle(xs)
+        content = tuple(min(col) for col in zip(*gens)) if gens else (0,) * m
+        got, part = split_content(a)
+        assert got == content and all(type(c) is int for c in got)
+        assert part.gens == oracle([tuple(e - c for e, c in zip(g, content)) for g in gens])
+        assert part.degrees.tolist() == [sum(g) for g in part.gens]
+        assert split_content(part) == ((0,) * m, part)
+        assert ideal_shift(part, np.array(content, dtype=np.int64), sum(content)) == a
+        if not any(content):
+            assert part is a
+        if len(gens) == 1:
+            assert part.is_unit()
 
     @CASES
     @given(operands())

@@ -7,19 +7,22 @@ each ideal I_i and k0 + 1 monomials drawn from J.  The defining containment
                  + sum of u * J^n0 I^(n-e_i) M over I_i-sourced u
 
 holds automatically from right to left, so certification only checks the left
-side generator-by-generator modulo the module relations, on a finite window of
-large multidegrees.  A holds-verdict is therefore "certified on window": the
-window base and extent travel with the certificate.  A ReesDatum pairs a
-family with one candidate and certifies it once, when it is made; the chi
-channels and every verified claim read that one certificate.
+side generator-by-generator modulo the module relations, at one point: the
+base (b, ..., b) of the window of large multidegrees.  Containment at a point
+implies containment at every larger point, so a holds-verdict is "proved for
+all degrees >= the base point"; the window base and extent travel with the
+certificate.  A ReesDatum pairs a family with one candidate and certifies it
+once, when it is made; the chi channels and every verified claim read that
+one certificate.
 
 The right side is never summed.  A monomial lies in a sum of monomial ideals
 iff it lies in one of the parts, so each left-side generator is tested
 against the relations, then against each u * piece in turn, and only the
 generators still outside go on to the next part.  The witness of a failure
-is the window point with the first such generator in grlex order, as it
-would be against the sum.  Rees-superficiality runs through the same loop,
-with the relations and u * I^n M as its parts.
+is the base point with the first such generator in grlex order, as it would
+be against the sum.  Rees-superficiality, whose intersection is not monotone
+in n, is tested the same way at every point of its window, with the
+relations and u * I^n M as its parts.
 """
 
 from __future__ import annotations
@@ -99,7 +102,14 @@ class JointReductionCandidate:
 
 @dataclass(frozen=True)
 class ContainmentCertificate:
-    """Outcome of a window containment check; failures carry a witness."""
+    """Outcome of a containment check on the box base + [0, extent)^axes;
+    failures carry a witness (point, generator outside).
+
+    For a joint reduction the check is made at the base point alone, and a
+    holds-verdict is a proof for the whole box and every point above it.
+    For Rees-superficiality every point of the box is tested, and a
+    holds-verdict covers those points only.
+    """
 
     holds: bool
     window_base: int
@@ -130,41 +140,33 @@ def _rhs_parts(fam: IdealFamily, cand: JointReductionCandidate, deg: MultiDegree
     return parts
 
 
-def _check_window(lhs_of, rhs_parts_of, points, base, extent) -> ContainmentCertificate:
-    """Test lhs_of(pt) against the sum of rhs_parts_of(pt) at each window
-    point in turn; a failure's witness is (pt, first generator outside)."""
-    for pt in points:
-        witness = first_outside_sum(rhs_parts_of(pt), lhs_of(pt))
-        if witness is not None:
-            return ContainmentCertificate(False, base, extent, (pt, witness))
-    return ContainmentCertificate(True, base, extent)
-
-
 def verify_joint_reduction(fam: IdealFamily, cand: JointReductionCandidate) -> ContainmentCertificate:
-    """Certify the defining containment of a joint-reduction candidate.
+    """Prove the defining containment of a joint-reduction candidate for
+    all degrees >= the window's base point.
 
-    Checks every multidegree in a box of large degrees; the right-to-left
-    inclusion is automatic, so only minimal generators of the left side are
-    tested for membership in the right side modulo the relations.  A pure
-    candidate is checked at n0 = 0 on the box of n alone, so its window
-    points, and its witness, have d entries; the others have (n0, n).
+    Write L(n) = J^n0 I^n T + Q for the left side and R(n) for the right.
+    Then L(n + e_i) = L(n) I_i + Q and R(n) I_i is inside R(n + e_i), with J
+    in place of I_i on axis 0, so containment at n implies containment at
+    every n' >= n.  The step needs every entry of n >= 1, which the base
+    b = initial_offset(fam) >= 1 gives: the check at (b, ..., b) alone is a
+    proof for the window base + [0, BAND_EXTENT)^axes and beyond, and a
+    failure anywhere in the window is a failure at the base.
+
+    The right-to-left inclusion is automatic, so only minimal generators of
+    the left side are tested for membership in the right side modulo the
+    relations.  A pure candidate is checked at n0 = 0 on n alone, so its
+    base point, and its witness, have d entries; the others have (n0, n).
     """
     cand.check_membership(fam)
     base = initial_offset(fam)
-    extent = BAND_EXTENT
-    q = fam.module.relations
     pure = cand.is_pure
-
-    def degree(pt):
-        return MultiDegree(0, pt) if pure else MultiDegree(pt[0], pt[1:])
-
-    return _check_window(
-        lambda pt: ideal_sum(fam.piece(degree(pt)), q),
-        lambda pt: _rhs_parts(fam, cand, degree(pt)),
-        window_points(fam.d if pure else fam.d + 1, base, extent),
-        base,
-        extent,
-    )
+    pt = (base,) * (fam.d if pure else fam.d + 1)
+    deg = MultiDegree(0, pt) if pure else MultiDegree(pt[0], pt[1:])
+    lhs = ideal_sum(fam.piece(deg), fam.module.relations)
+    witness = first_outside_sum(_rhs_parts(fam, cand, deg), lhs)
+    if witness is not None:
+        return ContainmentCertificate(False, base, BAND_EXTENT, (pt, witness))
+    return ContainmentCertificate(True, base, BAND_EXTENT)
 
 
 @dataclass(frozen=True)
@@ -194,31 +196,22 @@ def is_filter_regular(fam: IdealFamily, u: Monomial) -> bool:
 
 
 def is_rees_superficial(fam: IdealFamily, u: Monomial, i: int) -> ContainmentCertificate:
-    """Check (u)M meet I^n I_i M = u I^n M on a window of large n."""
+    """Check (u)M meet I^n I_i M = u I^n M at every point of a window of
+    large n: the intersection is not monotone in n, so no one point proves
+    the others."""
     if not fam.ideals[i].contains(u):
         raise ValueError("element must lie in the indexed ideal")
     q = fam.module.relations
     pu = _principal(fam.ctx, u)
-    t = fam.module.top
-
-    def blob(n):
-        return fam.piece(MultiDegree(0, n))
-
-    def lhs(n):
-        return ideal_intersection(
-            ideal_sum(ideal_product(pu, t), q),
-            ideal_sum(ideal_product(blob(n), fam.ideals[i]), q),
-        )
-
+    multiples = ideal_sum(ideal_product(pu, fam.module.top), q)
     base = initial_offset(fam)
-    extent = BAND_EXTENT
-    return _check_window(
-        lhs,
-        lambda n: [q, ideal_product(pu, blob(n))],
-        window_points(fam.d, base, extent),
-        base,
-        extent,
-    )
+    for n in window_points(fam.d, base, BAND_EXTENT):
+        blob = fam.piece(MultiDegree(0, n))
+        lhs = ideal_intersection(multiples, ideal_sum(ideal_product(blob, fam.ideals[i]), q))
+        witness = first_outside_sum([q, ideal_product(pu, blob)], lhs)
+        if witness is not None:
+            return ContainmentCertificate(False, base, BAND_EXTENT, (n, witness))
+    return ContainmentCertificate(True, base, BAND_EXTENT)
 
 
 def is_system_of_parameters(module: QuotientModule, elems) -> bool:
@@ -282,27 +275,22 @@ def search_joint_reduction(
 
     Pools are minimal generators plus their pairwise products up to the policy
     degree bound; tuples are tried in graded lexicographic order, stopping when
-    the verification budget runs out.  Returns None when nothing certifies,
-    which is inconclusive: monomial pools cannot witness nonexistence.
+    the verification budget runs out.  Every pool monomial lies in its source
+    ideal, so every tuple counts toward the budget, and the one membership
+    check per tuple is the one inside verify_joint_reduction.  Returns None
+    when nothing certifies, which is inconclusive: monomial pools cannot
+    witness nonexistence.
     """
     if len(mt.k) != fam.d:
         raise ValueError("type has wrong axis count")
     sources = [(_element_pool(fam.ideals[i], policy), ki) for i, ki in enumerate(mt.k)]
     sources.append((_element_pool(fam.j, policy), mt.k0 + 1))
-    tried = 0
-    for combo in _blocks(sources):
+    for combo in itertools.islice(_blocks(sources), max(policy.budget, 0)):
         elements = []
         for i, block in enumerate(combo[:-1]):
             elements.extend((u, i) for u in block)
         elements.extend((u, J_SOURCE) for u in combo[-1])
         cand = JointReductionCandidate(tuple(elements), mt)
-        try:
-            cand.check_membership(fam)
-        except ValueError:
-            continue
-        tried += 1
-        if tried > policy.budget:
-            return None
         if verify_joint_reduction(fam, cand).holds:
             return cand
     return None

@@ -16,6 +16,11 @@ The fit benchmark times ``interpolate(family, "P")`` on the shipped dim4
 sample, the fit behind its ``mixed`` request, on a fresh parse with the fit
 cache cleared each round: the family's content split and value memo start
 empty, while the ideal caches of ``monomials`` stay warm.
+
+The certificate benchmarks time ``verify_joint_reduction`` on the sample, on
+a fresh parse with every ideal cache of ``monomials`` cleared each round: on
+its certified candidate ``x``, and on the first candidate of ``search-jr``'s
+pool order for type (2, (1, 0)), which fails at the base point.
 """
 
 from pathlib import Path
@@ -24,15 +29,18 @@ import pytest
 
 pytest.importorskip("pytest_benchmark")
 
-from multimult.hilbert import interpolate  # noqa: E402
+from multimult import monomials  # noqa: E402
+from multimult.hilbert import MixedType, interpolate  # noqa: E402
 from multimult.instances import parse_instance  # noqa: E402
 from multimult.monomials import (  # noqa: E402
+    Monomial,
     RingContext,
     _sum_rows,
     ideal,
     ideal_power,
     ideal_product,
 )
+from multimult.reductions import J_SOURCE, JointReductionCandidate, verify_joint_reduction  # noqa: E402
 
 SAMPLE = Path(__file__).resolve().parent.parent / "docs" / "instances" / "dim4_joint_reduction.json"
 
@@ -79,3 +87,41 @@ def test_sample_fit(benchmark):
     fit = benchmark.pedantic(interpolate, setup=fresh_family, rounds=50)
     assert fit.poly.coefficient((2, 0, 1)) == 0
     assert len(fit.values.ravel()) == 125
+
+
+IDEAL_CACHES = (
+    monomials._ideal_sum_cached,
+    monomials._ideal_product_cached,
+    monomials._powers,
+    monomials.colon_by_monomial,
+    monomials.ideal_intersection,
+    monomials.saturation,
+)
+
+
+def fresh_sample():
+    """A fresh parse of the sample, with every ideal cache cleared."""
+    for cache in IDEAL_CACHES:
+        cache.cache_clear()
+    return parse_instance(SAMPLE.read_text(), SAMPLE.name)
+
+
+def test_certify_sample_candidate(benchmark):
+    def setup():
+        inst = fresh_sample()
+        return (inst.family, inst.candidates["x"]), {}
+
+    cert = benchmark.pedantic(verify_joint_reduction, setup=setup, rounds=50)
+    assert cert.holds and cert.window_base == 5
+
+
+def test_certify_failing_search_candidate(benchmark):
+    def setup():
+        inst = fresh_sample()
+        # The first tuple of type (2, (1, 0)) in search-jr's pool order.
+        x3, x4 = Monomial((0, 0, 1, 0)), Monomial((0, 0, 0, 1))
+        cand = JointReductionCandidate(((x3, 0),) + ((x4, J_SOURCE),) * 3, MixedType(2, (1, 0)))
+        return (inst.family, cand), {}
+
+    cert = benchmark.pedantic(verify_joint_reduction, setup=setup, rounds=50)
+    assert not cert.holds and cert.witness == ((5, 5, 5), Monomial((0, 10, 5, 0)))

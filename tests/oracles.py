@@ -2,19 +2,23 @@
 
 import numpy as np
 
-from multimult.hilbert import _fit_window
+from multimult.hilbert import BAND_EXTENT, MultiDegree, _fit_window, initial_offset, window_points
 from multimult.monomials import (
     INFINITE,
     MINUS_INFINITY,
+    Monomial,
     _box,
     _grlex_unique,
     _members_mask,
     _row_sums,
+    ideal,
     ideal_power,
     ideal_product,
+    ideal_sum,
     krull_dim,
 )
 from multimult.multiplicity import NotMultiplicitySystemError
+from multimult.reductions import J_SOURCE, ContainmentCertificate
 
 
 def hilbert_samuel(module, a) -> int:
@@ -97,3 +101,35 @@ def direct_piece(fam, deg):
     for i, ni in zip(fam.ideals, deg.n):
         out = ideal_product(out, ideal_power(i, ni))
     return ideal_product(out, fam.module.top)
+
+
+def joint_reduction_outside(fam, cand, pt):
+    """The first generator, in grlex order, of the left side J^n0 I^n T + Q
+    of a candidate's containment at `pt` that lies outside its right side,
+    or None.  Both sides are built as whole ideals from `direct_piece`; a
+    pure candidate's `pt` is n alone, at n0 = 0."""
+    deg = MultiDegree(0, tuple(pt)) if cand.is_pure else MultiDegree(pt[0], tuple(pt[1:]))
+    q = fam.module.relations
+    rhs = q
+    for u, src in cand.elements:
+        if src == J_SOURCE:
+            shifted = MultiDegree(deg.n0 - 1, deg.n)
+        else:
+            shifted = MultiDegree(deg.n0, tuple(ni - (i == src) for i, ni in enumerate(deg.n)))
+        rhs = ideal_sum(rhs, ideal_product(ideal(fam.ctx, [u.exponents]), direct_piece(fam, shifted)))
+    lhs = ideal_sum(direct_piece(fam, deg), q)
+    return next((Monomial(g) for g in lhs.gens if not rhs.contains(Monomial(g))), None)
+
+
+def window_joint_reduction(fam, cand):
+    """The joint-reduction certificate as a test of every point of the
+    window initial_offset(fam) + [0, BAND_EXTENT)^axes, in lexicographic
+    order; a failure's witness is the first failing point."""
+    cand.check_membership(fam)
+    base = initial_offset(fam)
+    axes = fam.d if cand.is_pure else fam.d + 1
+    for pt in window_points(axes, base, BAND_EXTENT):
+        witness = joint_reduction_outside(fam, cand, pt)
+        if witness is not None:
+            return ContainmentCertificate(False, base, BAND_EXTENT, (pt, witness))
+    return ContainmentCertificate(True, base, BAND_EXTENT)

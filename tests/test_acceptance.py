@@ -300,6 +300,6 @@ def test_criterion_8_randomized_properties(announce, property_outcomes):
         ok = proc.returncode == 0
         detail, log = proc.stdout[-2000:], proc.stdout + proc.stderr
     announce(8, ok,
-          "five property suites passed with 1000 randomized cases each"
+          "every property suite passed with 1000 randomized cases each"
           if ok else detail)
     assert ok, log

@@ -8,7 +8,7 @@ import itertools
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from multimult.hilbert import IdealFamily, MixedType
+from multimult.hilbert import IdealFamily, MixedType, MultiDegree, initial_offset
 from multimult.monomials import (
     INFINITE,
     Monomial,
@@ -16,6 +16,7 @@ from multimult.monomials import (
     QuotientModule,
     RingContext,
     colon_by_monomial,
+    first_outside_sum,
     graded_quotient_length,
     ideal,
     ideal_intersection,
@@ -28,8 +29,10 @@ from multimult.monomials import (
 from multimult.reductions import (
     J_SOURCE,
     JointReductionCandidate,
+    _rhs_parts,
     verify_joint_reduction,
 )
+from oracles import window_joint_reduction
 
 MANY = settings(
     max_examples=1000,
@@ -242,3 +245,30 @@ class TestVerdictPermutationInvariance:
             verify_joint_reduction(fam, original).holds
             == verify_joint_reduction(fam, swapped).holds
         )
+
+
+class TestOnePointCertificate:
+    SHAPES = {
+        "k0=1": (MixedType(1, (1,)), lambda i, j1, j2: ((i, 0), (j1, J_SOURCE), (j2, J_SOURCE))),
+        "k0=0": (MixedType(0, (1,)), lambda i, j1, j2: ((i, 0), (j1, J_SOURCE))),
+        "pure": (MixedType(0, (1,)), lambda i, j1, j2: ((i, 0),)),
+    }
+
+    @MANY
+    @given(candidate_scenario(), st.sampled_from(sorted(SHAPES)), st.data())
+    def test_base_point_agrees_with_the_window_and_proves_larger_points(self, scenario, shape, data):
+        fam, i_elem, (j1, j2) = scenario
+        mt, elements = self.SHAPES[shape]
+        cand = JointReductionCandidate(elements(i_elem, j1, j2), mt)
+        cert = verify_joint_reduction(fam, cand)
+        assert cert == window_joint_reduction(fam, cand)
+        if not cert.holds:
+            return
+        base = initial_offset(fam)
+        axes = fam.d if cand.is_pure else fam.d + 1
+        points = data.draw(st.lists(
+            st.tuples(*[st.integers(base, base + 3)] * axes), min_size=1, max_size=3))
+        for pt in points:
+            deg = MultiDegree(0, pt) if cand.is_pure else MultiDegree(pt[0], pt[1:])
+            lhs = ideal_sum(fam.piece(deg), fam.module.relations)
+            assert first_outside_sum(_rhs_parts(fam, cand, deg), lhs) is None

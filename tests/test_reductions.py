@@ -1,11 +1,14 @@
 """Unit tests for joint-reduction certificates and element properties."""
 
+import hashlib
 import itertools
 import json
 import tracemalloc
+from collections import Counter
 
 import pytest
 
+from corpus import build_corpus
 from multimult import reductions
 from multimult.cli import run_request
 from multimult.hilbert import IdealFamily, MixedType, MultiDegree
@@ -129,6 +132,20 @@ class TestVerifyJointReduction:
             "holds": False, "window_base": 3, "window_extent": 2,
             "witness": {"multidegree": [3, 3], "monomial": "x2^6"},
         }
+
+    def test_corpus_certificates_are_pinned(self):
+        # Every corpus candidate certifies with the payload the check of the
+        # whole window gave: the bases tallied, and each (label, payload)
+        # pinned by digest.
+        payloads = [
+            [c.label, certificate_payload(verify_joint_reduction(c.fam, c.cand))]
+            for c in build_corpus()
+        ]
+        assert Counter(p["window_base"] for _, p in payloads) == {2: 1, 3: 60, 4: 63, 5: 5}
+        assert all(p == {"holds": True, "window_base": p["window_base"], "window_extent": 2}
+                   for _, p in payloads)
+        digest = hashlib.sha256(json.dumps(payloads, sort_keys=True).encode()).hexdigest()
+        assert digest == "e8dfe31087387035e50fe88e8bfb09297d44e72b7ea3159e2e53fbb2f34dac05"
 
     def test_permutation_invariance(self):
         fam = family_dim4()

@@ -12,8 +12,14 @@ Each piece of a strand is spanned by at most one monomial, so a strand is
 determined by its support pattern: which exterior subsets have a nonzero
 piece.  The strands of a whole internal-degree band are built at once: one
 membership mask per piece ideal (``IdealFamily.piece`` at n0 = 0, and one
-for the relations) over the band, shifted into one column per exterior
-subset.  Homology is then computed once per distinct pattern, by
+for the relations) over the box of internal degrees, shifted into one
+column per exterior subset.  x^a lies in a monomial ideal exactly when some
+generator g has g <= a, so each mask is the orthant prefix-OR of the
+generators that fall in the box (``monomials._box_members``): marked, then
+OR-accumulated along each axis in turn, with no enumeration or sort of the
+box's points.  Each pattern is keyed by its bit row packed into int64
+words, and the cells sharing a pattern are the runs of one lexsort of the
+keys.  Homology is then computed once per distinct pattern, by
 fraction-free integer (Bareiss) rank, and scattered back to the internal
 degrees that share it.
 
@@ -23,8 +29,9 @@ On the binomial basis that constant and its existence are the mixed
 multiplicity of type (k0, k) and its defined-flag, read off the coefficients;
 the fit's window of values, differenced, checks them.  The strand computation
 (the DIRECT method) is an independent verification channel carrying an
-empirical band certificate for the truncation of internal degrees.  These two channels, which the `chi` request runs, are all this
-module computes, and both refuse a datum whose candidate is not certified.
+empirical band certificate for the truncation of internal degrees.  These
+two channels, which the `chi` request runs, are all this module computes,
+and both refuse a datum whose candidate is not certified.
 """
 
 from __future__ import annotations
@@ -41,11 +48,14 @@ from .hilbert import (
     mixed_multiplicity,
     table_on_window,
 )
-from .monomials import _box, _members_mask, _row_sums
+from .monomials import _box_members
 from .reductions import J_SOURCE, JointReductionCandidate, ReesDatum
 
 #: Internal-degree band doubles at most this many times before giving up.
 BAND_DOUBLINGS = 3
+
+#: Bit weights of the int64 words that key a support pattern, 63 subsets each.
+_BIT_WEIGHTS = np.left_shift(1, np.arange(63, dtype=np.int64))
 
 
 class NonConstantDifferenceError(RuntimeError):
@@ -122,8 +132,8 @@ def _rank_exact(rows: list[list[int]]) -> int:
 
 def _support_patterns(datum: ReesDatum, deg: MultiDegree, bounds: tuple[int, ...]):
     """The exterior subsets, and which of them have a nonzero piece at each
-    internal degree a of the box ``_box(bounds)``: a boolean
-    (len(box), 2^n) matrix whose rows follow the box's rows.
+    internal degree a of the box 0 <= a < bounds: a boolean
+    (cells, 2^n) matrix whose rows follow the box's cells in C order.
 
     Subset S sits at (deg, a) minus the shifts of its elements, (n0', n')
     and a - e_S.  The piece of I^n * M at multidegree (n0', n') and internal
@@ -132,7 +142,8 @@ def _support_patterns(datum: ReesDatum, deg: MultiDegree, bounds: tuple[int, ...
     empty otherwise; the tower does not cut by powers of J.  Since a - e_S
     stays in the box, one membership mask per distinct n' (and one for B)
     over the box serves every subset: the subset's column is that mask
-    shifted by e_S.
+    shifted by e_S.  Each mask is filled over the whole box from the
+    ideal's generators alone (``_box_members``), with no list of points.
     """
     fam = datum.fam
     shifts = _koszul_shifts(datum.cand, fam.d)
@@ -142,9 +153,7 @@ def _support_patterns(datum: ReesDatum, deg: MultiDegree, bounds: tuple[int, ...
     bide_shift = np.array([b for b, _ in shifts], dtype=np.int64).reshape(-1, fam.d + 1)
     exp_shift = np.array([e for _, e in shifts], dtype=np.int64).reshape(-1, fam.ctx.num_vars)
     point = np.array(deg.as_tuple(), dtype=np.int64)
-    box = _box(bounds)
-    box_degrees = _row_sums(box)
-    outside = ~_members_mask(fam.module.relations, box, box_degrees).reshape(bounds)
+    outside = ~_box_members(fam.module.relations, bounds)
     in_piece = {}
     present = np.zeros(bounds + (len(subsets),), dtype=bool)
     for col, subset in enumerate(subsets):
@@ -154,12 +163,11 @@ def _support_patterns(datum: ReesDatum, deg: MultiDegree, bounds: tuple[int, ...
             continue
         n = tuple(bide[1:].tolist())
         if n not in in_piece:
-            piece = fam.piece(MultiDegree(0, n))
-            in_piece[n] = _members_mask(piece, box, box_degrees).reshape(bounds) & outside
+            in_piece[n] = _box_members(fam.piece(MultiDegree(0, n)), bounds) & outside
         src = tuple(slice(b - ei) for ei, b in zip(e, bounds))
         dst = tuple(slice(ei, None) for ei in e)
         present[dst + (col,)] = in_piece[n][src]
-    return subsets, present.reshape(len(box), len(subsets))
+    return subsets, present.reshape(-1, len(subsets))
 
 
 def _pattern_complex(subsets, present):
@@ -207,22 +215,26 @@ def strand_profile(datum: ReesDatum, deg: MultiDegree, band: int, buffer: int) -
     """
     bounds = (band + buffer + 1,) * datum.fam.ctx.num_vars
     subsets, present = _support_patterns(datum, deg, bounds)
-    # A pattern's key is its packed bit row, so any element count fits.
-    packed = np.packbits(present, axis=1)
-    keys = packed.view(np.dtype((np.void, packed.shape[1]))).reshape(-1)
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    grid = _box(bounds)
-    in_buffer = grid.max(axis=1) > band
+    # A pattern's key is its bit row, one int64 word per 63 subsets, so any
+    # element count fits; equal patterns are the runs of a lexsort of the keys.
+    count = present.shape[1]
+    words = [present[:, s : s + 63] @ _BIT_WEIGHTS[: count - s] for s in range(0, count, 63)]
+    order = np.lexsort(words)
+    fresh = np.zeros(len(order), dtype=bool)
+    fresh[0] = True
+    for word in words:
+        word = word[order]
+        fresh[1:] |= word[1:] != word[:-1]
     dims = []
     certified = True
-    for u, row in enumerate(first):
-        h = _homology(*_pattern_complex(subsets, present[row]))
+    for where in np.split(order, np.flatnonzero(fresh)[1:]):
+        h = _homology(*_pattern_complex(subsets, present[where[0]]))
         if not h:
             continue
-        where = np.flatnonzero(inverse == u)
-        if in_buffer[where].any():
+        axes = np.unravel_index(where, bounds)
+        if any(int(axis.max()) > band for axis in axes):
             certified = False
-        for a in map(tuple, grid[where].tolist()):
+        for a in zip(*(axis.tolist() for axis in axes)):
             dims.extend(((p, a), dim) for p, dim in h.items())
     return StrandHomologyProfile(deg, band, tuple(sorted(dims)), certified)
 

@@ -13,10 +13,14 @@ and every enumeration below is deterministic.
 A :class:`MonomialIdeal` keeps its minimal generators as one read-only
 (n, m) int64 matrix in grlex order, with the vector of their total degrees.
 The arithmetic works on these matrices directly, and membership of many
-monomials at once is one vectorized test, ``_members_mask``.  The
-ideal's hash is computed from the matrix bytes on first use and kept, so the
-lru caches below look ideals up in constant time, and ideals that never
-enter a cache (principal shifts, most Hilbert pieces) never pay for it.
+monomials at once is one vectorized test, ``_members_mask``.  Membership
+over a whole box of exponents 0 <= v < bounds needs no list of points:
+x^v lies in the ideal exactly when some generator g has g <= v, so
+``_box_members`` marks the generators inside the box and OR-accumulates the
+marks along each axis in turn.  The ideal's hash is computed from the
+matrix bytes on first use and kept, so the lru caches below look ideals up
+in constant time, and ideals that never enter a cache (principal shifts,
+most Hilbert pieces) never pay for it.
 Whether the ideal is the unit ideal is a flag set at construction.
 ``gens``, the generators as exponent tuples, and ``maxima``, the greatest
 exponent of each variable over them, are made on first use and kept.
@@ -621,6 +625,25 @@ def _members_mask(a: MonomialIdeal, points: np.ndarray, degrees: np.ndarray) -> 
     return mask
 
 
+def _box_members(a: MonomialIdeal, bounds: tuple[int, ...]) -> np.ndarray:
+    """Boolean array of shape `bounds`: whether x^v lies in `a`, for every
+    point v of the box 0 <= v < bounds.
+
+    x^v lies in a monomial ideal exactly when some generator g has g <= v
+    componentwise, so the mask is the orthant prefix-OR of the generators:
+    each generator inside the box is marked, and the marks are OR-accumulated
+    along one axis after another.  A generator with an exponent at or past
+    its bound touches no cell.
+    """
+    mask = np.zeros(bounds, dtype=bool)
+    gens = a.matrix
+    inside = gens[(gens < bounds).all(axis=1)]
+    mask[tuple(inside.T)] = True
+    for axis in range(len(bounds)):
+        np.logical_or.accumulate(mask, axis=axis, out=mask)
+    return mask
+
+
 def first_outside_sum(parts, other: MonomialIdeal) -> Monomial | None:
     """The first generator of `other`, in grlex order, outside the sum of the
     ideals `parts`, or None when `other` is contained in that sum.
@@ -783,13 +806,8 @@ def saturation(q: MonomialIdeal, i: MonomialIdeal) -> MonomialIdeal:
 # -- length counting -------------------------------------------------------
 
 
-def _box(bounds) -> np.ndarray:
-    """All exponent vectors v with 0 <= v < bounds, one per row."""
-    return np.indices(bounds, dtype=np.int64).reshape(len(bounds), -1).T
-
-
 def _standard_rows(w: MonomialIdeal) -> np.ndarray:
-    """The monomials outside `w`, one per row in lexicographic (box) order,
+    """The monomials outside `w`, one per row in lexicographic order,
     for `w` containing a power of every variable.
 
     The rows grow one variable at a time, as a staircase: a standard prefix

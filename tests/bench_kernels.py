@@ -21,6 +21,14 @@ The certificate benchmarks time ``verify_joint_reduction`` on the sample, on
 a fresh parse with every ideal cache of ``monomials`` cleared each round: on
 its certified candidate ``x``, and on the first candidate of ``search-jr``'s
 pool order for type (2, (1, 0)), which fails at the base point.
+
+The strand benchmarks time the direct chi channel of ``koszul``: the box
+kernel ``_box_members`` filling the membership of (x1, x2)^5 over the 11^3
+box of internal degrees; ``strand_profile`` at the koszul workload's shape
+(three variables, J maximal, I1 = (x1, x2), the candidate x2 from I1 with x1
+and x3 from J, multidegree (4, (4,)), band 9, buffer 1); and
+``euler_char_direct`` on the sample's candidate ``x`` at its fit's base
+(5, 5, 5), band 16.  These three run with the ideal caches warm.
 """
 
 from pathlib import Path
@@ -29,18 +37,27 @@ import pytest
 
 pytest.importorskip("pytest_benchmark")
 
+from oracles import box_members  # noqa: E402
 from multimult import monomials  # noqa: E402
-from multimult.hilbert import MixedType, interpolate  # noqa: E402
+from multimult.hilbert import IdealFamily, MixedType, MultiDegree, interpolate  # noqa: E402
 from multimult.instances import parse_instance  # noqa: E402
+from multimult.koszul import euler_char_direct, strand_profile  # noqa: E402
 from multimult.monomials import (  # noqa: E402
     Monomial,
+    QuotientModule,
     RingContext,
+    _box_members,
     _sum_rows,
     ideal,
     ideal_power,
     ideal_product,
 )
-from multimult.reductions import J_SOURCE, JointReductionCandidate, verify_joint_reduction  # noqa: E402
+from multimult.reductions import (  # noqa: E402
+    J_SOURCE,
+    JointReductionCandidate,
+    ReesDatum,
+    verify_joint_reduction,
+)
 
 SAMPLE = Path(__file__).resolve().parent.parent / "docs" / "instances" / "dim4_joint_reduction.json"
 
@@ -125,3 +142,31 @@ def test_certify_failing_search_candidate(benchmark):
 
     cert = benchmark.pedantic(verify_joint_reduction, setup=setup, rounds=50)
     assert not cert.holds and cert.witness == ((5, 5, 5), Monomial((0, 10, 5, 0)))
+
+
+def test_box_members(benchmark):
+    piece = ideal_power(ideal(RingContext(3), variables(3, 2)), 5)
+    bounds = (11, 11, 11)
+    mask = benchmark(_box_members, piece, bounds)
+    assert mask.tolist() == box_members(piece, bounds).tolist()
+    assert int(mask.sum()) == 11 * (11 * 11 - 15)
+
+
+def test_koszul_shaped_profile(benchmark):
+    ctx = RingContext(3)
+    x1, x2, x3 = (Monomial(v) for v in variables(3, 3))
+    fam = IdealFamily(ideal(ctx, variables(3, 3)), (ideal(ctx, variables(3, 2)),),
+                      QuotientModule.free(ctx))
+    cand = JointReductionCandidate(((x2, 0), (x1, J_SOURCE), (x3, J_SOURCE)), MixedType(1, (1,)))
+    datum = ReesDatum(fam, cand)
+    assert datum.certificate.holds
+    profile = benchmark(strand_profile, datum, MultiDegree(4, (4,)), 9, 1)
+    assert profile.band_certified
+
+
+def test_direct_chi_sample_candidate(benchmark):
+    inst = parse_instance(SAMPLE.read_text(), SAMPLE.name)
+    datum = ReesDatum(inst.family, inst.candidates["x"])
+    ev = benchmark(euler_char_direct, datum, MultiDegree(5, (5, 5)))
+    assert ev.certified and ev.value == 0
+    assert ev.provenance == {"multidegree": (5, 5, 5), "band": 16, "buffer": 1}

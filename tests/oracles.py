@@ -7,7 +7,6 @@ from multimult.monomials import (
     INFINITE,
     MINUS_INFINITY,
     Monomial,
-    _box,
     _grlex_unique,
     _members_mask,
     _row_sums,
@@ -19,6 +18,18 @@ from multimult.monomials import (
 )
 from multimult.multiplicity import NotMultiplicitySystemError
 from multimult.reductions import J_SOURCE, ContainmentCertificate
+
+
+def _box(bounds):
+    """All exponent vectors v with 0 <= v < bounds, one per row, in C order."""
+    return np.indices(bounds, dtype=np.int64).reshape(len(bounds), -1).T
+
+
+def box_members(a, bounds):
+    """Membership over the box 0 <= v < bounds by the point-list kernel: the
+    box's rows through ``_members_mask``, reshaped to `bounds`."""
+    pts = _box(bounds)
+    return _members_mask(a, pts, _row_sums(pts)).reshape(bounds)
 
 
 def hilbert_samuel(module, a) -> int:

@@ -6,14 +6,18 @@ that the band-at-once ``strand_profile`` is checked against.
 """
 
 import dataclasses
+import hashlib
 import itertools
+import json
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 import sympy
 
+from corpus import direct_chi_instances
 from multimult import koszul
 from multimult.hilbert import (
     IdealFamily,
@@ -48,6 +52,7 @@ from multimult.reductions import (
 
 C1 = RingContext(1)
 C2 = RingContext(2)
+C3 = RingContext(3)
 SAMPLE = Path(__file__).resolve().parent.parent / "docs" / "instances" / "dim4_joint_reduction.json"
 
 
@@ -298,6 +303,25 @@ def seeded_data(seed, count):
     return out
 
 
+def three_variable_data():
+    """The koszul workload's shape, J maximal in three variables and I1
+    from degree-1 generators, and one such family with relations and a
+    non-unit top; one searched candidate per type."""
+    x1, x2, x3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+    j = ideal(C3, [x1, x2, x3])
+    families = [IdealFamily(j, (ideal(C3, gens),), QuotientModule.free(C3))
+                for gens in ([x1, x2], [x1], [x1, x2, x3])]
+    module = QuotientModule(C3, ideal(C3, [(0, 0, 2)]), ideal(C3, [x1, x3]))
+    families.append(IdealFamily(j, (ideal(C3, [x1, x2]),), module))
+    out = []
+    for fam in families:
+        for mt in (MixedType(1, (1,)), MixedType(2, (0,)), MixedType(0, (2,))):
+            cand = search_joint_reduction(fam, mt, PoolPolicy(max_degree=1, budget=200))
+            assert cand is not None
+            out.append(ReesDatum(fam, cand))
+    return out
+
+
 class TestVectorizedProfile:
     """strand_profile and euler_char_direct against the point-by-point
     construction of the same strands."""
@@ -353,6 +377,17 @@ class TestVectorizedProfile:
             for deg in (MultiDegree(base, (base,)), MultiDegree(1, (base,))):
                 self.assert_matches(monkeypatch, d, deg)
 
+    def test_three_variable_families(self):
+        # Small bands: the oracle builds every strand point by point.
+        nonzero = 0
+        for d in three_variable_data():
+            for deg in (MultiDegree(1, (1,)), MultiDegree(2, (1,)), MultiDegree(0, (2,))):
+                for band in (2, 3):
+                    profile = strand_profile(d, deg, band, 1)
+                    assert profile == _oracle_profile(d, deg, band, 1)
+                    nonzero += bool(profile.dims)
+        assert nonzero >= 50
+
     def test_single_strands(self):
         d = datum_relations_top()
         deg = MultiDegree(2, (2,))
@@ -391,6 +426,24 @@ class TestEulerDirect:
         assert ev.certified
         assert ev.value == euler_char_via_difference(d).value
         assert ev.provenance == {"multidegree": (5, 5, 5), "band": 16, "buffer": 1}
+
+    def test_corpus_direct_channel_is_pinned(self):
+        # Value, band and certified flag of every direct chi in the corpus,
+        # with a digest of the profile's dims at that band, pinned by digest.
+        rows = []
+        for inst in direct_chi_instances():
+            d = ReesDatum(inst.fam, inst.cand)
+            base = interpolate(inst.fam, "P").base
+            deg = MultiDegree(base, (base,) * inst.fam.d)
+            ev = euler_char_direct(d, deg)
+            band, buffer = ev.provenance["band"], ev.provenance["buffer"]
+            dims = strand_profile(d, deg, band, buffer).dims
+            rows.append([inst.label, ev.value, band, ev.certified,
+                         hashlib.sha256(json.dumps(dims).encode()).hexdigest()])
+        assert len(rows) == 127 and all(certified for _, _, _, certified, _ in rows)
+        assert Counter(value for _, value, _, _, _ in rows) == {0: 103, 1: 15, 2: 9}
+        digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+        assert digest == "dc02ec4f4d14f8fd349bb9ce248984351368f8ebaa49f9cc4e00ced7a05810a3"
 
 
 class TestUncertified:

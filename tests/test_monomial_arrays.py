@@ -16,7 +16,8 @@ floor-less box counter, on multi-word keys and on both one-word branches (a
 boolean map of the pair keys, or a sort) in one to eight variables, with a
 spy on the branch taken; products whose degree passes int64 raise.  The
 staircase enumeration of standard monomials is checked against the box
-filter.
+filter, and the box kernel's orthant prefix-OR against the membership test
+on the box's enumerated rows.
 """
 
 import math
@@ -28,7 +29,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from oracles import box_count, box_standard_rows
+from oracles import box_count, box_members, box_standard_rows
 from multimult.monomials import (
     ContextMismatchError,
     Monomial,
@@ -40,6 +41,7 @@ from multimult.monomials import (
     _drop_divisible,
     _grlex_unique,
     _grlex_words,
+    _box_members,
     _ideal_product_cached,
     _marked_sums,
     _members_mask,
@@ -695,6 +697,45 @@ class TestStandardRows:
     def test_requires_a_power_of_every_variable(self):
         with pytest.raises(ValueError):
             _standard_rows(ideal(CONTEXTS[2], [(3, 0), (1, 1)]))
+
+
+@st.composite
+def box_cases(draw):
+    """(m, rows, bounds): unminimalized rows of an ideal in one to four
+    variables (none, the zero row, or drawn, with exponents up to 3), and
+    bounds from 1 to 4, so that some generators lie at or past a bound and
+    some axes have width 1."""
+    m = draw(st.integers(1, 4))
+    rows = draw(st.one_of(st.just([]), st.just([(0,) * m]), row_lists(m)))
+    bounds = draw(st.tuples(*(st.integers(1, 4) for _ in range(m))))
+    return m, rows, bounds
+
+
+class TestBoxMembers:
+    """`_box_members` against the membership test on the box's rows."""
+
+    @CASES
+    @given(box_cases())
+    @example((2, [(1, 0), (0, 2)], (2, 2)))
+    @example((3, [(0, 0, 1)], (4, 1, 3)))
+    def test_against_the_point_list_kernel(self, case):
+        m, rows, bounds = case
+        i = ideal(CONTEXTS[m], rows)
+        got = _box_members(i, bounds)
+        assert got.shape == bounds and got.dtype == bool
+        assert got.tolist() == box_members(i, bounds).tolist()
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_edge_ideals(self, m):
+        ctx = CONTEXTS[m]
+        bounds = tuple(range(1, m + 1))
+        assert not _box_members(MonomialIdeal.zero(ctx), bounds).any()
+        assert _box_members(MonomialIdeal.unit(ctx), bounds).all()
+        # Pure powers at their bounds and one generator past every bound.
+        pure = [tuple(b if j == i else 0 for j in range(m)) for i, b in enumerate(bounds)]
+        outer = ideal(ctx, pure + [tuple(b + 1 for b in bounds)])
+        assert not _box_members(outer, bounds).any()
+        assert box_members(outer, bounds).tolist() == _box_members(outer, bounds).tolist()
 
 
 class TestFastPaths:

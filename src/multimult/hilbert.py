@@ -4,12 +4,14 @@ Two Hilbert functions are attached to a family (J; I_1, ..., I_d) acting on a
 cyclic module M = A/Q:
 
 * ``hf_P`` counts the length of J^n0 * I^n * M / J^(n0+1) * I^n * M,
-* ``hf_F`` counts the length of I^n * M / J^n0 * I^n * M,
+* ``hf_F`` is the length of I^n * M / J^n0 * I^n * M,
 
-where I^n abbreviates the product I_1^{n_1} ... I_d^{n_d}.  For all large
-(n0, n) each function agrees with a polynomial.  We recover it from a box of
-grid values by exact integer forward differences, rewritten on the
-binomial-coefficient basis
+where I^n abbreviates the product I_1^{n_1} ... I_d^{n_d}.  Length is
+additive along I^n * M, J * I^n * M, ..., J^n0 * I^n * M, so F(n0, n) is
+the sum of P(k, n) over k < n0, and ``hf_F`` adds up ``hf_P`` values.  For
+all large (n0, n) each function agrees with a polynomial.  We recover it
+from a box of grid values by exact integer forward differences, rewritten
+on the binomial-coefficient basis
 
     binom(n0 + k0, k0) * binom(n1 + k1, k1) * ... * binom(nd + kd, kd),
 
@@ -33,14 +35,14 @@ shift of X'(n0, n) = J^n0 * I_1'^{n_1} * ... * I_d'^{n_d} * T' by
 c(n) = c(T) * c(I_1)^{n_1} * ... * c(I_d)^{n_d}.
 
 For Y' inside X' and any monomial c, the monomials of cX' + Q outside
-cY' + Q are c times those of X' outside Y' + (Q : c).  So each Hilbert value
-is one length count of X'(n0, n) modulo Q : c(n), with J (for ``hf_P``) or
-J^n0 (for ``hf_F``) as its colon floor.  A principal I_i has I_i' = (1), and
-its n_i then enters a count only through Q : c(n), which is Q when Q = 0
-and stops changing once c(n) passes Q's exponents.  Each family keeps its
-values in a memo keyed by (which, n0, the n_i of the other axes,
-Q : c(n)), so those axes reuse one count.  ``IdealFamily`` checks that J
-contains a power of every variable, so every value is finite.
+cY' + Q are c times those of X' outside Y' + (Q : c).  So each P value is
+one length count of X'(n0, n) outside X'(n0 + 1, n) modulo Q : c(n), with J
+as its colon floor.  A principal I_i has I_i' = (1), and its n_i then
+enters a count only through Q : c(n), which is Q when Q = 0 and stops
+changing once c(n) passes Q's exponents.  Each family keeps its P values in
+a memo keyed by (n0, the n_i of the other axes, Q : c(n)), so those axes
+reuse one count, and the F values read theirs from it.  ``IdealFamily``
+checks that J contains a power of every variable, so every value is finite.
 """
 
 from __future__ import annotations
@@ -89,6 +91,10 @@ class MultiDegree:
 
     n0: int
     n: tuple[int, ...]
+
+    def __post_init__(self):
+        if self.n0 < 0 or any(ni < 0 for ni in self.n):
+            raise ValueError("multidegree entries must be non-negative")
 
     def as_tuple(self) -> tuple[int, ...]:
         return (self.n0,) + self.n
@@ -187,7 +193,7 @@ class IdealFamily:
 
     @cached_property
     def _hilbert_values(self) -> dict:
-        """The Hilbert values counted so far, keyed as in ``_memoized_count``."""
+        """The Hilbert values counted so far, keyed as in ``hf_P``."""
         return {}
 
     def content(self, n: tuple[int, ...]) -> tuple[tuple[int, ...], np.ndarray, int]:
@@ -197,8 +203,6 @@ class IdealFamily:
         passes int64."""
         found = self._contents.get(n)
         if found is None:
-            if min(n) < 0:
-                raise ValueError("negative power")
             out, contents = self._content_split[2] or ((0,) * self.ctx.num_vars, ())
             for i, ci in contents:
                 out = tuple(a + n[i] * b for a, b in zip(out, ci))
@@ -231,63 +235,46 @@ class IdealFamily:
         return ideal_shift(out, row, degree)
 
 
-def _memoized_count(fam: IdealFamily, which: str, deg: MultiDegree, count) -> int:
-    """The Hilbert value ``which`` at `deg`, as count(Q : c(n)), counted
-    once per key on the family.
+def hf_P(fam: IdealFamily, deg: MultiDegree) -> int:
+    """Length of J^n0 I^n M / J^(n0+1) I^n M, counted once per key on the
+    family.
 
-    Both functions count the monomials of c(n) X'(n0, n) + Q outside
-    c(n) Y' + Q, for an ideal Y' inside X'(n0, n).  Such a monomial is c(n) v
-    with v in X' and outside Y' + (Q : c(n)), so `count` takes Q : c(n) as
+    The value is the number of monomials of c(n) X'(n0, n) + Q outside
+    c(n) X'(n0 + 1, n) + Q.  Such a monomial is c(n) v with v in X'(n0, n)
+    and outside X'(n0 + 1, n) + (Q : c(n)), so the count takes Q : c(n) as
     its relations and the value depends on (n0, n) only through X'(n0, n)
-    and that colon.  The key is (which, n0, the n_i of the axes with
-    I_i' != (1), Q : c(n)).  The colon is taken by c(n) clipped to Q's
-    exponent maxima, which gives the same ideal: it stops changing once c(n)
-    passes them, and is Q itself when Q = 0.
+    and that colon.  The key is (n0, the n_i of the axes with I_i' != (1),
+    Q : c(n)).  The colon is taken by c(n) clipped to Q's exponent maxima,
+    which gives the same ideal: it stops changing once c(n) passes them,
+    and is Q itself when Q = 0.
     """
+    if len(deg.n) != fam.d:
+        raise ValueError("multidegree has wrong axis count")
     q = fam.module.relations
     factors, _, vectors = fam._content_split
     if vectors is not None:
         content, _, degree = fam.content(deg.n)
         if degree and not q.is_zero():
             q = colon_by_monomial(q, Monomial(tuple(map(min, content, q.maxima))))
-    key = (which, deg.n0, tuple(deg.n[i] for i, _ in factors), q)
+    key = (deg.n0, tuple(deg.n[i] for i, _ in factors), q)
     memo = fam._hilbert_values
     value = memo.get(key)
     if value is None:
-        value = memo[key] = count(q)
-    return value
-
-
-def hf_P(fam: IdealFamily, deg: MultiDegree) -> int:
-    """Length of J^n0 I^n M / J^(n0+1) I^n M."""
-    if len(deg.n) != fam.d:
-        raise ValueError("multidegree has wrong axis count")
-
-    def count(q):
         top = fam.content_free_piece(deg.n0, deg.n)
         # J * top is the piece at the next point in n0, built from the
         # cached J^(n0+1) * I_1'^(n1) product rather than by minimalizing
         # top x J.
         bottom = fam.content_free_piece(deg.n0 + 1, deg.n)
-        return _count_difference(ideal_sum(top, q), ideal_sum(bottom, q), fam.j)
-
-    return _memoized_count(fam, "P", deg, count)
+        value = memo[key] = _count_difference(ideal_sum(top, q), ideal_sum(bottom, q), fam.j)
+    return value
 
 
 def hf_F(fam: IdealFamily, deg: MultiDegree) -> int:
-    """Length of I^n M / J^n0 I^n M."""
+    """Length of I^n M / J^n0 I^n M: the sum of hf_P(k, n) over k < n0, as
+    length is additive along I^n M, J I^n M, ..., J^n0 I^n M."""
     if len(deg.n) != fam.d:
         raise ValueError("multidegree has wrong axis count")
-    if deg.n0 == 0:
-        return 0
-
-    def count(q):
-        top = fam.content_free_piece(0, deg.n)
-        jpow = ideal_power(fam.j, deg.n0)
-        bottom = ideal_product(top, jpow)
-        return _count_difference(ideal_sum(top, q), ideal_sum(bottom, q), jpow)
-
-    return _memoized_count(fam, "F", deg, count)
+    return sum(hf_P(fam, MultiDegree(k, deg.n)) for k in range(deg.n0))
 
 
 # -- polynomials on the binomial basis ------------------------------------

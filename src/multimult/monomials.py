@@ -85,7 +85,7 @@ monomial is a generator of `top` times a standard monomial of the floor.
 The floor's standard monomials are enumerated once per floor ideal, as a
 staircase that grows them one variable at a time (``_standard_rows``), and
 kept on it with their degrees and key maxima (``standard``), the way
-``gens`` is.  The Hilbert values take J or J^n0 as the floor, and
+``gens`` is.  The Hilbert values take J as the floor, and
 ``QuotientModule.length`` takes the module's annihilator B : T.
 That method is the one place that decides finiteness: the module has finite
 length exactly when B : T contains a power of every variable.

@@ -17,6 +17,12 @@ sample, the fit behind its ``mixed`` request, on a fresh parse with the fit
 cache cleared each round: the family's content split and value memo start
 empty, while the ideal caches of ``monomials`` stay warm.
 
+The F fit benchmark times ``interpolate(family, "F")`` on the first family
+of perfbench's ``counting`` workload (``COUNTING_SLOTS[0]`` before the
+seed's variable permutation: J = (x1, x2^2, x3^2, x2 x3), I1 = (x1, x2)), on
+a fresh parse with the fit cache and every ideal cache of ``monomials``
+cleared each round.
+
 The certificate benchmarks time ``verify_joint_reduction`` on the sample, on
 a fresh parse with every ideal cache of ``monomials`` cleared each round: on
 its certified candidate ``x``, and on the first candidate of ``search-jr``'s
@@ -31,6 +37,7 @@ and x3 from J, multidegree (4, (4,)), band 9, buffer 1); and
 (5, 5, 5), band 16.  These three run with the ideal caches warm.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -121,6 +128,27 @@ def fresh_sample():
     for cache in IDEAL_CACHES:
         cache.cache_clear()
     return parse_instance(SAMPLE.read_text(), SAMPLE.name)
+
+
+COUNTING_FAMILY = json.dumps({
+    "variables": ["x1", "x2", "x3"],
+    "J": ["x1", "x2^2", "x3^2", "x2*x3"],
+    "ideals": {"I1": ["x1", "x2"]},
+    "candidates": {},
+    "requests": [],
+})
+
+
+def test_counting_f_fit(benchmark):
+    def setup():
+        interpolate.cache_clear()
+        for cache in IDEAL_CACHES:
+            cache.cache_clear()
+        return (parse_instance(COUNTING_FAMILY).family, "F"), {}
+
+    fit = benchmark.pedantic(interpolate, setup=setup, rounds=30)
+    assert fit.poly.coeffs == {(1, 0): 3, (1, 1): -2, (2, 0): -7, (2, 1): 2, (3, 0): 4}
+    assert fit.base == 5 and int(fit.values[0, 0]) == 275
 
 
 def test_certify_sample_candidate(benchmark):

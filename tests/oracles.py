@@ -7,6 +7,7 @@ from multimult.monomials import (
     INFINITE,
     MINUS_INFINITY,
     Monomial,
+    _count_difference,
     _grlex_unique,
     _members_mask,
     _row_sums,
@@ -112,6 +113,17 @@ def direct_piece(fam, deg):
     for i, ni in zip(fam.ideals, deg.n):
         out = ideal_product(out, ideal_power(i, ni))
     return ideal_product(out, fam.module.top)
+
+
+def j_power_floor_f(fam, deg):
+    """hf_F as one length count with J^n0 as its colon floor: the monomials
+    of top + Q outside top * J^n0 + Q, for top = I^n T built by
+    ``direct_piece``.  This is how the engine counted F before it summed P
+    values."""
+    q = fam.module.relations
+    top = direct_piece(fam, MultiDegree(0, deg.n))
+    jpow = ideal_power(fam.j, deg.n0)
+    return _count_difference(ideal_sum(top, q), ideal_sum(ideal_product(top, jpow), q), jpow)
 
 
 def joint_reduction_outside(fam, cand, pt):

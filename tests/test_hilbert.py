@@ -1,6 +1,8 @@
 """Unit tests for Hilbert functions, interpolation, and mixed multiplicities."""
 
+import hashlib
 import itertools
+import json
 import random
 from functools import partial
 from math import comb, factorial
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from corpus import build_corpus
-from oracles import box_count, direct_piece
+from oracles import box_count, direct_piece, j_power_floor_f
 from multimult import hilbert, monomials
 from multimult.cli import run_request
 from multimult.hilbert import (
@@ -246,6 +248,22 @@ class TestInterpolation:
             sliced = tbl_p[tuple(slice(0, s) for s in diff.shape)]
             assert (diff == sliced).all()
 
+    def test_corpus_f_fits_are_pinned(self):
+        # Each distinct corpus family's F fit: the label of its first
+        # instance, its coefficients, base and window values, pinned by a
+        # digest computed when hf_F still counted with the J^n0 floor.
+        payloads, seen = [], set()
+        for inst in build_corpus():
+            if inst.fam in seen:
+                continue
+            seen.add(inst.fam)
+            fit = interpolate(inst.fam, "F")
+            coeffs = sorted([list(k), v] for k, v in fit.poly.coeffs.items())
+            payloads.append([inst.label, coeffs, fit.base, fit.values.tolist()])
+        assert len(payloads) == 119
+        digest = hashlib.sha256(json.dumps(payloads).encode()).hexdigest()
+        assert digest == "42a9e645d6056071fca40ec1edd75132e2ad7e8003dd9c6c93d58950e63fb7e2"
+
 
 class TestIntegerFit:
     """The forward-difference fit against polynomials built on the binomial
@@ -353,10 +371,11 @@ def count_floor_enumerations(monkeypatch):
 
 
 class TestColonFloor:
-    """hf_P and hf_F count with a colon floor (J, and J^n0) whose standard
-    monomials are kept on the floor ideal; with standard set {1} the
-    candidates are top's own generators.  Both must equal the floor-less
-    count, and each floor ideal is enumerated once."""
+    """hf_P counts with the colon floor J, whose standard monomials are kept
+    on the floor ideal; with standard set {1} the candidates are top's own
+    generators.  hf_F sums hf_P values, so it counts with that floor too.
+    Both must equal the floor-less count, and each floor ideal is enumerated
+    once."""
 
     def test_every_corpus_family_against_the_floorless_count(self):
         families = {inst.fam for inst in build_corpus()}
@@ -382,16 +401,21 @@ class TestColonFloor:
         assert len(evals) == 133
         assert seen == [inst.family.j]
 
-    def test_hf_f_enumerates_each_power_of_j_once(self, monkeypatch):
+    def test_hf_f_enumerates_only_j(self, monkeypatch):
         # A counting-style family: J has pure powers of degree up to 2 and a
-        # mixed generator, so every J^n0 has many standard monomials.
+        # mixed generator, so every J^n0 has many standard monomials, and
+        # none of them is enumerated.
         j = ideal(C3, [(1, 0, 0), (0, 2, 0), (0, 0, 2), (0, 1, 1)])
         fam = IdealFamily(j, (ideal(C3, [(1, 0, 0), (0, 1, 0)]),), QuotientModule.free(C3))
         seen = count_floor_enumerations(monkeypatch)
+        calls = spy_counts(monkeypatch)
         monomials._powers.cache_clear()
         for n0, n1 in itertools.product(range(5), range(4)):
             assert hf_F(fam, MultiDegree(n0, (n1,))) == floorless_f(fam, MultiDegree(n0, (n1,)))
-        assert seen == [ideal_power(j, n0) for n0 in range(1, 5)]
+        assert seen == [j]
+        # One count per P value below the grid's top row, each on floor J.
+        assert len(calls) == 4 * 4
+        assert all(floor is fam.j for _, _, floor in calls)
 
     def test_floor_with_no_standard_monomials_counts_zero(self):
         # T inside B: the annihilator B : T is the unit ideal, with no
@@ -463,6 +487,20 @@ def content_families(draw):
     if relations_kind == "principal" and principal:
         relations = [draw(st.sampled_from(principal))]
     return IdealFamily(j, tuple(ideals), QuotientModule(ctx, ideal(ctx, relations), top))
+
+
+class TestFAsSumOfP:
+    """hf_F(n0, n) is the sum of hf_P(k, n) over k < n0, since length is
+    additive along I^n M, J I^n M, ..., J^n0 I^n M.  It must equal the one
+    count with J^n0 as its floor and the floor-less count."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(content_families(), st.integers(0, 4), st.data())
+    def test_against_the_j_power_floor(self, fam, n0, data):
+        n = tuple(data.draw(st.integers(0, 3)) for _ in range(fam.d))
+        deg = MultiDegree(n0, n)
+        assert hf_F(fam, deg) == j_power_floor_f(fam, deg) == floorless_f(fam, deg)
+        assert hf_F(fam, MultiDegree(0, n)) == 0
 
 
 class TestContentFreeCounts:
@@ -576,10 +614,17 @@ class TestContentFreeCounts:
             assert hf_P(fam, deg) == hf_F(fam, deg) == 0
 
     def test_negative_exponents_are_refused(self):
-        fam = family_dim4()
-        for deg in (MultiDegree(1, (1, -1)), MultiDegree(1, (-1, 1)), MultiDegree(-1, (1, 1))):
-            with pytest.raises(ValueError):
-                fam.piece(deg)
+        # The sample family, and a family without content whose I1 = (1)
+        # never reaches IdealFamily.content.
+        unit_axis = IdealFamily(ideal(C2, [(1, 0), (0, 1)]), (MonomialIdeal.unit(C2),),
+                                QuotientModule.free(C2))
+        assert unit_axis._content_split[2] is None
+        cases = [(family_dim4(), pt) for pt in ((1, 1, -1), (1, -1, 1), (-1, 1, 1), (0, -1, 1))]
+        cases += [(unit_axis, pt) for pt in ((1, -1), (-1, 1), (-1, 0))]
+        for fam, pt in cases:
+            for evaluate in (fam.piece, partial(hf_P, fam), partial(hf_F, fam)):
+                with pytest.raises(ValueError, match="non-negative"):
+                    evaluate(MultiDegree(pt[0], pt[1:]))
 
 
 class TestMixedMultiplicity:

@@ -5,23 +5,27 @@ for every n0 >= 0.  A joint-reduction candidate gives Koszul elements acting
 on that tower: an I_i-sourced element shifts (n0, n) by (0, e_i), a J-sourced
 element by (1, 0), and every element shifts the internal (exponent) degree by
 its own exponent vector.  Fixing a multidegree and an internal degree cuts the
-Koszul complex down to a strand of finite-dimensional rational vector spaces
-whose homology is computed by exact rank.
+Koszul complex down to a strand, a finite complex of finite-dimensional
+rational vector spaces.
 
 Each piece of a strand is spanned by at most one monomial, so a strand is
 determined by its support pattern: which exterior subsets have a nonzero
-piece.  The strands of a whole internal-degree band are built at once: one
+piece.  The strands of a whole internal-degree box are built at once: one
 membership mask per piece ideal (``IdealFamily.piece`` at n0 = 0, and one
-for the relations) over the box of internal degrees, shifted into one
-column per exterior subset.  x^a lies in a monomial ideal exactly when some
-generator g has g <= a, so each mask is the orthant prefix-OR of the
-generators that fall in the box (``monomials._box_members``): marked, then
-OR-accumulated along each axis in turn, with no enumeration or sort of the
-box's points.  Each pattern is keyed by its bit row packed into int64
-words, and the cells sharing a pattern are the runs of one lexsort of the
-keys.  Homology is then computed once per distinct pattern, by
-fraction-free integer (Bareiss) rank, and scattered back to the internal
-degrees that share it.
+for the relations) over the box, shifted into one column per exterior
+subset.  x^a lies in a monomial ideal exactly when some generator g has
+g <= a, so each mask is the orthant prefix-OR of the generators that fall in
+the box (``monomials._box_members``): marked, then OR-accumulated along each
+axis in turn, with no enumeration or sort of the box's points.
+
+By Euler-Poincare, the alternating homology sum of a finite complex is its
+alternating chain count, so the strands of the band [0, band]^m sum to the
+count of each exterior subset S over the band, signed (-1)^|S|: no
+homology is computed for the value.  Homology decides only the band
+certificate, that every strand of the buffer beyond the band is acyclic.
+There each pattern is keyed by its bit row packed into int64 words, the
+distinct patterns are the runs of one lexsort of the keys, and each is
+checked once, by fraction-free integer (Bareiss) rank.
 
 The Euler characteristic itself is defined operationally as the constant value
 of the (k0, k)-difference of the Hilbert polynomial P (the DIFFERENCE method).
@@ -64,21 +68,10 @@ class NonConstantDifferenceError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class StrandHomologyProfile:
-    """Homology dimensions per (index, internal degree) at one multidegree."""
-
-    multidegree: MultiDegree
-    band: int
-    dims: tuple[tuple[tuple[int, tuple[int, ...]], int], ...]
-    band_certified: bool
-
-
-@dataclass(frozen=True)
 class EulerValue:
-    """A chi value with the method and window that produced it."""
+    """A chi value with the window or band that produced it."""
 
     value: int
-    method: str  # "DIRECT" or "DIFFERENCE"
     provenance: dict
     certified: bool = True
 
@@ -205,65 +198,63 @@ def _homology(chains, boundaries) -> dict[int, int]:
     return dims
 
 
-def strand_profile(datum: ReesDatum, deg: MultiDegree, band: int, buffer: int) -> StrandHomologyProfile:
-    """All strand homology up to internal degree band+buffer per axis, with
-    the homology-free-buffer certificate.
+def _acyclic(subsets, rows: np.ndarray) -> bool:
+    """Whether every strand among `rows`, a boolean (cells, 2^n) matrix of
+    support patterns over `subsets`, has no homology.
 
-    Every piece has dimension 0 or 1, so a strand's homology depends only on
-    its support pattern; it is computed once per distinct pattern on the
-    grid and scattered back to the internal degrees that have it.
+    A pattern's key is its bit row, one int64 word per 63 subsets, so any
+    element count fits; equal patterns are the runs of a lexsort of the
+    keys, and each distinct one is checked once.
     """
-    bounds = (band + buffer + 1,) * datum.fam.ctx.num_vars
-    subsets, present = _support_patterns(datum, deg, bounds)
-    # A pattern's key is its bit row, one int64 word per 63 subsets, so any
-    # element count fits; equal patterns are the runs of a lexsort of the keys.
-    count = present.shape[1]
-    words = [present[:, s : s + 63] @ _BIT_WEIGHTS[: count - s] for s in range(0, count, 63)]
+    count = rows.shape[1]
+    words = [rows[:, s : s + 63] @ _BIT_WEIGHTS[: count - s] for s in range(0, count, 63)]
     order = np.lexsort(words)
     fresh = np.zeros(len(order), dtype=bool)
-    fresh[0] = True
+    fresh[:1] = True
     for word in words:
         word = word[order]
         fresh[1:] |= word[1:] != word[:-1]
-    dims = []
-    certified = True
-    for where in np.split(order, np.flatnonzero(fresh)[1:]):
-        h = _homology(*_pattern_complex(subsets, present[where[0]]))
-        if not h:
-            continue
-        axes = np.unravel_index(where, bounds)
-        if any(int(axis.max()) > band for axis in axes):
-            certified = False
-        for a in zip(*(axis.tolist() for axis in axes)):
-            dims.extend(((p, a), dim) for p, dim in h.items())
-    return StrandHomologyProfile(deg, band, tuple(sorted(dims)), certified)
+    return not any(_homology(*_pattern_complex(subsets, rows[i])) for i in order[fresh])
+
+
+def _band_euler(datum: ReesDatum, deg: MultiDegree, band: int, buffer: int) -> tuple[int, bool]:
+    """The strands' Euler characteristics summed over the internal degrees
+    [0, band]^m, and whether every strand of the buffer up to band+buffer
+    per axis is acyclic.
+
+    By Euler-Poincare the sum is the count of each exterior subset S over
+    the band, signed (-1)^|S|.
+    """
+    m = datum.fam.ctx.num_vars
+    bounds = (band + buffer + 1,) * m
+    subsets, present = _support_patterns(datum, deg, bounds)
+    cells = present.reshape(bounds + (len(subsets),))
+    inside = (slice(band + 1),) * m
+    signs = np.array([(-1) ** len(subset) for subset in subsets])
+    value = int(signs @ cells[inside].sum(axis=tuple(range(m))))
+    in_buffer = np.ones(bounds, dtype=bool)
+    in_buffer[inside] = False
+    return value, _acyclic(subsets, present[in_buffer.ravel()])
 
 
 def euler_char_direct(datum: ReesDatum, deg: MultiDegree) -> EulerValue:
-    """Chi at one multidegree by summing strand alternating sums.
+    """Chi at one multidegree as the signed count of strand pieces.
 
     Internal degrees are truncated at a band, starting at (n0 + |n| + 1)
-    times the maximal generator degree, that must be followed by a
-    homology-free buffer of width the maximal generator degree; the band
-    doubles a bounded number of times, and a value whose buffer never comes
-    up empty is returned flagged as uncertified.
+    times the maximal generator degree, that must be followed by an acyclic
+    buffer of width the maximal generator degree; the band doubles a
+    bounded number of times, and a value whose buffer never comes up
+    acyclic is returned flagged as uncertified.
     """
     _require_certified(datum)
-    fam = datum.fam
-    maxgd = max(1, fam.max_generator_degree())
-    b = (deg.n0 + sum(deg.n) + 1) * maxgd
-    profile = None
-    for _ in range(BAND_DOUBLINGS + 1):
-        profile = strand_profile(datum, deg, b, maxgd)
-        if profile.band_certified:
+    maxgd = max(1, datum.fam.max_generator_degree())
+    first = (deg.n0 + sum(deg.n) + 1) * maxgd
+    for band in (first << doubling for doubling in range(BAND_DOUBLINGS + 1)):
+        value, certified = _band_euler(datum, deg, band, maxgd)
+        if certified:
             break
-        b *= 2
-    total = 0
-    for (p, a), dim in profile.dims:
-        if max(a) <= profile.band:
-            total += (-1) ** p * dim
-    prov = {"multidegree": (deg.n0,) + deg.n, "band": profile.band, "buffer": maxgd}
-    return EulerValue(total, "DIRECT", prov, profile.band_certified)
+    prov = {"multidegree": (deg.n0,) + deg.n, "band": band, "buffer": maxgd}
+    return EulerValue(value, prov, certified)
 
 
 def euler_char_via_difference(datum: ReesDatum) -> EulerValue:
@@ -297,4 +288,4 @@ def euler_char_via_difference(datum: ReesDatum) -> EulerValue:
     if not values.size or (values != value).any():
         raise NonConstantDifferenceError("difference table disagrees with the fit")
     prov = {"window_base": fit.base, "window_extent": fit.extent, "type": target}
-    return EulerValue(value, "DIFFERENCE", prov)
+    return EulerValue(value, prov)

@@ -55,9 +55,9 @@ are sorted in place and the first of each run kept (``_sorted_sums``).
 Divmod over the radices unpacks the rows; no (pairs, m) matrix is built.
 The radices come from what the operands carry (``key_tops``: an ideal's last
 degree, since its degrees are grlex-sorted, and its kept maxima), and the
-span from the ends of an ideal's increasing words, or for a floor's standard
-rows, which are in lex order, from 0 and the word of their key maxima; no
-maximum is reduced per call.  Keys that need more than one word fall back to
+span from the ends of the operands' increasing words (a floor's standard
+rows are kept in grlex order, like an ideal's generators); no maximum is
+reduced per call.  Keys that need more than one word fall back to
 the broadcast rows and ``_grlex_unique``.  A sum whose degree would pass
 int64 raises OverflowError, here, in the principal shift and for a
 generator given to ``ideal``, rather than wrap.  A product then needs only the degree-block divisibility pass of the
@@ -84,8 +84,8 @@ the maximal ideal whose product with `top` lies in `bot`, so each counted
 monomial is a generator of `top` times a standard monomial of the floor.
 The floor's standard monomials are enumerated once per floor ideal, as a
 staircase that grows them one variable at a time (``_standard_rows``), and
-kept on it with their degrees and key maxima (``standard``), the way
-``gens`` is.  The Hilbert values take J as the floor, and
+kept on it in grlex order with their degrees and key maxima (``standard``),
+the way ``gens`` is.  The Hilbert values take J as the floor, and
 ``QuotientModule.length`` takes the module's annihilator B : T.
 That method is the one place that decides finiteness: the module has finite
 length exactly when B : T contains a power of every variable.
@@ -283,16 +283,15 @@ def _sorted_sums(words_a: np.ndarray, words_b: np.ndarray) -> np.ndarray:
     return words[fresh]
 
 
-def _sum_rows(a: np.ndarray, a_tops: tuple[int, ...], b: np.ndarray, b_tops: tuple[int, ...],
-              b_sorted: bool = True) -> tuple[np.ndarray, np.ndarray]:
+def _sum_rows(a: np.ndarray, a_tops: tuple[int, ...], b: np.ndarray,
+              b_tops: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """The distinct sums of a row of `a` and a row of `b`, (n, m) int64
     exponent matrices, in grlex order, and their total degrees.  `a_tops`
     and `b_tops` are the greatest value of each grlex key column (degree,
     x1, ..., xm) over the rows, which the operands carry
     (``MonomialIdeal.key_tops``, ``MonomialIdeal.standard``).  The rows of
-    `a` are grlex-sorted, and so are those of `b` unless `b_sorted` is
-    false.  Raises OverflowError when a sum's degree would pass int64; no
-    exponent of a sum can then pass it either.
+    both are grlex-sorted.  Raises OverflowError when a sum's degree would
+    pass int64; no exponent of a sum can then pass it either.
 
     The key of a sum is (degree, x1, ..., x_{m-1}): the degree fixes x_m, so
     its digit is left out (its place value is zero) and recovered as the
@@ -304,8 +303,7 @@ def _sum_rows(a: np.ndarray, a_tops: tuple[int, ...], b: np.ndarray, b_tops: tup
     word(h), and the pairs are one outer sum of two word vectors.
 
     Sorted rows have increasing words, so the least and greatest pair words
-    are sums of the ends; the words of unsorted rows of `b` lie between 0
-    and the word of its key tops.  When that span is at most eight cells per
+    are sums of the ends.  When that span is at most eight cells per
     pair, the pair words mark a boolean map of it, never larger than the
     words themselves, and the marked cells are the distinct words in order.
     Sparser words are sorted in place and the first of each run kept.  The
@@ -330,14 +328,10 @@ def _sum_rows(a: np.ndarray, a_tops: tuple[int, ...], b: np.ndarray, b_tops: tup
         return _grlex_unique((a[:, None, :] + b[None, :, :]).reshape(-1, m))
     weights = np.array([value + place[0] for value in place[1:]], dtype=np.int64)
     words_a, words_b = a @ weights, b @ weights
-    low_a = int(words_a[0])
-    if b_sorted:
-        low_b, high_b = int(words_b[0]), int(words_b[-1])
-    else:
-        low_b, high_b = 0, sum(top * value for top, value in zip(b_tops, place))
-    cells = int(words_a[-1]) + high_b - low_a - low_b + 1
+    low = int(words_a[0]) + int(words_b[0])
+    cells = int(words_a[-1]) + int(words_b[-1]) - low + 1
     if cells <= 8 * len(a) * len(b):
-        words = _marked_sums(words_a, words_b, low_a + low_b, cells)
+        words = _marked_sums(words_a, words_b, low, cells)
     else:
         words = _sorted_sums(words_a, words_b)
     rows = np.empty((len(words), m), dtype=np.int64)
@@ -447,12 +441,11 @@ class MonomialIdeal:
     @property
     def standard(self) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
         """The monomials outside the ideal, for an ideal containing a power
-        of every variable: the read-only rows in lexicographic order, their
+        of every variable: the read-only rows in grlex order, their
         read-only total degrees, and the greatest value of each grlex key
-        column over them; enumerated on first use."""
+        column over them; enumerated and sorted on first use."""
         if self._standard is None:
-            rows = _standard_rows(self)
-            degrees = _row_sums(rows)
+            rows, degrees = _grlex_unique(_standard_rows(self))
             rows.flags.writeable = False
             degrees.flags.writeable = False
             tops = (int(degrees.max(initial=0)), *rows.max(axis=0, initial=0).tolist())
@@ -843,7 +836,7 @@ def standard_monomials(w: MonomialIdeal) -> list[tuple[int, ...]]:
 
     Enumerated in the global graded lexicographic order.
     """
-    return sorted(map(tuple, w.standard_rows.tolist()), key=_grlex_key)
+    return list(map(tuple, w.standard_rows.tolist()))
 
 
 def _count_difference(top: MonomialIdeal, bot: MonomialIdeal, colon_floor: MonomialIdeal) -> int:
@@ -865,7 +858,7 @@ def _count_difference(top: MonomialIdeal, bot: MonomialIdeal, colon_floor: Monom
     elif top.is_unit():
         pts, degrees = std, std_degrees
     else:
-        pts, degrees = _sum_rows(top.matrix, top.key_tops(), std, std_tops, b_sorted=False)
+        pts, degrees = _sum_rows(top.matrix, top.key_tops(), std, std_tops)
     return int(np.count_nonzero(~_members_mask(bot, pts, degrees)))
 
 

@@ -10,7 +10,7 @@ Each benchmark times one ``_sum_rows`` call on operands built beforehand:
 the sample's largest product, J^12 * I1^10 in four variables (30 030 pairs);
 a product of two three-generator ideals, the size the seeded corpus makes
 most; and the candidates of one count, a product's generators against the
-standard monomials of a colon floor (lex order, so unsorted).
+standard monomials of a colon floor (kept in grlex order on the floor).
 
 The fit benchmark times ``interpolate(family, "P")`` on the shipped dim4
 sample, the fit behind its ``mixed`` request, on a fresh parse with the fit
@@ -30,9 +30,9 @@ pool order for type (2, (1, 0)), which fails at the base point.
 
 The strand benchmarks time the direct chi channel of ``koszul``: the box
 kernel ``_box_members`` filling the membership of (x1, x2)^5 over the 11^3
-box of internal degrees; ``strand_profile`` at the koszul workload's shape
-(three variables, J maximal, I1 = (x1, x2), the candidate x2 from I1 with x1
-and x3 from J, multidegree (4, (4,)), band 9, buffer 1); and
+box of internal degrees; ``euler_char_direct`` at the koszul workload's
+shape (three variables, J maximal, I1 = (x1, x2), the candidate x2 from I1
+with x1 and x3 from J, multidegree (4, (4,)), band 9, buffer 1); and
 ``euler_char_direct`` on the sample's candidate ``x`` at its fit's base
 (5, 5, 5), band 16.  These three run with the ideal caches warm.
 """
@@ -48,7 +48,7 @@ from oracles import box_members  # noqa: E402
 from multimult import monomials  # noqa: E402
 from multimult.hilbert import IdealFamily, MixedType, MultiDegree, interpolate  # noqa: E402
 from multimult.instances import parse_instance  # noqa: E402
-from multimult.koszul import euler_char_direct, strand_profile  # noqa: E402
+from multimult.koszul import euler_char_direct  # noqa: E402
 from multimult.monomials import (  # noqa: E402
     Monomial,
     QuotientModule,
@@ -95,7 +95,7 @@ def test_count_candidates(benchmark):
     i1 = ideal(ctx, [(1, 0, 0), (0, 1, 0)])
     top = ideal_product(ideal_power(j, 2), ideal_power(i1, 3))
     std, _, std_tops = ideal_power(j, 3).standard
-    rows, _ = benchmark(_sum_rows, top.matrix, top.key_tops(), std, std_tops, b_sorted=False)
+    rows, _ = benchmark(_sum_rows, top.matrix, top.key_tops(), std, std_tops)
     sums = {tuple(x + y for x, y in zip(g, v)) for g in top.gens for v in std.tolist()}
     assert len(rows) == len(sums)
 
@@ -180,7 +180,7 @@ def test_box_members(benchmark):
     assert int(mask.sum()) == 11 * (11 * 11 - 15)
 
 
-def test_koszul_shaped_profile(benchmark):
+def test_koszul_shaped_direct_chi(benchmark):
     ctx = RingContext(3)
     x1, x2, x3 = (Monomial(v) for v in variables(3, 3))
     fam = IdealFamily(ideal(ctx, variables(3, 3)), (ideal(ctx, variables(3, 2)),),
@@ -188,8 +188,9 @@ def test_koszul_shaped_profile(benchmark):
     cand = JointReductionCandidate(((x2, 0), (x1, J_SOURCE), (x3, J_SOURCE)), MixedType(1, (1,)))
     datum = ReesDatum(fam, cand)
     assert datum.certificate.holds
-    profile = benchmark(strand_profile, datum, MultiDegree(4, (4,)), 9, 1)
-    assert profile.band_certified
+    ev = benchmark(euler_char_direct, datum, MultiDegree(4, (4,)))
+    assert ev.certified
+    assert ev.provenance == {"multidegree": (4, 4), "band": 9, "buffer": 1}
 
 
 def test_direct_chi_sample_candidate(benchmark):

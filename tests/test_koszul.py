@@ -1,8 +1,10 @@
 """Unit tests for Koszul strand homology and Euler characteristics.
 
 The per-point construction of a strand (``rees_piece_basis``,
-``_strand_complex``, ``koszul_strand_homology``) lives here as the oracle
-that the band-at-once ``strand_profile`` is checked against.
+``_strand_complex``, ``koszul_strand_homology``) and the homology of every
+strand of a box (``_oracle_profile``) live here as the oracle that the
+direct channel's signed piece count and buffer certificate are checked
+against.
 """
 
 import dataclasses
@@ -14,8 +16,10 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 import sympy
+from hypothesis import example, given, settings, strategies as st
 
 from corpus import direct_chi_instances
 from multimult import koszul
@@ -33,7 +37,6 @@ from multimult.koszul import (
     _rank_exact,
     euler_char_direct,
     euler_char_via_difference,
-    strand_profile,
 )
 from multimult.monomials import (
     Monomial,
@@ -248,7 +251,10 @@ def _oracle_complex(datum, deg, a):
 
 
 def _oracle_profile(datum, deg, band, buffer):
-    """strand_profile, one strand per internal degree."""
+    """The nonzero homology dimensions of every strand of the box
+    [0, band + buffer]^m, built one strand per internal degree and keyed
+    (index, internal degree), and whether the buffer beyond the band has
+    none."""
     dims = {}
     certified = True
     for a in itertools.product(range(band + buffer + 1), repeat=datum.fam.ctx.num_vars):
@@ -259,7 +265,27 @@ def _oracle_profile(datum, deg, band, buffer):
             if h:
                 dims[(p, a)] = h
                 certified = certified and max(a) <= band
-    return koszul.StrandHomologyProfile(deg, band, tuple(sorted(dims.items())), certified)
+    return dims, certified
+
+
+def _band_sum(dims, band):
+    """The alternating homology sum of the strands of [0, band]^m."""
+    return sum((-1) ** p * dim for (p, a), dim in dims.items() if max(a) <= band)
+
+
+def _oracle_direct(datum, deg):
+    """euler_char_direct's band loop over the oracle profile: the value is
+    the alternating homology sum over the band, the certificate the
+    buffer's homology."""
+    maxgd = max(1, datum.fam.max_generator_degree())
+    first = (deg.n0 + sum(deg.n) + 1) * maxgd
+    for doubling in range(koszul.BAND_DOUBLINGS + 1):
+        band = first << doubling
+        dims, certified = _oracle_profile(datum, deg, band, maxgd)
+        if certified:
+            break
+    prov = {"multidegree": (deg.n0,) + deg.n, "band": band, "buffer": maxgd}
+    return koszul.EulerValue(_band_sum(dims, band), prov, certified)
 
 
 C7 = JointReductionCandidate(
@@ -325,37 +351,32 @@ def three_variable_data():
 
 
 class TestVectorizedProfile:
-    """strand_profile and euler_char_direct against the point-by-point
-    construction of the same strands."""
+    """euler_char_direct, and the Euler sum and buffer verdict of one band,
+    against the homology of the same strands built point by point."""
 
-    def assert_matches(self, monkeypatch, datum, deg):
+    def assert_matches(self, datum, deg):
         direct = euler_char_direct(datum, deg)
-        with monkeypatch.context() as patched:
-            patched.setattr(koszul, "strand_profile", _oracle_profile)
-            oracle = euler_char_direct(datum, deg)
-        assert direct == oracle
-        band, buffer = direct.provenance["band"], direct.provenance["buffer"]
-        assert strand_profile(datum, deg, band, buffer) == _oracle_profile(datum, deg, band, buffer)
+        assert direct == _oracle_direct(datum, deg)
         return direct
 
-    def test_relations_top_and_degree_two_elements(self, monkeypatch):
+    def test_relations_top_and_degree_two_elements(self):
         d = datum_relations_top()
         assert not d.fam.module.relations.is_zero() and not d.fam.module.top.is_unit()
         for deg in (MultiDegree(1, (1,)), MultiDegree(2, (1,)), MultiDegree(4, (4,))):
-            self.assert_matches(monkeypatch, d, deg)
+            self.assert_matches(d, deg)
 
-    def test_negative_shifted_multidegrees(self, monkeypatch):
+    def test_negative_shifted_multidegrees(self):
         # Two J-sourced elements at n0 = 1 and one I-sourced at n = 0 put
         # some subsets below the origin.
         for d in (datum_2var(), datum_relations_top()):
-            self.assert_matches(monkeypatch, d, MultiDegree(1, (0,)))
+            self.assert_matches(d, MultiDegree(1, (0,)))
 
-    def test_band_doubles(self, monkeypatch):
+    def test_band_doubles(self):
         # At multidegree 0 the strands have homology at every internal
         # degree, so every band's buffer fails and the band doubles to the cap.
         for d in (datum_1var(), datum_relations_top()):
             deg = MultiDegree(0, (0,))
-            ev = self.assert_matches(monkeypatch, d, deg)
+            ev = self.assert_matches(d, deg)
             first = max(1, d.fam.max_generator_degree())
             assert ev.provenance["band"] == first * 2 ** koszul.BAND_DOUBLINGS
             assert not ev.certified
@@ -368,16 +389,16 @@ class TestVectorizedProfile:
                           QuotientModule.free(C2))
         d = ReesDatum(fam, C7)
         for deg in (MultiDegree(1, (1,)), MultiDegree(2, (2,))):
-            profile = strand_profile(d, deg, 3, 1)
-            assert profile.dims
-            assert profile == _oracle_profile(d, deg, 3, 1)
+            dims, certified = _oracle_profile(d, deg, 3, 1)
+            assert dims
+            assert koszul._band_euler(d, deg, 3, 1) == (_band_sum(dims, 3), certified)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_seeded_families(self, monkeypatch, seed):
+    def test_seeded_families(self, seed):
         for d in seeded_data(seed, 4):
             base = initial_offset(d.fam)
             for deg in (MultiDegree(base, (base,)), MultiDegree(1, (base,))):
-                self.assert_matches(monkeypatch, d, deg)
+                self.assert_matches(d, deg)
 
     def test_three_variable_families(self):
         # Small bands: the oracle builds every strand point by point.
@@ -385,9 +406,9 @@ class TestVectorizedProfile:
         for d in three_variable_data():
             for deg in (MultiDegree(1, (1,)), MultiDegree(2, (1,)), MultiDegree(0, (2,))):
                 for band in (2, 3):
-                    profile = strand_profile(d, deg, band, 1)
-                    assert profile == _oracle_profile(d, deg, band, 1)
-                    nonzero += bool(profile.dims)
+                    dims, certified = _oracle_profile(d, deg, band, 1)
+                    assert koszul._band_euler(d, deg, band, 1) == (_band_sum(dims, band), certified)
+                    nonzero += bool(dims)
         assert nonzero >= 50
 
     def test_single_strands(self):
@@ -431,21 +452,75 @@ class TestEulerDirect:
 
     def test_corpus_direct_channel_is_pinned(self):
         # Value, band and certified flag of every direct chi in the corpus,
-        # with a digest of the profile's dims at that band, pinned by digest.
+        # pinned by digest.
         rows = []
         for inst in direct_chi_instances():
             d = ReesDatum(inst.fam, inst.cand)
             base = interpolate(inst.fam, "P").base
-            deg = MultiDegree(base, (base,) * inst.fam.d)
-            ev = euler_char_direct(d, deg)
-            band, buffer = ev.provenance["band"], ev.provenance["buffer"]
-            dims = strand_profile(d, deg, band, buffer).dims
-            rows.append([inst.label, ev.value, band, ev.certified,
-                         hashlib.sha256(json.dumps(dims).encode()).hexdigest()])
-        assert len(rows) == 127 and all(certified for _, _, _, certified, _ in rows)
-        assert Counter(value for _, value, _, _, _ in rows) == {0: 103, 1: 15, 2: 9}
+            ev = euler_char_direct(d, MultiDegree(base, (base,) * inst.fam.d))
+            rows.append([inst.label, ev.value, ev.provenance["band"], ev.certified])
+        assert len(rows) == 127 and all(certified for _, _, _, certified in rows)
+        assert Counter(value for _, value, _, _ in rows) == {0: 103, 1: 15, 2: 9}
         digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
-        assert digest == "dc02ec4f4d14f8fd349bb9ce248984351368f8ebaa49f9cc4e00ced7a05810a3"
+        assert digest == "c1a55cd0da0f5f0196901ccf0722a317a5dfe710c2fc30d7037841aab8208b26"
+
+
+def exterior_subsets(n):
+    """The exterior subsets of n elements, by size and then lexicographically,
+    the column order of a support pattern."""
+    return [s for p in range(n + 1) for s in itertools.combinations(range(n), p)]
+
+
+def pattern_case(n, rows):
+    """(subsets, rows) for n elements, each row given by its subsets' columns."""
+    subsets = exterior_subsets(n)
+    present = np.zeros((len(rows), len(subsets)), dtype=bool)
+    for r, columns in enumerate(rows):
+        present[r, columns] = True
+    return subsets, present
+
+
+@st.composite
+def pattern_rows(draw):
+    """(subsets, rows): the exterior subsets of n = 1..7 elements and up to
+    six support-pattern rows over them.  A row is a few single subsets and
+    a few pairs S, S + {e}, whose boundary map is a unit, so both acyclic
+    and non-acyclic rows come up; at n = 7 a pattern spans three key
+    words."""
+    n = draw(st.integers(1, 7))
+    subsets = exterior_subsets(n)
+    column = {s: i for i, s in enumerate(subsets)}
+    index = st.integers(0, len(subsets) - 1)
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        columns = draw(st.lists(index, max_size=3))
+        for i in draw(st.lists(index, max_size=3)):
+            e = draw(st.integers(0, n - 1))
+            if e not in subsets[i]:
+                columns += [i, column[tuple(sorted(subsets[i] + (e,)))]]
+        rows.append(columns)
+    return pattern_case(n, rows)
+
+
+class TestEulerPoincare:
+    """The identity the direct value rests on, and the buffer certificate,
+    on support patterns that need not come from a strand."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(pattern_rows())
+    # Rows equal in their first key word: the empty pattern, acyclic, and
+    # one subset past the first 63 columns, not.
+    @example(pattern_case(7, [[], [100]]))
+    @example(pattern_case(7, [[127], []]))
+    def test_chain_count_and_acyclic(self, case):
+        subsets, rows = case
+        acyclic = []
+        for row in rows:
+            h = koszul._homology(*koszul._pattern_complex(subsets, row))
+            chain_sum = sum((-1) ** len(s) for s, here in zip(subsets, row) if here)
+            assert chain_sum == sum((-1) ** p * dim for p, dim in h.items())
+            acyclic.append(not h)
+        assert koszul._acyclic(subsets, rows) == all(acyclic)
 
 
 class TestUncertified:

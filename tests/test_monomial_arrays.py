@@ -485,7 +485,7 @@ class TestSumKernel:
     @CASES
     @given(st.one_of(operands(), wide_operands()).flatmap(with_floor))
     @example(((2, [(2**40, 0), (0, 2**40)], [(1, 1)]), (2, [(2, 0), (0, 2)])))
-    # The last standard row (1, 0) is not of the greatest degree, 2.
+    # The staircase's last row (1, 0) is not of the greatest degree, 2.
     @example(((2, [(1, 0), (0, 1)], [(3, 3)]), (2, [(2, 0), (1, 1), (0, 3)])))
     def test_count_difference(self, cases):
         # bot holds floor * top, so the floor is a colon floor of the pair.
@@ -606,26 +606,19 @@ def with_small_floor(case):
     return st.tuples(st.just(case), primary_ideals(m_values=(case[0],), top=top))
 
 
-def expected_branch(a, b, b_sorted=True):
-    """The branch of the sum-set kernel for rows `a` (grlex-sorted) and `b`:
+def expected_branch(a, b):
+    """The branch of the sum-set kernel for grlex-sorted rows `a` and `b`:
     several words, or one word marked in a map of at most eight cells per
     pair, or one word sorted.  The map spans the least to the greatest pair
-    key, read off the ends of sorted rows; unsorted rows of `b` are bounded
-    by 0 and the key of their column maxima."""
+    key, read off the ends of the sorted rows."""
     if not len(a) or not len(b):
         return None
     if several_words(a, b):
         return "several"
     radices = sum_radices(a, b)
     words_a = [row_word(row, radices) for row in a.tolist()]
-    if b_sorted:
-        words_b = [row_word(row, radices) for row in b.tolist()]
-        low_b, high_b = min(words_b), max(words_b)
-    else:
-        rows_b = b.tolist()
-        low_b = 0
-        high_b = key_word((max(map(sum, rows_b)), *map(max, zip(*rows_b))), radices)
-    cells = max(words_a) + high_b - min(words_a) - low_b + 1
+    words_b = [row_word(row, radices) for row in b.tolist()]
+    cells = max(words_a) + max(words_b) - min(words_a) - min(words_b) + 1
     return "marked" if cells <= 8 * len(a) * len(b) else "sorted"
 
 
@@ -654,7 +647,7 @@ class TestMarkedSums:
     @example(((3, [(1, 0, 0), (0, 1, 1)], [(2, 2, 2)]), (3, [(2, 0, 0), (0, 2, 0), (0, 0, 2)])))
     @example(((2, [(100, 0), (0, 100)], [(1, 1)]), (2, [(2, 0), (0, 2)])))
     def test_count(self, cases):
-        # The second operand is the floor's standard rows, in lex order.
+        # The second operand is the floor's standard rows, in grlex order.
         (m, xs, ys), (_, floor_rows) = cases
         ctx = RingContext(m)
         floor, top = ideal(ctx, floor_rows), ideal(ctx, xs)
@@ -664,7 +657,7 @@ class TestMarkedSums:
         with branch_spy() as taken:
             got = _count_difference(top, bot, floor)
         assert got == box_count(top, bot)
-        assert taken() == (expected_branch(top.matrix, std, b_sorted=False) if pairs else None)
+        assert taken() == (expected_branch(top.matrix, std) if pairs else None)
 
     @pytest.mark.parametrize("m", range(1, 9))
     def test_the_bound_is_eight_cells_per_pair(self, m):
@@ -697,6 +690,18 @@ class TestStandardRows:
     def test_requires_a_power_of_every_variable(self):
         with pytest.raises(ValueError):
             _standard_rows(ideal(CONTEXTS[2], [(3, 0), (1, 1)]))
+
+    @CASES
+    @given(primary_ideals())
+    def test_kept_in_grlex_order(self, case):
+        # The floor keeps the staircase's rows sorted once, for the sum-set
+        # kernel, which reads the span of its words off their ends.
+        m, rows = case
+        w = ideal(CONTEXTS[m], rows)
+        std, std_degrees, _ = w.standard
+        expected = sorted(box_standard_rows(w).tolist(), key=lambda r: (sum(r), r))
+        assert std.tolist() == expected
+        assert std_degrees.tolist() == [sum(r) for r in expected]
 
 
 @st.composite

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import comb
 
 import numpy as np
@@ -61,6 +61,7 @@ from .monomials import (
     MonomialIdeal,
     QuotientModule,
     _count_difference,
+    _kept,
     colon_by_monomial,
     ideal_power,
     ideal_product,
@@ -126,8 +127,8 @@ class IdealFamily:
     """An m-primary ideal J, the ideals I_1..I_d, and the module they act on.
 
     Each instance keeps, made on first use, the content split of I_1..I_d and
-    T, the contents c(n) and the Hilbert values it has counted; equal
-    families from two parses share none of them."""
+    T, the contents c(n) and the Hilbert values it has counted, and its ring
+    context keeps its fits; equal families from two parses share none."""
 
     j: MonomialIdeal
     ideals: tuple[MonomialIdeal, ...]
@@ -447,7 +448,7 @@ def initial_offset(fam: IdealFamily) -> int:
     return max(1, base_dim + fam.max_generator_degree())
 
 
-@lru_cache(maxsize=None)
+@_kept
 def interpolate(fam: IdealFamily, which: str = "P") -> FitResult:
     """Fit the Hilbert polynomial of ``hf_P`` or ``hf_F`` exactly.
 

@@ -21,10 +21,14 @@ list of requests to run:
       "requests": [{"command": "mixed", "type": {"k0": 0, "k": [1]}}]
     }
 
-Monomial syntax is a '*'-separated product of powers like "x1^2*x3", or "1".
+Monomial syntax is a '*'-separated product of powers like "x1^2*x3", or "1",
+so a variable name must be one that syntax reads back: not empty, not "1",
+and free of whitespace, '*' and '^'.
 Every diagnostic names the JSON path (and the offending token for monomial
 errors) so failures are actionable.  Requests are validated here too, field
-by field, so a malformed one stops the file before any request runs.
+by field, so a malformed one stops the file before any request runs.  A key
+the program does not read, at the top level, in a candidate, an element or
+a request, is an error too: a misspelt key would otherwise be ignored.
 """
 
 from __future__ import annotations
@@ -98,6 +102,17 @@ def _parse_type(obj, d: int, location: str) -> MixedType:
         raise InstanceParseError(str(exc), location) from exc
 
 
+def _reject_unknown_keys(obj: dict, known, location: str = "") -> None:
+    """Stop at the first key of `obj` that is not in `known`, naming its
+    JSON path."""
+    for key in obj:
+        if key not in known:
+            raise InstanceParseError(
+                f"unknown key {key!r}; expected one of {', '.join(known)}",
+                f"{location}.{key}" if location else key,
+            )
+
+
 def _reject_duplicate_keys(pairs):
     seen = {}
     for key, value in pairs:
@@ -107,21 +122,26 @@ def _reject_duplicate_keys(pairs):
     return seen
 
 
-#: The request commands, in the order the README lists them.
-COMMANDS = (
-    "hilbert",
-    "mixed",
-    "verify-jr",
-    "element-props",
-    "mult-symbol",
-    "chi",
-    "verify-theorem",
-    "verify-corollaries",
-    "search-jr",
-)
+#: The top-level keys of an instance document.
+TOP_LEVEL_KEYS = ("variables", "module_relations", "J", "ideals", "candidates", "requests")
 
-#: Commands that name a declared candidate.
-_CANDIDATE_COMMANDS = ("verify-jr", "mult-symbol", "chi", "verify-theorem", "verify-corollaries")
+#: The fields each request command reads besides "command", the commands in
+#: the order the README lists them.  A command that reads "type" or
+#: "candidate" needs it.
+REQUEST_FIELDS = {
+    "hilbert": ("which",),
+    "mixed": ("type",),
+    "verify-jr": ("candidate",),
+    "element-props": ("monomial", "ideal"),
+    "mult-symbol": ("candidate",),
+    "chi": ("candidate", "direct"),
+    "verify-theorem": ("candidate", "ideal"),
+    "verify-corollaries": ("candidate", "ideal"),
+    "search-jr": ("type", "max_degree", "budget"),
+}
+
+#: The request commands.
+COMMANDS = tuple(REQUEST_FIELDS)
 
 
 def _check_request(req: dict, loc: str, variables, family, ideal_names, candidates) -> None:
@@ -138,9 +158,11 @@ def _check_request(req: dict, loc: str, variables, family, ideal_names, candidat
 
     if command not in COMMANDS:
         fail("command", f"unknown command {command!r}; expected one of {', '.join(COMMANDS)}")
-    if command in ("mixed", "search-jr"):
+    fields = REQUEST_FIELDS[command]
+    _reject_unknown_keys(req, ("command", *fields), loc)
+    if "type" in fields:
         _parse_type(req.get("type"), len(ideal_names), f"{loc}.type")
-    if command in _CANDIDATE_COMMANDS:
+    if "candidate" in fields:
         check_name("candidate", candidates)
     if command == "hilbert" and req.get("which", "P") not in ("P", "F"):
         fail("which", "which must be 'P' or 'F'")
@@ -199,12 +221,19 @@ def parse_instance(text: str, name: str = "<instance>") -> InstanceFile:
         raise InstanceParseError("invalid JSON: arrays or objects nested too deeply") from exc
     if not isinstance(raw, dict):
         raise InstanceParseError("top level must be an object")
+    _reject_unknown_keys(raw, TOP_LEVEL_KEYS)
 
     variables = raw.get("variables")
     if not isinstance(variables, list) or not variables or not all(
         isinstance(v, str) for v in variables
     ):
         raise InstanceParseError("need a non-empty list of variable names", "variables")
+    for i, var in enumerate(variables):
+        if var in ("", "1") or "*" in var or "^" in var or any(c.isspace() for c in var):
+            raise InstanceParseError(
+                f"variable name {var!r} cannot be read back in monomial syntax",
+                f"variables[{i}]",
+            )
     if len(set(variables)) != len(variables):
         raise InstanceParseError("duplicate variable name", "variables")
     ctx = RingContext(len(variables))
@@ -239,6 +268,7 @@ def parse_instance(text: str, name: str = "<instance>") -> InstanceFile:
         loc = f"candidates.{cname}"
         if not isinstance(cobj, dict) or "type" not in cobj or "elements" not in cobj:
             raise InstanceParseError("candidate needs 'type' and 'elements'", loc)
+        _reject_unknown_keys(cobj, ("type", "elements"), loc)
         mt = _parse_type(cobj["type"], len(ideal_names), f"{loc}.type")
         if not isinstance(cobj["elements"], list):
             raise InstanceParseError("elements must be a list", f"{loc}.elements")
@@ -247,6 +277,7 @@ def parse_instance(text: str, name: str = "<instance>") -> InstanceFile:
             eloc = f"{loc}.elements[{i}]"
             if not isinstance(eobj, dict) or "monomial" not in eobj or "source" not in eobj:
                 raise InstanceParseError("element needs 'monomial' and 'source'", eloc)
+            _reject_unknown_keys(eobj, ("monomial", "source"), eloc)
             mono = parse_monomial(eobj["monomial"], variables, ctx, eloc)
             src_name = eobj["source"]
             if src_name == "J":

@@ -18,9 +18,9 @@ over a whole box of exponents 0 <= v < bounds needs no list of points:
 x^v lies in the ideal exactly when some generator g has g <= v, so
 ``_box_members`` marks the generators inside the box and OR-accumulates the
 marks along each axis in turn.  The ideal's hash is computed from the
-matrix bytes on first use and kept, so the lru caches below look ideals up
-in constant time, and ideals that never enter a cache (principal shifts,
-most Hilbert pieces) never pay for it.
+matrix bytes on first use and kept, so the memo of its ring context
+(``_kept``) looks ideals up in constant time, and ideals that never enter
+it (principal shifts, most Hilbert pieces) never pay for it.
 Whether the ideal is the unit ideal is a flag set at construction.
 ``gens``, the generators as exponent tuples, and ``maxima``, the greatest
 exponent of each variable over them, are made on first use and kept.
@@ -94,8 +94,8 @@ length exactly when B : T contains a power of every variable.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import wraps
 
 import numpy as np
 
@@ -116,9 +116,10 @@ def _grlex_key(exponents):
 
 @dataclass(frozen=True)
 class RingContext:
-    """The ambient localized polynomial ring, identified by its variable count."""
+    """The localized ring in ``num_vars`` variables (its identity); ``memo`` serves ``_kept``."""
 
     num_vars: int
+    memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         if self.num_vars < 1:
@@ -657,7 +658,17 @@ def first_outside_sum(parts, other: MonomialIdeal) -> Monomial | None:
 # -- ideal arithmetic ------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+def _kept(fn):
+    """`fn`, memoized by argument equality in ``ctx.memo[fn]`` of its first argument."""
+    def kept(*args):
+        table = args[0].ctx.memo.setdefault(fn, {})
+        if (value := table.get(args)) is None:
+            value = table[args] = fn(*args)
+        return value
+    return wraps(fn)(kept)
+
+
+@_kept
 def _ideal_sum_cached(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
     return MonomialIdeal(a.ctx, *_minimal_rows(np.concatenate((a.matrix, b.matrix))))
 
@@ -673,7 +684,7 @@ def ideal_sum(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
     return _ideal_sum_cached(a, b)
 
 
-@lru_cache(maxsize=None)
+@_kept
 def _ideal_product_cached(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
     sums = _sum_rows(a.matrix, a.key_tops(), b.matrix, b.key_tops())
     return MonomialIdeal(a.ctx, *_drop_divisible(*sums))
@@ -726,14 +737,14 @@ def split_content(a: MonomialIdeal) -> tuple[tuple[int, ...], MonomialIdeal]:
     rows minimal, distinct and in grlex order."""
     if a.is_zero():
         return (0,) * a.ctx.num_vars, a
-    content = tuple(map(min, zip(*a.gens)))
+    shift = a.matrix.min(axis=0)
+    content = tuple(shift.tolist())
     if not any(content):
         return content, a
-    shift = np.array(content, dtype=np.int64)
     return content, MonomialIdeal(a.ctx, a.matrix - shift, a.degrees - sum(content))
 
 
-@lru_cache(maxsize=None)
+@_kept
 def _powers(a: MonomialIdeal) -> list[MonomialIdeal]:
     """The powers a^0, a^1, ... computed so far; ideal_power extends it."""
     return [MonomialIdeal.unit(a.ctx), a]
@@ -753,7 +764,7 @@ def ideal_power(a: MonomialIdeal, n: int) -> MonomialIdeal:
     return powers[n]
 
 
-@lru_cache(maxsize=None)
+@_kept
 def colon_by_monomial(q: MonomialIdeal, u: Monomial) -> MonomialIdeal:
     """The colon ideal q : u = { v : u*v in q }; q itself when u is 1."""
     if len(u.exponents) != q.ctx.num_vars:
@@ -764,7 +775,7 @@ def colon_by_monomial(q: MonomialIdeal, u: Monomial) -> MonomialIdeal:
     return MonomialIdeal(q.ctx, *_minimal_rows(shifted))
 
 
-@lru_cache(maxsize=None)
+@_kept
 def ideal_intersection(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
     """Intersection, generated by pairwise lcms of generators."""
     _check_ctx(a, b)
@@ -784,7 +795,7 @@ def colon_by_ideal(q: MonomialIdeal, i: MonomialIdeal) -> MonomialIdeal:
     return out
 
 
-@lru_cache(maxsize=None)
+@_kept
 def saturation(q: MonomialIdeal, i: MonomialIdeal) -> MonomialIdeal:
     """The stable value q : i^infinity of the ascending colon chain."""
     _check_ctx(q, i)

@@ -30,6 +30,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .hilbert import (
     BAND_EXTENT,
     IdealFamily,
@@ -45,9 +47,9 @@ from .monomials import (
     _grlex_key,
     colon_by_monomial,
     first_outside_sum,
-    ideal,
     ideal_intersection,
     ideal_product,
+    ideal_shift,
     ideal_sum,
     krull_dim,
     saturation,
@@ -121,14 +123,9 @@ class ContainmentCertificate:
             raise ValueError("a failing certificate needs a witness")
 
 
-def _principal(ctx, u: Monomial) -> MonomialIdeal:
-    return ideal(ctx, [u])
-
-
 def _rhs_parts(fam: IdealFamily, cand: JointReductionCandidate, deg: MultiDegree) -> list[MonomialIdeal]:
     """The parts of the right side at `deg`: the relations, then u * piece
     for each element u."""
-    ctx = fam.ctx
     parts = [fam.module.relations]
     for u, src in cand.elements:
         if src == J_SOURCE:
@@ -136,7 +133,7 @@ def _rhs_parts(fam: IdealFamily, cand: JointReductionCandidate, deg: MultiDegree
         else:
             shifted = tuple(ni - (1 if i == src else 0) for i, ni in enumerate(deg.n))
             piece = fam.piece(MultiDegree(deg.n0, shifted))
-        parts.append(ideal_product(_principal(ctx, u), piece))
+        parts.append(ideal_shift(piece, np.array(u.exponents, dtype=np.int64), u.degree))
     return parts
 
 
@@ -202,13 +199,13 @@ def is_rees_superficial(fam: IdealFamily, u: Monomial, i: int) -> ContainmentCer
     if not fam.ideals[i].contains(u):
         raise ValueError("element must lie in the indexed ideal")
     q = fam.module.relations
-    pu = _principal(fam.ctx, u)
-    multiples = ideal_sum(ideal_product(pu, fam.module.top), q)
+    row = np.array(u.exponents, dtype=np.int64)
+    multiples = ideal_sum(ideal_shift(fam.module.top, row, u.degree), q)
     base = initial_offset(fam)
     for n in window_points(fam.d, base, BAND_EXTENT):
         blob = fam.piece(MultiDegree(0, n))
         lhs = ideal_intersection(multiples, ideal_sum(ideal_product(blob, fam.ideals[i]), q))
-        witness = first_outside_sum([q, ideal_product(pu, blob)], lhs)
+        witness = first_outside_sum([q, ideal_shift(blob, row, u.degree)], lhs)
         if witness is not None:
             return ContainmentCertificate(False, base, BAND_EXTENT, (n, witness))
     return ContainmentCertificate(True, base, BAND_EXTENT)

@@ -12,21 +12,23 @@ a product of two three-generator ideals, the size the seeded corpus makes
 most; and the candidates of one count, a product's generators against the
 standard monomials of a colon floor (kept in grlex order on the floor).
 
+Every memo of the engine belongs to one parse: the ring context of the
+instance keeps the ideal arithmetic and the fits, and each family its
+content split and values.  So a benchmark that runs cold makes a fresh
+parse each round, and nothing else.
+
 The fit benchmark times ``interpolate(family, "P")`` on the shipped dim4
-sample, the fit behind its ``mixed`` request, on a fresh parse with the fit
-cache cleared each round: the family's content split and value memo start
-empty, while the ideal caches of ``monomials`` stay warm.
+sample, the fit behind its ``mixed`` request, cold.
 
 The F fit benchmark times ``interpolate(family, "F")`` on the first family
 of perfbench's ``counting`` workload (``COUNTING_SLOTS[0]`` before the
-seed's variable permutation: J = (x1, x2^2, x3^2, x2 x3), I1 = (x1, x2)), on
-a fresh parse with the fit cache and every ideal cache of ``monomials``
-cleared each round.
+seed's variable permutation: J = (x1, x2^2, x3^2, x2 x3), I1 = (x1, x2)),
+cold.
 
-The certificate benchmarks time ``verify_joint_reduction`` on the sample, on
-a fresh parse with every ideal cache of ``monomials`` cleared each round: on
-its certified candidate ``x``, and on the first candidate of ``search-jr``'s
-pool order for type (2, (1, 0)), which fails at the base point.
+The certificate benchmarks time ``verify_joint_reduction`` on the sample,
+cold: on its certified candidate ``x``, and on the first candidate of
+``search-jr``'s pool order for type (2, (1, 0)), which fails at the base
+point.
 
 The strand benchmarks time the direct chi channel of ``koszul``: the box
 kernel ``_box_members`` filling the membership of (x1, x2)^5 over the 11^3
@@ -34,7 +36,8 @@ box of internal degrees; ``euler_char_direct`` at the koszul workload's
 shape (three variables, J maximal, I1 = (x1, x2), the candidate x2 from I1
 with x1 and x3 from J, multidegree (4, (4,)), band 9, buffer 1); and
 ``euler_char_direct`` on the sample's candidate ``x`` at its fit's base
-(5, 5, 5), band 16.  These three run with the ideal caches warm.
+(5, 5, 5), band 16.  These three run warm: every round after the first
+reuses the memos of one parse or ring.
 """
 
 import json
@@ -45,7 +48,6 @@ import pytest
 pytest.importorskip("pytest_benchmark")
 
 from oracles import box_members  # noqa: E402
-from multimult import monomials  # noqa: E402
 from multimult.hilbert import IdealFamily, MixedType, MultiDegree, interpolate  # noqa: E402
 from multimult.instances import parse_instance  # noqa: E402
 from multimult.koszul import euler_char_direct  # noqa: E402
@@ -100,34 +102,18 @@ def test_count_candidates(benchmark):
     assert len(rows) == len(sums)
 
 
+def fresh_sample():
+    """A fresh parse of the sample, with empty memos."""
+    return parse_instance(SAMPLE.read_text(), SAMPLE.name)
+
+
 def test_sample_fit(benchmark):
-    text = SAMPLE.read_text()
+    def setup():
+        return (fresh_sample().family, "P"), {}
 
-    def fresh_family():
-        # Equal families would otherwise hit the fit cache.
-        interpolate.cache_clear()
-        return (parse_instance(text, SAMPLE.name).family, "P"), {}
-
-    fit = benchmark.pedantic(interpolate, setup=fresh_family, rounds=50)
+    fit = benchmark.pedantic(interpolate, setup=setup, rounds=50)
     assert fit.poly.coefficient((2, 0, 1)) == 0
     assert len(fit.values.ravel()) == 125
-
-
-IDEAL_CACHES = (
-    monomials._ideal_sum_cached,
-    monomials._ideal_product_cached,
-    monomials._powers,
-    monomials.colon_by_monomial,
-    monomials.ideal_intersection,
-    monomials.saturation,
-)
-
-
-def fresh_sample():
-    """A fresh parse of the sample, with every ideal cache cleared."""
-    for cache in IDEAL_CACHES:
-        cache.cache_clear()
-    return parse_instance(SAMPLE.read_text(), SAMPLE.name)
 
 
 COUNTING_FAMILY = json.dumps({
@@ -141,9 +127,6 @@ COUNTING_FAMILY = json.dumps({
 
 def test_counting_f_fit(benchmark):
     def setup():
-        interpolate.cache_clear()
-        for cache in IDEAL_CACHES:
-            cache.cache_clear()
         return (parse_instance(COUNTING_FAMILY).family, "F"), {}
 
     fit = benchmark.pedantic(interpolate, setup=setup, rounds=30)

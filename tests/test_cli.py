@@ -1,8 +1,10 @@
 """Tests for instance parsing, report assembly, and the CLI."""
 
+import gc
 import json
 import re
 import sys
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -177,6 +179,37 @@ class TestCertifiedOnce:
         assert len(certified) == 2
 
 
+class TestOwnedMemos:
+    """The ring context of each parse keeps the memos of the ideal
+    arithmetic and the fits; no module keeps a cache of its own."""
+
+    def test_no_module_holds_a_functools_cache(self):
+        modules = [m for n, m in sys.modules.items() if n.split(".")[0] == "multimult"]
+        assert len(modules) > 5
+        held = [f"{m.__name__}.{k}" for m in modules for k, v in vars(m).items()
+                if hasattr(v, "cache_info") or hasattr(v, "cache_clear")]
+        assert held == []
+
+    def test_fresh_parses_do_equal_memo_work(self):
+        first, second = (parse_instance(SAMPLE.read_text(), SAMPLE.name) for _ in range(2))
+        memos = [inst.family.ctx.memo for inst in (first, second)]
+        assert memos[0] is not memos[1] and memos == [{}, {}]
+        for inst in (first, second):
+            run_instance(inst)
+        # One table per memoized function, keyed by the argument tuples.
+        tables = [{fn: set(table) for fn, table in memo.items()} for memo in memos]
+        assert len(tables[0]) == 7 and tables[0] == tables[1]
+
+    def test_a_dropped_instance_frees_its_context(self):
+        inst = parse_instance(SAMPLE.read_text(), SAMPLE.name)
+        run_instance(inst)
+        ctx = weakref.ref(inst.family.ctx)
+        assert ctx().memo
+        del inst
+        gc.collect()
+        assert ctx() is None
+
+
 def corollaries(doc, **fields):
     inst = parse_instance(json.dumps(doc))
     return run_request(inst, dict(command="verify-corollaries", **fields))["reports"]
@@ -330,6 +363,26 @@ class TestCliEntry:
         }
         assert second["value"] == "1" and "failure" not in second
 
+    def test_unstable_fit_exit_3(self, tmp_path, capsys):
+        # No window is ever consistent, so the fit raises StabilizationError:
+        # the run records it as a failure, not a mismatch, and goes on.
+        doc = json.loads(MINIMAL)
+        doc["requests"] = [{"command": "hilbert", "which": "P"},
+                           {"command": "verify-jr", "candidate": "c"}]
+        f = tmp_path / "inst.json"
+        f.write_text(json.dumps(doc))
+        out_path = tmp_path / "report.json"
+        with mock.patch("multimult.hilbert._binomial_coefficients", return_value=None):
+            assert main(["run", str(f), "--json", str(out_path)]) == 3
+        assert "StabilizationError" in capsys.readouterr().err
+        report = json.loads(out_path.read_text())
+        assert report["mismatch_count"] == 0
+        first, second = report["results"]
+        # The window base starts at dim A + 1 = 3 and doubles up to 64 * 3.
+        assert first["failure"] == {"type": "StabilizationError",
+                                    "message": "no stable window up to base 192"}
+        assert second["certificate"]["holds"] is True
+
     def test_generator_of_degree_1000_exit_0(self, tmp_path, capsys):
         # The fit window of J = (x1^1000) starts at n0 = 1001, so J^n0 is a
         # power past the interpreter's recursion limit.
@@ -418,6 +471,16 @@ class TestCliEntry:
                          id="corollaries-undeclared-ideal"),
             pytest.param({"command": "verify-theorem", "candidate": "j"}, "candidate",
                          id="theorem-no-positive-k"),
+            # A misspelt field would otherwise be ignored: here, the direct
+            # channel would silently not run.
+            pytest.param({"command": "chi", "candidate": "c", "drect": True}, "drect",
+                         id="chi-misspelt-direct"),
+            pytest.param({"command": "mixed", "type": {"k0": 0, "k": [1]}, "candidate": "c"},
+                         "candidate", id="mixed-reads-no-candidate"),
+            pytest.param({"command": "hilbert", "which": "P", "type": {"k0": 0, "k": [1]}},
+                         "type", id="hilbert-reads-no-type"),
+            pytest.param({"command": "search-jr", "type": {"k0": 0, "k": [1]}, "budgte": 5},
+                         "budgte", id="search-misspelt-budget"),
         ],
     )
     def test_malformed_request_field_exit_2(self, tmp_path, capsys, bad, path):
@@ -443,6 +506,26 @@ class TestCliEntry:
             pytest.param(lambda doc: json.dumps(doc)[:-1]
                          + ', "deep": ' + "[" * 200_000 + "]" * 200_000 + "}",
                          "nested too deeply", id="nested-past-the-recursion-limit"),
+            # Misspelt keys would otherwise be ignored: here M would be A.
+            pytest.param(lambda doc: doc.update(modul_relations=["x1"]), "modul_relations",
+                         id="unknown-top-level-key"),
+            pytest.param(lambda doc: doc["candidates"]["c"].update(note="x"), "candidates.c.note",
+                         id="unknown-candidate-key"),
+            pytest.param(lambda doc: doc["candidates"]["c"]["elements"][1].update(power=2),
+                         "candidates.c.elements[1].power", id="unknown-element-key"),
+            # Variable names that the monomial syntax cannot read back.
+            pytest.param(lambda doc: doc.update(variables=["1", "x2"], J=["1"]), "variables[0]",
+                         id="variable-named-1"),
+            pytest.param(lambda doc: doc.update(variables=["x1", ""]), "variables[1]",
+                         id="variable-empty"),
+            pytest.param(lambda doc: doc.update(variables=["x1", "x^2"]), "variables[1]",
+                         id="variable-with-caret"),
+            pytest.param(lambda doc: doc.update(variables=["a*b", "x2"]), "variables[0]",
+                         id="variable-with-star"),
+            pytest.param(lambda doc: doc.update(variables=[" x1", "x2"]), "variables[0]",
+                         id="variable-with-leading-space"),
+            pytest.param(lambda doc: doc.update(variables=["x1", "x\t2"]), "variables[1]",
+                         id="variable-with-tab"),
         ],
     )
     def test_malformed_document_exit_2(self, tmp_path, capsys, mutate, path):

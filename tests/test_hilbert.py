@@ -23,6 +23,7 @@ from multimult.hilbert import (
     IdealFamily,
     MixedType,
     MultiDegree,
+    StabilizationError,
     _fit_window,
     _shift_matrix,
     interpolate,
@@ -265,6 +266,31 @@ class TestInterpolation:
         assert digest == "42a9e645d6056071fca40ec1edd75132e2ad7e8003dd9c6c93d58950e63fb7e2"
 
 
+class TestStabilization:
+    """A window that never stabilizes raises StabilizationError, which logs
+    one residual entry per base tried: start, 2 start, ..., 64 start."""
+
+    def test_non_polynomial_tries_every_base(self):
+        # 2^v has nonzero differences of every order: no window is
+        # consistent with a line.
+        with pytest.raises(StabilizationError, match="up to base 192") as caught:
+            _fit_window(lambda pt: 2 ** pt[0], 1, 1, 3)
+        bases = [3 * 2**k for k in range(7)]
+        assert caught.value.residuals == [(b, "inconsistent fit system") for b in bases]
+
+    def test_band_misses_are_logged(self):
+        # v on the first window {1, 2, 3}, 2^v beyond it: the line through
+        # the window misses the band (4,), (5,), and no later window fits.
+        def value(pt):
+            return pt[0] if pt[0] <= 3 else 2 ** pt[0]
+
+        with pytest.raises(StabilizationError, match="up to base 64") as caught:
+            _fit_window(value, 1, 1, 1)
+        first, *rest = caught.value.residuals
+        assert first == (1, [((4,), 16 - 4), ((5,), 32 - 5)])
+        assert rest == [(2**k, "inconsistent fit system") for k in range(1, 7)]
+
+
 class TestIntegerFit:
     """The forward-difference fit against polynomials built on the binomial
     basis, where the answer is known by construction."""
@@ -395,7 +421,6 @@ class TestColonFloor:
         evals = []
         evaluate = hilbert.hf_P
         monkeypatch.setattr(hilbert, "hf_P", lambda fam, deg: evals.append(deg) or evaluate(fam, deg))
-        interpolate.cache_clear()
         inst = parse_instance(SAMPLE.read_text(), SAMPLE.name)
         run_request(inst, next(r for r in inst.requests if r["command"] == "mixed"))
         assert len(evals) == 133
@@ -405,11 +430,13 @@ class TestColonFloor:
         # A counting-style family: J has pure powers of degree up to 2 and a
         # mixed generator, so every J^n0 has many standard monomials, and
         # none of them is enumerated.
-        j = ideal(C3, [(1, 0, 0), (0, 2, 0), (0, 0, 2), (0, 1, 1)])
-        fam = IdealFamily(j, (ideal(C3, [(1, 0, 0), (0, 1, 0)]),), QuotientModule.free(C3))
+        # A fresh ring, so no power of an equal J kept from another test
+        # arrives with its standard monomials already enumerated.
+        ctx = RingContext(3)
+        j = ideal(ctx, [(1, 0, 0), (0, 2, 0), (0, 0, 2), (0, 1, 1)])
+        fam = IdealFamily(j, (ideal(ctx, [(1, 0, 0), (0, 1, 0)]),), QuotientModule.free(ctx))
         seen = count_floor_enumerations(monkeypatch)
         calls = spy_counts(monkeypatch)
-        monomials._powers.cache_clear()
         for n0, n1 in itertools.product(range(5), range(4)):
             assert hf_F(fam, MultiDegree(n0, (n1,))) == floorless_f(fam, MultiDegree(n0, (n1,)))
         assert seen == [j]
@@ -562,7 +589,6 @@ class TestContentFreeCounts:
         evals = []
         evaluate = hilbert.hf_P
         monkeypatch.setattr(hilbert, "hf_P", lambda fam, deg: evals.append(deg) or evaluate(fam, deg))
-        interpolate.cache_clear()
         inst = parse_instance(SAMPLE.read_text(), SAMPLE.name)
         run_request(inst, next(r for r in inst.requests if r["command"] == "mixed"))
         # I2 = (x3) is principal and M = A, so n2 never enters a count.

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -316,6 +317,24 @@ class TestTheoremRecursion:
         rep = verify_theorem_recursion(ReesDatum(family_dim4(), dim4_candidate()), 1)
         assert rep.verdict == Verdict.EQUAL
         assert rep.left == 0
+
+    def test_unstable_fit_is_an_unmet_hypothesis(self):
+        # No window is ever consistent, so each fit raises StabilizationError
+        # and the claim asserts nothing.  A fresh ring: no kept fit answers.
+        ctx = RingContext(2)
+        m = ideal(ctx, [(1, 0), (0, 1)])
+        fam = IdealFamily(m, (m,), QuotientModule.free(ctx))
+        cand = JointReductionCandidate(
+            ((ctx.monomial(1, 0), 0), (ctx.monomial(0, 1), J_SOURCE)), MixedType(0, (1,))
+        )
+        datum = ReesDatum(fam, cand)
+        with mock.patch("multimult.hilbert._binomial_coefficients", return_value=None):
+            rep = verify_theorem_recursion(datum, 0)
+        assert rep.verdict == Verdict.HYPOTHESIS_UNMET
+        assert rep.hypotheses[-1] == ("interpolation stabilized", False)
+        assert (rep.left, rep.right) == (0, 0)
+        # A failed fit is not kept: the same datum verifies once fits work.
+        assert verify_theorem_recursion(datum, 0).verdict == Verdict.EQUAL
 
     @pytest.mark.xfail(
         strict=True,

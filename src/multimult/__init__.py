@@ -8,10 +8,13 @@ of multigraded Koszul strands.  All arithmetic is exact.
 
 Start-up: the engine never calls BLAS; its numpy arithmetic is on int64
 arrays.  Importing multimult therefore defaults ``OPENBLAS_NUM_THREADS`` to 1,
-so that OpenBLAS starts no worker threads, and freezes the objects the import
-creates (``gc.freeze``), so that the cyclic collector never scans them again,
-at exit included.  An embedding program that wants threaded float BLAS should
-set ``OPENBLAS_NUM_THREADS`` itself, or import numpy before multimult.
+so that OpenBLAS starts no worker threads.  It also freezes (``gc.freeze``)
+every object that exists once ``multimult.monomials`` and numpy have
+imported, so that the cyclic collector never scans them again, at exit
+included.  The modules imported after that (the other engine modules,
+``multimult.cli`` and what they import) are not frozen.  An embedding program
+that wants threaded float BLAS should set ``OPENBLAS_NUM_THREADS`` itself, or
+import numpy before multimult.
 """
 
 import gc

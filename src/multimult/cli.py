@@ -20,7 +20,6 @@ import json
 import os
 import sys
 import time
-import traceback
 
 from .hilbert import MixedType, MultiDegree, interpolate, mixed_multiplicity
 from .instances import (
@@ -156,6 +155,9 @@ def run_instance(inst: InstanceFile) -> dict:
         try:
             results.append(run_request(inst, req))
         except Exception as exc:
+            # Imported here: a run without failures never needs it.
+            import traceback
+
             traceback.print_exc(file=sys.stderr)
             failure = {"type": type(exc).__name__, "message": str(exc)}
             results.append({"request": req, "failure": failure})

@@ -48,8 +48,6 @@ checks that J contains a power of every variable, so every value is finite.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import cached_property
 from math import comb
 
 import numpy as np
@@ -60,8 +58,10 @@ from .monomials import (
     Monomial,
     MonomialIdeal,
     QuotientModule,
+    Record,
     _count_difference,
     _kept,
+    _set,
     colon_by_monomial,
     ideal_power,
     ideal_product,
@@ -86,32 +86,32 @@ class StabilizationError(RuntimeError):
         self.residuals = residuals or []
 
 
-@dataclass(frozen=True)
-class MultiDegree:
+class MultiDegree(Record):
     """A point (n0, n1, ..., nd) in the multigrading."""
 
-    n0: int
-    n: tuple[int, ...]
+    __slots__ = ("n0", "n")
 
-    def __post_init__(self):
-        if self.n0 < 0 or any(ni < 0 for ni in self.n):
+    def __init__(self, n0: int, n: tuple[int, ...]):
+        if n0 < 0 or any(ni < 0 for ni in n):
             raise ValueError("multidegree entries must be non-negative")
+        _set(self, "n0", n0)
+        _set(self, "n", n)
 
     def as_tuple(self) -> tuple[int, ...]:
         return (self.n0,) + self.n
 
 
-@dataclass(frozen=True)
-class MixedType:
+class MixedType(Record):
     """An index (k0, k); as a joint-reduction shape it calls for k_i elements
     from each I_i and k0 + 1 elements from J."""
 
-    k0: int
-    k: tuple[int, ...]
+    __slots__ = ("k0", "k")
 
-    def __post_init__(self):
-        if self.k0 < 0 or any(ki < 0 for ki in self.k):
+    def __init__(self, k0: int, k: tuple[int, ...]):
+        if k0 < 0 or any(ki < 0 for ki in k):
             raise ValueError("type entries must be non-negative")
+        _set(self, "k0", k0)
+        _set(self, "k", k)
 
     def as_tuple(self) -> tuple[int, ...]:
         return (self.k0,) + self.k
@@ -122,26 +122,33 @@ class MixedType:
         return self.k0 + 1 + sum(self.k)
 
 
-@dataclass(frozen=True)
-class IdealFamily:
+class IdealFamily(Record, compared=("j", "ideals", "module")):
     """An m-primary ideal J, the ideals I_1..I_d, and the module they act on.
 
-    Each instance keeps, made on first use, the content split of I_1..I_d and
-    T, the contents c(n) and the Hilbert values it has counted, and its ring
-    context keeps its fits; equal families from two parses share none."""
+    Each instance keeps the content split of I_1..I_d and T, made on first
+    use, and the contents c(n) and the Hilbert values it has counted, and
+    its ring context keeps its fits; equal families from two parses share
+    none."""
 
-    j: MonomialIdeal
-    ideals: tuple[MonomialIdeal, ...]
-    module: QuotientModule
+    __slots__ = ("j", "ideals", "module", "_split", "_contents", "_hilbert_values")
 
-    def __post_init__(self):
-        if not self.ideals:
+    def __init__(self, j: MonomialIdeal, ideals: tuple[MonomialIdeal, ...],
+                 module: QuotientModule):
+        if not ideals:
             raise ValueError("need at least one ideal I_i")
-        for part in (self.j, *self.ideals):
-            if part.ctx != self.module.ctx:
+        for part in (j, *ideals):
+            if part.ctx != module.ctx:
                 raise ContextMismatchError("family parts live in different rings")
-        if not self.j.is_primary_to_max_ideal():
+        if not j.is_primary_to_max_ideal():
             raise ValueError("J must contain a power of every variable")
+        _set(self, "j", j)
+        _set(self, "ideals", ideals)
+        _set(self, "module", module)
+        _set(self, "_split", None)
+        # The contents c(n) made so far, keyed by n, and the Hilbert values
+        # counted so far, keyed as in ``hf_P``.
+        _set(self, "_contents", {})
+        _set(self, "_hilbert_values", {})
 
     @property
     def d(self) -> int:
@@ -174,28 +181,20 @@ class IdealFamily:
     def with_module(self, module: QuotientModule) -> IdealFamily:
         return IdealFamily(self.j, self.ideals, module)
 
-    @cached_property
+    @property
     def _content_split(self):
         """I_i = x^(c_i) I_i' and T = x^(c_T) T', split on first use: the
         axes whose part I_i' is not the unit ideal, with their parts; T';
         and the content vectors, None when all of them are 0, else c_T with
         the axes whose c_i is not 0 and their c_i."""
-        splits = [split_content(i) for i in self.ideals]
-        top_content, top_part = split_content(self.module.top)
-        factors = tuple((i, part) for i, (_, part) in enumerate(splits) if not part.is_unit())
-        contents = tuple((i, c) for i, (c, _) in enumerate(splits) if any(c))
-        vectors = (top_content, contents) if contents or any(top_content) else None
-        return factors, top_part, vectors
-
-    @cached_property
-    def _contents(self) -> dict:
-        """The contents c(n) made so far, keyed by n."""
-        return {}
-
-    @cached_property
-    def _hilbert_values(self) -> dict:
-        """The Hilbert values counted so far, keyed as in ``hf_P``."""
-        return {}
+        if self._split is None:
+            splits = [split_content(i) for i in self.ideals]
+            top_content, top_part = split_content(self.module.top)
+            factors = tuple((i, part) for i, (_, part) in enumerate(splits) if not part.is_unit())
+            contents = tuple((i, c) for i, (c, _) in enumerate(splits) if any(c))
+            vectors = (top_content, contents) if contents or any(top_content) else None
+            _set(self, "_split", (factors, top_part, vectors))
+        return self._split
 
     def content(self, n: tuple[int, ...]) -> tuple[tuple[int, ...], np.ndarray, int]:
         """c(n) = c_T + n_1 c_1 + ... + n_d c_d, the content of the piece at
@@ -320,17 +319,20 @@ class BinomialBasisPolynomial:
 # -- exact interpolation ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(Record):
     """A certified polynomial fit with the window that produced it: the
     values on base + [0, extent)^num_axes, as an int64 array."""
 
-    poly: BinomialBasisPolynomial
-    base: int
-    extent: int
-    band_base: int
-    band_extent: int
-    values: np.ndarray
+    __slots__ = ("poly", "base", "extent", "band_base", "band_extent", "values")
+
+    def __init__(self, poly: BinomialBasisPolynomial, base: int, extent: int, band_base: int,
+                 band_extent: int, values: np.ndarray):
+        _set(self, "poly", poly)
+        _set(self, "base", base)
+        _set(self, "extent", extent)
+        _set(self, "band_base", band_base)
+        _set(self, "band_extent", band_extent)
+        _set(self, "values", values)
 
     def provenance(self) -> dict:
         return {

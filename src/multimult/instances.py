@@ -34,10 +34,9 @@ a request, is an error too: a misspelt key would otherwise be ignored.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 from .hilbert import IdealFamily, MixedType
-from .monomials import Monomial, MonomialIdeal, QuotientModule, RingContext, ideal
+from .monomials import Monomial, MonomialIdeal, QuotientModule, Record, RingContext, _set, ideal
 from .reductions import J_SOURCE, JointReductionCandidate, ReesDatum
 
 
@@ -185,22 +184,28 @@ def _check_request(req: dict, loc: str, variables, family, ideal_names, candidat
                 fail("candidate", "candidate type has no positive k_i; name the ideal")
 
 
-@dataclass(frozen=True)
-class InstanceFile:
+class InstanceFile(Record, compared=("name", "variables", "family", "ideal_names", "candidates",
+                                     "requests", "raw")):
     """A validated instance: the family, named candidates, and requests.
 
     Parsing certifies nothing; a candidate is certified the first time its
     datum is asked for, and the datum is kept for the life of the instance.
     """
 
-    name: str
-    variables: tuple[str, ...]
-    family: IdealFamily
-    ideal_names: tuple[str, ...]
-    candidates: dict[str, JointReductionCandidate]
-    requests: tuple[dict, ...]
-    raw: dict
-    _data: dict[str, ReesDatum] = field(default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("name", "variables", "family", "ideal_names", "candidates", "requests", "raw",
+                 "_data")
+
+    def __init__(self, name: str, variables: tuple[str, ...], family: IdealFamily,
+                 ideal_names: tuple[str, ...], candidates: dict[str, JointReductionCandidate],
+                 requests: tuple[dict, ...], raw: dict):
+        _set(self, "name", name)
+        _set(self, "variables", variables)
+        _set(self, "family", family)
+        _set(self, "ideal_names", ideal_names)
+        _set(self, "candidates", candidates)
+        _set(self, "requests", requests)
+        _set(self, "raw", raw)
+        _set(self, "_data", {})
 
     def datum(self, name: str) -> ReesDatum:
         """The family with the named candidate, certified once per instance."""

@@ -41,7 +41,6 @@ and both refuse a datum whose candidate is not certified.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,7 +51,7 @@ from .hilbert import (
     mixed_multiplicity,
     table_on_window,
 )
-from .monomials import _box_members
+from .monomials import Record, _box_members, _set
 from .reductions import J_SOURCE, JointReductionCandidate, ReesDatum
 
 #: Internal-degree band doubles at most this many times before giving up.
@@ -67,13 +66,15 @@ class NonConstantDifferenceError(RuntimeError):
     not match the polynomial's coefficient support."""
 
 
-@dataclass(frozen=True)
-class EulerValue:
+class EulerValue(Record):
     """A chi value with the window or band that produced it."""
 
-    value: int
-    provenance: dict
-    certified: bool = True
+    __slots__ = ("value", "provenance", "certified")
+
+    def __init__(self, value: int, provenance: dict, certified: bool = True):
+        _set(self, "value", value)
+        _set(self, "provenance", provenance)
+        _set(self, "certified", certified)
 
 
 def _require_certified(datum: ReesDatum) -> None:

@@ -89,13 +89,17 @@ the way ``gens`` is.  The Hilbert values take J as the floor, and
 ``QuotientModule.length`` takes the module's annihilator B : T.
 That method is the one place that decides finiteness: the module has finite
 length exactly when B : T contains a power of every variable.
+
+The package's immutable records derive from :class:`Record`, written out
+rather than generated: a generated class compiles its methods from source
+text when its module is imported, on every start of the program.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import wraps
+from operator import attrgetter
 
 import numpy as np
 
@@ -114,16 +118,71 @@ def _grlex_key(exponents):
     return (sum(exponents), exponents)
 
 
-@dataclass(frozen=True)
-class RingContext:
+#: Stores a field of a record from its ``__init__``; assignment is refused.
+_set = object.__setattr__
+
+
+class Record:
+    """An immutable record with value semantics.
+
+    A subclass declares ``__slots__`` and an ``__init__`` that validates its
+    arguments and stores each field through ``_set``.  Its compared fields,
+    in order, are its slots, or those the class keyword ``compared`` names.
+    They alone decide ``==`` (between records of the same class) and the
+    hash, which is the hash of their tuple, and they are the fields
+    ``repr`` shows unless the keyword ``shown`` names others.  Assignment
+    and deletion raise AttributeError; copy and pickle work.
+    """
+
+    __slots__ = ("__weakref__",)
+
+    def __init_subclass__(cls, compared: tuple[str, ...] | None = None,
+                          shown: tuple[str, ...] | None = None, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if compared is None:
+            compared = cls.__slots__
+        if len(compared) == 1:
+            # attrgetter of one name gives the bare value, not a 1-tuple.
+            get = attrgetter(compared[0])
+            cls._values = staticmethod(lambda rec: (get(rec),))
+        else:
+            cls._values = staticmethod(attrgetter(*compared))
+        cls._shown = compared if shown is None else shown
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._values(self) == self._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state):
+        # copy and pickle restore the slots through setattr by default.
+        for name, value in state[1].items():
+            _set(self, name, value)
+
+
+class RingContext(Record, compared=("num_vars",)):
     """The localized ring in ``num_vars`` variables (its identity); ``memo`` serves ``_kept``."""
 
-    num_vars: int
-    memo: dict = field(default_factory=dict, compare=False, repr=False)
+    __slots__ = ("num_vars", "memo")
 
-    def __post_init__(self):
-        if self.num_vars < 1:
+    def __init__(self, num_vars: int, memo: dict | None = None):
+        if num_vars < 1:
             raise ValueError("need at least one variable")
+        _set(self, "num_vars", num_vars)
+        _set(self, "memo", {} if memo is None else memo)
 
     def variable(self, i: int) -> Monomial:
         """The monomial x_{i+1} (0-based index)."""
@@ -144,15 +203,15 @@ class RingContext:
         return Monomial(tuple(int(e) for e in exponents))
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(Record):
     """A monomial, stored as its exponent vector."""
 
-    exponents: tuple[int, ...]
+    __slots__ = ("exponents",)
 
-    def __post_init__(self):
-        if any(e < 0 for e in self.exponents):
-            raise ValueError(f"negative exponent in {self.exponents}")
+    def __init__(self, exponents: tuple[int, ...]):
+        if any(e < 0 for e in exponents):
+            raise ValueError(f"negative exponent in {exponents}")
+        _set(self, "exponents", exponents)
 
     @property
     def degree(self) -> int:
@@ -883,8 +942,7 @@ def graded_quotient_length(top: MonomialIdeal, bottom: MonomialIdeal,
 # -- quotient modules ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuotientModule:
+class QuotientModule(Record):
     """The subquotient module (T + B)/B for monomial ideals T (top) and B
     (relations).
 
@@ -896,15 +954,16 @@ class QuotientModule:
     convention.
     """
 
-    ctx: RingContext
-    relations: MonomialIdeal
-    top: MonomialIdeal = None
+    __slots__ = ("ctx", "relations", "top")
 
-    def __post_init__(self):
-        if self.top is None:
-            object.__setattr__(self, "top", MonomialIdeal.unit(self.ctx))
-        if self.ctx != self.relations.ctx or self.ctx != self.top.ctx:
+    def __init__(self, ctx: RingContext, relations: MonomialIdeal, top: MonomialIdeal = None):
+        if top is None:
+            top = MonomialIdeal.unit(ctx)
+        if ctx != relations.ctx or ctx != top.ctx:
             raise ContextMismatchError("module parts live in a different ring")
+        _set(self, "ctx", ctx)
+        _set(self, "relations", relations)
+        _set(self, "top", top)
 
     @staticmethod
     def free(ctx: RingContext) -> QuotientModule:

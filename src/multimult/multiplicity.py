@@ -22,14 +22,16 @@ order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+
 from .hilbert import MixedType, StabilizationError, mixed_multiplicity
 from .monomials import (
     INFINITE,
     MINUS_INFINITY,
     Monomial,
     QuotientModule,
+    Record,
+    _set,
     colon_by_monomial,
     krull_dim,
 )
@@ -76,16 +78,19 @@ class Verdict(Enum):
     MISMATCH = "MISMATCH"
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
     """Outcome of one verified claim, with its hypothesis checklist."""
 
-    claim_id: str
-    instance: str
-    left: int
-    right: int
-    hypotheses: tuple[tuple[str, bool], ...]
-    verdict: Verdict
+    __slots__ = ("claim_id", "instance", "left", "right", "hypotheses", "verdict")
+
+    def __init__(self, claim_id: str, instance: str, left: int, right: int,
+                 hypotheses: tuple[tuple[str, bool], ...], verdict: Verdict):
+        _set(self, "claim_id", claim_id)
+        _set(self, "instance", instance)
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "hypotheses", hypotheses)
+        _set(self, "verdict", verdict)
 
 
 def _holds(checks) -> bool:

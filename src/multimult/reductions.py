@@ -28,7 +28,6 @@ relations and u * I^n M as its parts.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,7 +43,9 @@ from .monomials import (
     Monomial,
     MonomialIdeal,
     QuotientModule,
+    Record,
     _grlex_key,
+    _set,
     colon_by_monomial,
     first_outside_sum,
     ideal_intersection,
@@ -59,8 +60,7 @@ from .monomials import (
 J_SOURCE = "J"
 
 
-@dataclass(frozen=True)
-class JointReductionCandidate:
+class JointReductionCandidate(Record):
     """An ordered tuple of (monomial, source) pairs with a declared type.
 
     Sources are the string "J" or a 0-based index into the family's ideals.
@@ -69,24 +69,25 @@ class JointReductionCandidate:
     ungraded containment I^n M = sum of u * I^(n-e_i) M.
     """
 
-    elements: tuple[tuple[Monomial, object], ...]
-    declared_type: MixedType
+    __slots__ = ("elements", "declared_type")
 
-    def __post_init__(self):
-        d = len(self.declared_type.k)
+    def __init__(self, elements: tuple[tuple[Monomial, object], ...], declared_type: MixedType):
+        d = len(declared_type.k)
         counts = [0] * d
         j_count = 0
-        for _, src in self.elements:
+        for _, src in elements:
             if src == J_SOURCE:
                 j_count += 1
             elif isinstance(src, int) and 0 <= src < d:
                 counts[src] += 1
             else:
                 raise ValueError(f"unknown source tag {src!r}")
-        if tuple(counts) != self.declared_type.k:
+        if tuple(counts) != declared_type.k:
             raise ValueError("I-sourced element counts do not match the declared type")
-        if j_count not in (0, self.declared_type.k0 + 1):
+        if j_count not in (0, declared_type.k0 + 1):
             raise ValueError("J-sourced element count must be k0+1 (or 0 for pure candidates)")
+        _set(self, "elements", elements)
+        _set(self, "declared_type", declared_type)
 
     @property
     def is_pure(self) -> bool:
@@ -102,8 +103,7 @@ class JointReductionCandidate:
                 raise ValueError(f"element {u} does not lie in its source ideal")
 
 
-@dataclass(frozen=True)
-class ContainmentCertificate:
+class ContainmentCertificate(Record):
     """Outcome of a containment check on the box base + [0, extent)^axes;
     failures carry a witness (point, generator outside).
 
@@ -113,14 +113,16 @@ class ContainmentCertificate:
     holds-verdict covers those points only.
     """
 
-    holds: bool
-    window_base: int
-    window_extent: int
-    witness: tuple[tuple[int, ...], Monomial] | None = None
+    __slots__ = ("holds", "window_base", "window_extent", "witness")
 
-    def __post_init__(self):
-        if not self.holds and self.witness is None:
+    def __init__(self, holds: bool, window_base: int, window_extent: int,
+                 witness: tuple[tuple[int, ...], Monomial] | None = None):
+        if not holds and witness is None:
             raise ValueError("a failing certificate needs a witness")
+        _set(self, "holds", holds)
+        _set(self, "window_base", window_base)
+        _set(self, "window_extent", window_extent)
+        _set(self, "witness", witness)
 
 
 def _rhs_parts(fam: IdealFamily, cand: JointReductionCandidate, deg: MultiDegree) -> list[MonomialIdeal]:
@@ -166,20 +168,19 @@ def verify_joint_reduction(fam: IdealFamily, cand: JointReductionCandidate) -> C
     return ContainmentCertificate(True, base, BAND_EXTENT)
 
 
-@dataclass(frozen=True)
-class ReesDatum:
+class ReesDatum(Record, compared=("fam", "cand"), shown=("fam", "cand", "certificate")):
     """A family with one joint-reduction candidate, certified once when made.
 
     An uncertified candidate is kept, not refused: the claims report it as
     an unmet hypothesis, and the chi channels raise.
     """
 
-    fam: IdealFamily
-    cand: JointReductionCandidate
-    certificate: ContainmentCertificate = field(init=False, compare=False)
+    __slots__ = ("fam", "cand", "certificate")
 
-    def __post_init__(self):
-        object.__setattr__(self, "certificate", verify_joint_reduction(self.fam, self.cand))
+    def __init__(self, fam: IdealFamily, cand: JointReductionCandidate):
+        _set(self, "fam", fam)
+        _set(self, "cand", cand)
+        _set(self, "certificate", verify_joint_reduction(fam, cand))
 
     @property
     def mixed_type(self) -> MixedType:
@@ -235,12 +236,14 @@ def is_multiplicity_system(module: QuotientModule, elems) -> bool:
 # -- search ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PoolPolicy:
+class PoolPolicy(Record):
     """Bounds on the joint-reduction search: pool degree and verify budget."""
 
-    max_degree: int = 2
-    budget: int = 2000
+    __slots__ = ("max_degree", "budget")
+
+    def __init__(self, max_degree: int = 2, budget: int = 2000):
+        _set(self, "max_degree", max_degree)
+        _set(self, "budget", budget)
 
 
 def _element_pool(source_ideal: MonomialIdeal, policy: PoolPolicy) -> list[Monomial]:

@@ -38,9 +38,20 @@ with x1 and x3 from J, multidegree (4, (4,)), band 9, buffer 1); and
 ``euler_char_direct`` on the sample's candidate ``x`` at its fit's base
 (5, 5, 5), band 16.  These three run warm: every round after the first
 reuses the memos of one parse or ring.
+
+The cold-import benchmark times a fresh interpreter that imports
+``multimult.cli`` and exits, with ``PYTHONDONTWRITEBYTECODE=1``, so that
+each round compiles the package from source as a cold ``multimult run``
+without written bytecode does; it includes the interpreter's own start and
+numpy's import.  The record benchmark builds the 133 ``MultiDegree`` points
+of the sample's P fit (its 5^3 window at base 5 and its 2^3 band at base
+10) and hashes the sample's ``IdealFamily``, the key of the fit's memo.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -48,7 +59,14 @@ import pytest
 pytest.importorskip("pytest_benchmark")
 
 from oracles import box_members  # noqa: E402
-from multimult.hilbert import IdealFamily, MixedType, MultiDegree, interpolate  # noqa: E402
+from multimult.hilbert import (  # noqa: E402
+    BAND_EXTENT,
+    IdealFamily,
+    MixedType,
+    MultiDegree,
+    interpolate,
+    window_points,
+)
 from multimult.instances import parse_instance  # noqa: E402
 from multimult.koszul import euler_char_direct  # noqa: E402
 from multimult.monomials import (  # noqa: E402
@@ -68,7 +86,8 @@ from multimult.reductions import (  # noqa: E402
     verify_joint_reduction,
 )
 
-SAMPLE = Path(__file__).resolve().parent.parent / "docs" / "instances" / "dim4_joint_reduction.json"
+ROOT = Path(__file__).resolve().parent.parent
+SAMPLE = ROOT / "docs" / "instances" / "dim4_joint_reduction.json"
 
 
 def variables(m, count):
@@ -182,3 +201,32 @@ def test_direct_chi_sample_candidate(benchmark):
     ev = benchmark(euler_char_direct, datum, MultiDegree(5, (5, 5)))
     assert ev.certified and ev.value == 0
     assert ev.provenance == {"multidegree": (5, 5, 5), "band": 16, "buffer": 1}
+
+
+def test_cold_import(benchmark):
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    command = [sys.executable, "-c", "import multimult.cli"]
+
+    def cold_import():
+        return subprocess.run(command, env=env, capture_output=True, text=True, timeout=60)
+
+    proc = benchmark.pedantic(cold_import, rounds=10)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_sample_fit_records(benchmark):
+    fam = fresh_sample().family
+    fit = interpolate(fam, "P")
+    assert (fit.base, fit.extent, fit.band_base) == (5, 5, 10)
+
+    def records():
+        points = [MultiDegree(pt[0], pt[1:]) for pt in window_points(3, fit.base, fit.extent)]
+        points += [MultiDegree(pt[0], pt[1:])
+                   for pt in window_points(3, fit.band_base, BAND_EXTENT)]
+        return points, hash(fam)
+
+    points, _ = benchmark(records)
+    assert len(set(points)) == 133

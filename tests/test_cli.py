@@ -374,7 +374,10 @@ class TestCliEntry:
         out_path = tmp_path / "report.json"
         with mock.patch("multimult.hilbert._binomial_coefficients", return_value=None):
             assert main(["run", str(f), "--json", str(out_path)]) == 3
-        assert "StabilizationError" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        # The failure's traceback, from the module imported on failure only.
+        assert err.startswith("Traceback (most recent call last):")
+        assert "StabilizationError: no stable window up to base 192" in err
         report = json.loads(out_path.read_text())
         assert report["mismatch_count"] == 0
         first, second = report["results"]

@@ -7,7 +7,6 @@ direct channel's signed piece count and buffer certificate are checked
 against.
 """
 
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -24,6 +23,7 @@ from hypothesis import example, given, settings, strategies as st
 from corpus import direct_chi_instances
 from multimult import koszul
 from multimult.hilbert import (
+    FitResult,
     IdealFamily,
     MixedType,
     MultiDegree,
@@ -567,7 +567,8 @@ class TestEulerDifference:
                           tuple(rng.randrange(extent) for _ in range(d.fam.d + 1))):
                 values = fit.values.copy()
                 values[point] += 1
-                bumped = dataclasses.replace(fit, values=values)
+                bumped = FitResult(fit.poly, fit.base, fit.extent, fit.band_base,
+                                   fit.band_extent, values)
                 monkeypatch.setattr(koszul, "interpolate", lambda fam, which: bumped)
                 with pytest.raises(NonConstantDifferenceError):
                     euler_char_via_difference(d)

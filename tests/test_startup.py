@@ -1,8 +1,9 @@
 """The start-up policy of `import multimult`, checked in fresh interpreters.
 
 Importing the package defaults OPENBLAS_NUM_THREADS to 1, so that numpy's
-OpenBLAS starts no worker threads, and freezes the import heap, leaving the
-cyclic collector as the caller had it.  This process imported numpy long ago,
+OpenBLAS starts no worker threads, and freezes the objects made while
+`multimult.monomials` and numpy import, leaving the cyclic collector as the
+caller had it.  The import compiles no generated source text.  This process imported numpy long ago,
 so every test runs a fresh `sys.executable` with OPENBLAS_NUM_THREADS removed
 from its environment (or set by the test).
 """
@@ -56,6 +57,24 @@ bare = set(sys.modules)
 import multimult.cli
 added = {name.split(".")[0] for name in set(sys.modules) - bare}
 print(json.dumps(sorted(added - set(sys.stdlib_module_names))))
+"""
+
+#: After numpy, records each `exec` of a code object that comes from no file
+#: (source text compiled at run time) while `multimult.cli` imports, and
+#: which of two modules that would compile such text got imported.
+GENERATED_CODE = """
+import json, os, sys
+import numpy
+execs = []
+def hook(event, args):
+    if event == "exec":
+        name = getattr(args[0], "co_filename", None)
+        if not (isinstance(name, str) and os.path.isfile(name)):
+            execs.append(name)
+sys.addaudithook(hook)
+import multimult.cli
+print(json.dumps({"execs": execs,
+                  "loaded": [m for m in ("dataclasses", "traceback") if m in sys.modules]}))
 """
 
 
@@ -121,6 +140,14 @@ def test_cold_path_imports_only_multimult_and_numpy():
     proc = python("-c", COLD_IMPORTS)
     assert proc.returncode == 0, proc.stderr
     assert set(json.loads(proc.stdout)) == {"multimult", "numpy"}
+
+
+def test_cold_import_compiles_no_generated_code():
+    # Generated classes (dataclasses, namedtuple) exec source text on every
+    # start; the records are written out and traceback is imported on failure.
+    proc = python("-c", GENERATED_CODE)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"execs": [], "loaded": []}
 
 
 @pytest.mark.parametrize("blas_threads", [None, "2"], ids=["blas-unset", "blas-2"])

@@ -38,7 +38,6 @@ try:
         RingContext,
         colon_by_ideal,
         colon_by_monomial,
-        graded_quotient_length,
         ideal,
         ideal_intersection,
         ideal_power,
@@ -46,7 +45,6 @@ try:
         ideal_sum,
         krull_dim,
         saturation,
-        standard_monomials,
     )
 finally:
     gc.freeze()
@@ -63,7 +61,6 @@ __all__ = [
     "RingContext",
     "colon_by_ideal",
     "colon_by_monomial",
-    "graded_quotient_length",
     "ideal",
     "ideal_intersection",
     "ideal_power",
@@ -71,7 +68,6 @@ __all__ = [
     "ideal_sum",
     "krull_dim",
     "saturation",
-    "standard_monomials",
 ]
 
 __version__ = "0.1.0"

@@ -51,7 +51,7 @@ from .hilbert import (
     mixed_multiplicity,
     table_on_window,
 )
-from .monomials import Record, _box_members, _set
+from .monomials import Record, _box_members, _set, _sorted_runs
 from .reductions import J_SOURCE, JointReductionCandidate, ReesDatum
 
 #: Internal-degree band doubles at most this many times before giving up.
@@ -205,16 +205,11 @@ def _acyclic(subsets, rows: np.ndarray) -> bool:
 
     A pattern's key is its bit row, one int64 word per 63 subsets, so any
     element count fits; equal patterns are the runs of a lexsort of the
-    keys, and each distinct one is checked once.
+    keys (``_sorted_runs``), and each distinct one is checked once.
     """
     count = rows.shape[1]
     words = [rows[:, s : s + 63] @ _BIT_WEIGHTS[: count - s] for s in range(0, count, 63)]
-    order = np.lexsort(words)
-    fresh = np.zeros(len(order), dtype=bool)
-    fresh[:1] = True
-    for word in words:
-        word = word[order]
-        fresh[1:] |= word[1:] != word[:-1]
+    order, fresh = _sorted_runs(words)
     return not any(_homology(*_pattern_complex(subsets, rows[i])) for i in order[fresh])
 
 

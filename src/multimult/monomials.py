@@ -25,44 +25,50 @@ Whether the ideal is the unit ideal is a flag set at construction.
 ``gens``, the generators as exponent tuples, and ``maxima``, the greatest
 exponent of each variable over them, are made on first use and kept.
 
+Every grlex sort, dedupe and exact match packs the key (degree, x1, ...,
+x_{m-1}) of each row into one int64 word (``_packing``): the degree fixes
+x_m, which is left out of the key and recovered as the degree minus the
+others.  Each key column's radix is an upper bound on it plus one, and
+every caller already holds the bounds.  The sum-set kernel takes the
+operands' ``key_tops`` (an ideal's last degree, since its degrees are
+grlex-sorted, and its kept maxima) or a floor's standard tops.  The dedupe
+and the membership look-up bound every column by a bound on the degrees,
+since no exponent exceeds its row's degree: an ideal's last degree, the
+greater of two, their sum for an lcm, or the greatest degree of the
+points, which the membership test's degree gate takes anyway.  No other
+maximum is reduced for a bound.  One helper, ``_distinct_rows``, reads the
+distinct words in order, off a boolean map of their span when it holds at
+most eight cells per word and by an in-place sort otherwise, and unpacks
+them into rows by divmod over the radices.  Keys too wide for one word
+fall back to one lexsort over the key columns (``_wide_unique``), whose
+degrees are summed a column at a time so that one past int64 raises
+OverflowError.
+
 Every result that may hold redundant rows goes through one minimalizer,
-``_minimal_rows``.  It sorts by packed grlex keys (``_grlex_words``): the
-key (degree, x1, ..., xm) of each row is written, digit by digit with each
-column's maximum plus one as its radix, into as few int64 words as hold it
-exactly, so one lexsort of the words (usually one) orders the rows.  Results
-that are minimal by construction skip it: the product with a principal
-ideal (x^u) is the other factor's matrix plus u (``ideal_shift``), which
-stays minimal, distinct and grlex-ordered; a sum with the zero ideal is the
-other operand, a product with the zero ideal the zero factor and a product
-with the unit ideal the other factor.  Subtracting the column minimum, the
-content (the gcd of the generators), keeps a matrix minimal the same way,
-so ``split_content`` writes an ideal as x^c times a content-free ideal
-without minimalizing.  Containment in a sum of ideals,
-``first_outside_sum``, never builds the sum: a monomial lies in a sum of
-monomial ideals iff it lies in one of them.
+``_minimal_rows``: the distinct rows (``_grlex_unique``), then the
+divisibility pass ``_drop_divisible``, which returns rows of a single
+degree as they are: rows of equal degree cannot properly divide each
+other.  Results that are minimal by construction skip it: the product with
+a principal ideal (x^u) is the other factor's matrix plus u
+(``ideal_shift``), which stays minimal, distinct and grlex-ordered; a sum
+with the zero ideal is the other operand, a product with the zero ideal
+the zero factor and a product with the unit ideal the other factor.
+Subtracting the column minimum, the content (the gcd of the generators),
+keeps a matrix minimal the same way, so ``split_content`` writes an ideal
+as x^c times a content-free ideal without minimalizing.  Containment in a
+sum of ideals, ``first_outside_sum``, never builds the sum: a monomial
+lies in a sum of monomial ideals iff it lies in one of them.
 
 Any other product, and the candidates of a count, are the distinct pairwise
-sums of two generator matrices, ``_sum_rows``.  Its key is (degree, x1, ...,
-x_{m-1}): the degree fixes x_m, which is left out of the key and recovered
-as the degree minus the others, so the key spans one radix fewer.  Packing
-is linear: when each key column's radix is at least the sum of the two
-operands' maxima plus one, the word of g+h is word(g) + word(h).  So the
-pairs are one outer sum of two int64 word vectors.  When the pair words span
-at most eight cells per pair, they mark a boolean map of that span, and its
-marked cells are the distinct words in grlex order with no sort
-(``_marked_sums``); sparser words, such as those of high-degree pure powers,
-are sorted in place and the first of each run kept (``_sorted_sums``).
-Divmod over the radices unpacks the rows; no (pairs, m) matrix is built.
-The radices come from what the operands carry (``key_tops``: an ideal's last
-degree, since its degrees are grlex-sorted, and its kept maxima), and the
-span from the ends of the operands' increasing words (a floor's standard
-rows are kept in grlex order, like an ideal's generators); no maximum is
-reduced per call.  Keys that need more than one word fall back to
-the broadcast rows and ``_grlex_unique``.  A sum whose degree would pass
-int64 raises OverflowError, here, in the principal shift and for a
-generator given to ``ideal``, rather than wrap.  A product then needs only the degree-block divisibility pass of the
-minimalizer, ``_drop_divisible``, which returns rows of a single degree as
-they are: rows of equal degree cannot properly divide each other.
+sums of two generator matrices, ``_sum_rows``.  Packing is linear: when
+each key column's radix is at least the sum of the two operands' tops plus
+one, the word of g+h is word(g) + word(h), so the pairs are one outer sum
+of two int64 word vectors, and their span is read off the ends of the
+operands' increasing words (a floor's standard rows are kept in grlex
+order, like an ideal's generators); no (pairs, m) matrix is built.  A sum
+whose degree would pass int64 raises OverflowError, here, in the principal
+shift, in an lcm of ``ideal_intersection`` and for a generator given to
+``ideal``, rather than wrap.
 
 Reductions over the exponent axis of many rows run column-wise, through
 two kernels.  Exponent matrices are C-ordered (n, m) with m small, and a
@@ -71,12 +77,16 @@ broadcast ``(gens[None] <= pts[:, None]).all(axis=2)``) pays its per-row
 set-up on a handful of elements.  So total degrees are one matrix-vector
 product, ``_row_sums``, and "some generator divides this point" is
 ``_divides_any``, which ANDs one (points, generators) comparison per column
-(``_divides``) and reduces only along the long generator axis; the grlex
-keys are likewise built as an (m+1, n) matrix.  Degrees known by
+(``_divides``) and reduces only along the long generator axis; the packed
+grlex words are likewise one matrix-vector product.  Degrees known by
 construction (minimalized rows, shifted ideals) are passed to the
 constructor rather than summed again, and ``_members_mask`` takes the
 points' degrees from its caller, which holds them: an ideal's ``degrees``,
-those ``_sum_rows`` returns, or a floor's standard-row degrees.
+those ``_sum_rows`` returns, or a floor's standard-row degrees.  It finds
+the points equal to a generator by looking their words up among the
+generators' (``np.searchsorted``), with every key column bounded by the
+greatest degree, and tests the rest for divisibility by the generators of
+lower degree.
 
 Every length is one count, ``_count_difference(top, bot, colon_floor)``, of
 the monomials in `top` outside `bot`.  Its colon floor is an ideal primary to
@@ -98,6 +108,7 @@ text when its module is imported, on every start of the program.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import wraps
 from operator import attrgetter
 
@@ -184,6 +195,11 @@ class RingContext(Record, compared=("num_vars",)):
         _set(self, "num_vars", num_vars)
         _set(self, "memo", {} if memo is None else memo)
 
+    def __reduce__(self):
+        # A copy starts with a fresh memo: pickle cannot name the functions
+        # that key it, and deepcopy would hash its key ideals half-built.
+        return RingContext, (self.num_vars,)
+
     def variable(self, i: int) -> Monomial:
         """The monomial x_{i+1} (0-based index)."""
         if not 0 <= i < self.num_vars:
@@ -265,82 +281,103 @@ def _divides_any(gens: np.ndarray, points: np.ndarray) -> np.ndarray:
     return _divides(gens, points).any(axis=1)
 
 
-def _grlex_places(radices: list[int]) -> np.ndarray:
-    """Place values that pack grlex key columns, digits with the given
-    radices, exactly into int64 words: a (words, columns) matrix, most
-    significant word first.  From the least significant end, columns join a
-    word while the product of its radices stays at most 2**63."""
-    places = [[0] * len(radices)]
-    span = 1
-    for col in range(len(radices) - 1, -1, -1):
-        if span * radices[col] > 1 << 63:
-            places.append([0] * len(radices))
-            span = 1
-        places[-1][col] = span
-        span *= radices[col]
-    return np.array(places[::-1], dtype=np.int64)
+def _packing(tops) -> tuple[list[int], np.ndarray] | None:
+    """The packing of grlex keys (degree, x1, ..., x_{m-1}) into one int64
+    word, for rows whose key columns (degree, x1, ..., xm) are at most
+    `tops`: the radices of the key columns and the weights whose product
+    with an (n, m) exponent matrix is the rows' words.  None when the key
+    needs more than one word.
 
-
-def _grlex_words(rows: np.ndarray, degrees: np.ndarray) -> np.ndarray:
-    """The grlex keys of the rows of an (n, m) int64 exponent matrix with
-    total degrees `degrees`, packed exactly into int64 words: a (words, n)
-    matrix, most significant word first.
-
-    The key of a row is (degree, x1, ..., xm), held as an (m+1, n) matrix.
-    Each key column is a digit whose radix is its own maximum plus one, and
-    the words are one matrix product of their place values
-    (``_grlex_places``) with the keys.  The words, compared in order,
-    compare the keys, and equal words mean equal rows.  Exponents of
-    moderate size give a single word.
+    The degree fixes x_m, so its digit is left out of the key and recovered
+    as the degree minus the others.  Each key column is a digit whose radix
+    is its top plus one, so words compare as the keys do, and equal words
+    mean equal rows.  Since the degree is x1 + ... + xm, the word of a row
+    is one matrix-vector product, each exponent weighted by its own place
+    value plus the degree's.
     """
-    keys = np.empty((rows.shape[1] + 1, len(rows)), dtype=np.int64)
-    keys[0] = degrees
-    keys[1:] = rows.T
-    radices = [top + 1 for top in keys.max(axis=1, initial=0).tolist()]
-    return _grlex_places(radices) @ keys
+    radices = [top + 1 for top in tops[:-1]]
+    # Place values of the key columns; x_m's is zero.
+    place = [math.prod(radices[col + 1 :]) for col in range(len(radices))] + [0]
+    if place[0] * radices[0] > 1 << 63:
+        return None
+    return radices, np.array([value + place[0] for value in place[1:]], dtype=np.int64)
 
 
-def _grlex_runs(rows: np.ndarray, degrees: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A stable grlex sort of the rows: the order, and a mask over the
-    sorted rows marking each one that differs from its predecessor."""
-    words = _grlex_words(rows, degrees)
-    order = np.lexsort(words[::-1])
-    fresh = np.zeros(len(rows), dtype=bool)
+def _distinct_rows(offsets: np.ndarray, low: int, cells: int,
+                   radices: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows whose packed words (``_packing``, with `radices`)
+    are low + s for s in `offsets`, an int64 array with entries in 0 ..
+    cells - 1, in grlex order, and their total degrees.
+
+    When the span holds at most eight cells per word, the words mark a
+    boolean map of it, never larger than the words themselves, and the
+    marked cells are the distinct words in order.  Sparser words are sorted
+    in place and the first of each run kept.  Divmod over the radices
+    unpacks the rows.
+    """
+    if cells <= 8 * offsets.size:
+        marked = np.zeros(cells, dtype=bool)
+        marked[offsets] = True
+        words = marked.nonzero()[0]
+    else:
+        words = offsets.ravel()
+        words.sort()
+        fresh = np.empty(len(words), dtype=bool)
+        fresh[:1] = True
+        np.not_equal(words[1:], words[:-1], out=fresh[1:])
+        words = words[fresh]
+    words += low
+    m = len(radices)
+    rows = np.empty((len(words), m), dtype=np.int64)
+    others = np.zeros(len(words), dtype=np.int64)
+    for col in range(m - 1, 0, -1):
+        words, digit = np.divmod(words, radices[col])
+        rows[:, col - 1] = digit
+        others += digit
+    np.subtract(words, others, out=rows[:, m - 1])
+    return rows, words
+
+
+def _sorted_runs(keys) -> tuple[np.ndarray, np.ndarray]:
+    """A stable sort by the key vectors `keys`, the last one primary, as
+    ``np.lexsort`` takes them: the order, and a mask over the sorted
+    entries marking each one whose key differs from its predecessor's."""
+    order = np.lexsort(keys)
+    fresh = np.zeros(len(order), dtype=bool)
     fresh[:1] = True
-    for word in words:
-        word = word[order]
-        fresh[1:] |= word[1:] != word[:-1]
+    for key in keys:
+        key = key[order]
+        fresh[1:] |= key[1:] != key[:-1]
     return order, fresh
 
 
-def _grlex_unique(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of an (n, m) int64 exponent matrix in grlex order,
-    and their total degrees."""
-    degrees = _row_sums(rows)
-    order, fresh = _grlex_runs(rows, degrees)
+def _wide_unique(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_grlex_unique`` for keys too wide for one word: one lexsort over
+    the key columns.  The degrees are summed a column at a time, so that
+    one past int64 raises OverflowError rather than wrap: a sum of two
+    non-negative int64 values wraps to a negative one."""
+    degrees = np.zeros(len(rows), dtype=np.int64)
+    for column in rows.T:
+        degrees += column
+        if (degrees < 0).any():
+            raise OverflowError("a degree exceeds the int64 range")
+    order, fresh = _sorted_runs([*rows.T[: rows.shape[1] - 1][::-1], degrees])
     keep = order[fresh]
     return rows[keep], degrees[keep]
 
 
-def _marked_sums(words_a: np.ndarray, words_b: np.ndarray, low: int, cells: int) -> np.ndarray:
-    """The distinct sums of an entry of `words_a` and one of `words_b`, in
-    increasing order, when they all lie in low .. low + cells - 1: the cells
-    they mark in a boolean map of that range."""
-    marked = np.zeros(cells, dtype=bool)
-    marked[np.add.outer(words_a, words_b - low)] = True
-    return marked.nonzero()[0] + low
-
-
-def _sorted_sums(words_a: np.ndarray, words_b: np.ndarray) -> np.ndarray:
-    """The distinct sums of an entry of `words_a` and one of `words_b`, in
-    increasing order: all of them sorted in place, the first of each run
-    kept."""
-    words = np.add.outer(words_a, words_b).ravel()
-    words.sort()
-    fresh = np.empty(len(words), dtype=bool)
-    fresh[0] = True
-    np.not_equal(words[1:], words[:-1], out=fresh[1:])
-    return words[fresh]
+def _grlex_unique(rows: np.ndarray, degree_top: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of an (n, m) int64 exponent matrix in grlex order,
+    and their total degrees.  `degree_top`, which the caller holds, bounds
+    the rows' degrees from above, and so every exponent; the words then lie
+    below the product of the radices."""
+    if not len(rows):
+        return rows, np.zeros(0, dtype=np.int64)
+    packing = _packing((degree_top,) * (rows.shape[1] + 1))
+    if packing is None:
+        return _wide_unique(rows)
+    radices, weights = packing
+    return _distinct_rows(rows @ weights, 0, math.prod(radices), radices)
 
 
 def _sum_rows(a: np.ndarray, a_tops: tuple[int, ...], b: np.ndarray,
@@ -353,55 +390,29 @@ def _sum_rows(a: np.ndarray, a_tops: tuple[int, ...], b: np.ndarray,
     both are grlex-sorted.  Raises OverflowError when a sum's degree would
     pass int64; no exponent of a sum can then pass it either.
 
-    The key of a sum is (degree, x1, ..., x_{m-1}): the degree fixes x_m, so
-    its digit is left out (its place value is zero) and recovered as the
-    degree minus the others.  Since the degree is x1 + ... + xm, the word of
-    a row is one matrix-vector product, each exponent weighted by its own
-    place value plus the degree's.  Packing is linear: when each key
-    column's radix is at least its maximum in `a` plus its maximum in `b`
-    plus one, no digit of a sum carries, so the word of g+h is word(g) +
-    word(h), and the pairs are one outer sum of two word vectors.
-
-    Sorted rows have increasing words, so the least and greatest pair words
-    are sums of the ends.  When that span is at most eight cells per
-    pair, the pair words mark a boolean map of it, never larger than the
-    words themselves, and the marked cells are the distinct words in order.
-    Sparser words are sorted in place and the first of each run kept.  The
-    distinct words are unpacked by divmod over the radices.  Keys that need
-    more than one word take the broadcast rows through ``_grlex_unique``.
+    Packing (``_packing``) is linear: when each key column's radix is at
+    least its maximum in `a` plus its maximum in `b` plus one, no digit of
+    a sum carries, so the word of g+h is word(g) + word(h), and the pairs
+    are one outer sum of two word vectors.  Sorted rows have increasing
+    words, so the least and greatest pair words are sums of the ends.  Keys
+    that need more than one word take the broadcast rows through
+    ``_wide_unique``.
     """
     m = a.shape[1]
     if not len(a) or not len(b):
         return np.zeros((0, m), dtype=np.int64), np.zeros(0, dtype=np.int64)
-    radices = [top_a + top_b + 1 for top_a, top_b in zip(a_tops[:m], b_tops[:m])]
-    # Every exponent is at most its row's degree, so the degree radix is
-    # the greatest.
-    if radices[0] > 1 << 63:
+    tops = [top_a + top_b for top_a, top_b in zip(a_tops, b_tops)]
+    # Every exponent is at most its row's degree.
+    if tops[0] >= 1 << 63:
         raise OverflowError("a product's degree exceeds the int64 range")
-    # Place values of the key columns; place[m], x_m's, stays zero.
-    place = [0] * (m + 1)
-    span = 1
-    for col in range(m - 1, -1, -1):
-        place[col] = span
-        span *= radices[col]
-    if span > 1 << 63:
-        return _grlex_unique((a[:, None, :] + b[None, :, :]).reshape(-1, m))
-    weights = np.array([value + place[0] for value in place[1:]], dtype=np.int64)
+    packing = _packing(tops)
+    if packing is None:
+        return _wide_unique((a[:, None, :] + b[None, :, :]).reshape(-1, m))
+    radices, weights = packing
     words_a, words_b = a @ weights, b @ weights
     low = int(words_a[0]) + int(words_b[0])
     cells = int(words_a[-1]) + int(words_b[-1]) - low + 1
-    if cells <= 8 * len(a) * len(b):
-        words = _marked_sums(words_a, words_b, low, cells)
-    else:
-        words = _sorted_sums(words_a, words_b)
-    rows = np.empty((len(words), m), dtype=np.int64)
-    others = np.zeros(len(words), dtype=np.int64)
-    for col in range(m - 1, 0, -1):
-        words, digit = np.divmod(words, radices[col])
-        rows[:, col - 1] = digit
-        others += digit
-    np.subtract(words, others, out=rows[:, m - 1])
-    return rows, words
+    return _distinct_rows(np.add.outer(words_a, words_b - low), low, cells, radices)
 
 
 def _drop_divisible(rows: np.ndarray, degs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -423,10 +434,10 @@ def _drop_divisible(rows: np.ndarray, degs: np.ndarray) -> tuple[np.ndarray, np.
     return rows[keep], degs[keep]
 
 
-def _minimal_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The minimal rows of an (n, m) int64 exponent matrix, in grlex order,
-    and their total degrees."""
-    return _drop_divisible(*_grlex_unique(rows))
+def _minimal_rows(rows: np.ndarray, degree_top: int) -> tuple[np.ndarray, np.ndarray]:
+    """The minimal rows of an (n, m) int64 exponent matrix whose degrees
+    are at most `degree_top`, in grlex order, and their total degrees."""
+    return _drop_divisible(*_grlex_unique(rows, degree_top))
 
 
 class MonomialIdeal:
@@ -503,19 +514,18 @@ class MonomialIdeal:
         """The monomials outside the ideal, for an ideal containing a power
         of every variable: the read-only rows in grlex order, their
         read-only total degrees, and the greatest value of each grlex key
-        column over them; enumerated and sorted on first use."""
+        column over them; enumerated and sorted on first use.
+
+        x_i^(e-1) is standard for the least e with x_i^e in the ideal, and
+        every standard exponent of x_i is below e."""
         if self._standard is None:
-            rows, degrees = _grlex_unique(_standard_rows(self))
+            rows = _standard_rows(self)
+            maxima = [max(e - 1, 0) for e in self.pure_power_bounds()]
+            rows, degrees = _grlex_unique(rows, sum(maxima))
             rows.flags.writeable = False
             degrees.flags.writeable = False
-            tops = (int(degrees.max(initial=0)), *rows.max(axis=0, initial=0).tolist())
-            self._standard = rows, degrees, tops
+            self._standard = rows, degrees, (int(degrees[-1]) if len(degrees) else 0, *maxima)
         return self._standard
-
-    @property
-    def standard_rows(self) -> np.ndarray:
-        """The rows of :attr:`standard`."""
-        return self.standard[0]
 
     # -- constructors ------------------------------------------------------
 
@@ -617,7 +627,7 @@ def ideal(ctx: RingContext, monomials) -> MonomialIdeal:
         rows.append(exps)
     matrix = np.array(rows, dtype=np.int64).reshape(len(rows), ctx.num_vars)
     if len(rows) > 1:
-        return MonomialIdeal(ctx, *_minimal_rows(matrix))
+        return MonomialIdeal(ctx, *_minimal_rows(matrix, max(map(sum, rows))))
     return MonomialIdeal(ctx, matrix, _row_sums(matrix))
 
 
@@ -627,42 +637,35 @@ def _check_ctx(a: MonomialIdeal, b: MonomialIdeal) -> None:
         raise ContextMismatchError("ideals live in different rings")
 
 
-def _rows_in(
-    points: np.ndarray, rows: np.ndarray, point_degrees: np.ndarray, row_degrees: np.ndarray
-) -> np.ndarray:
-    """Boolean mask: which rows of `points` equal a row of `rows`, whose
-    rows are distinct.  The degrees are the rows' total degrees.
-
-    One stable grlex sort of both matrices together puts each row of `rows`
-    first in its run of equal rows, so a point matches when its run starts
-    with a row of `rows`.
-    """
-    both = np.concatenate((rows, points))
-    order, starts = _grlex_runs(both, np.concatenate((row_degrees, point_degrees)))
-    matched = (order[starts] < len(rows))[np.cumsum(starts) - 1]
-    is_point = order >= len(rows)
-    mask = np.zeros(len(points), dtype=bool)
-    mask[order[is_point] - len(rows)] = matched[is_point]
-    return mask
-
-
 def _members_mask(a: MonomialIdeal, points: np.ndarray, degrees: np.ndarray) -> np.ndarray:
     """Boolean mask: which rows of `points`, with total degrees `degrees`,
     lie in the ideal `a`.
 
     Points of lower total degree than every generator lie outside, so when
-    all of them do the mask is all False with no sort.  A generator divides
-    a point of its own total degree only when the two are equal, so points
-    equal to a generator are found by one sort, and the divisibility test
-    for the rest consults, per chunk of points in degree order, only the
-    generators of lower degree.
+    all of them do the mask is all False with no search.  A generator
+    divides a point of its own total degree only when the two are equal, so
+    points equal to a generator are found by looking their packed words up
+    among the generators' (``_packing``), which grlex order makes strictly
+    increasing, and the divisibility test for the rest consults, per chunk
+    of points in degree order, only the generators of lower degree.  No
+    exponent exceeds its row's degree, so the greatest degree of a point or
+    a generator bounds every key column.  Keys too wide for one word skip
+    the look-up, and the divisibility test then consults the generators of
+    equal degree as well.
     """
     n = len(points)
     if a.is_zero() or n == 0:
         return np.zeros(n, dtype=bool)
-    if degrees.max() < a.degrees[0]:
+    top = int(degrees.max())
+    if top < a.degrees[0]:
         return np.zeros(n, dtype=bool)
-    mask = _rows_in(points, a.matrix, degrees, a.degrees)
+    packing = _packing((max(top, a.max_generator_degree()),) * (points.shape[1] + 1))
+    if packing is None:
+        mask, side = np.zeros(n, dtype=bool), "right"
+    else:
+        gen_words, words = a.matrix @ packing[1], points @ packing[1]
+        at = np.minimum(np.searchsorted(gen_words, words), len(gen_words) - 1)
+        mask, side = gen_words[at] == words, "left"
     rest = np.flatnonzero(~mask)
     pdeg = degrees[rest]
     by_degree = np.argsort(pdeg, kind="stable")
@@ -671,7 +674,7 @@ def _members_mask(a: MonomialIdeal, points: np.ndarray, degrees: np.ndarray) -> 
     chunk = 1024
     for s in range(0, len(rest), chunk):
         idx = rest[s : s + chunk]
-        hi = int(np.searchsorted(a.degrees, pdeg[s : s + chunk][-1], side="left"))
+        hi = int(np.searchsorted(a.degrees, pdeg[s : s + chunk][-1], side=side))
         if hi == 0:
             continue
         mask[idx] = _divides_any(a.matrix[:hi], points[idx])
@@ -729,7 +732,8 @@ def _kept(fn):
 
 @_kept
 def _ideal_sum_cached(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
-    return MonomialIdeal(a.ctx, *_minimal_rows(np.concatenate((a.matrix, b.matrix))))
+    top = max(a.max_generator_degree(), b.max_generator_degree())
+    return MonomialIdeal(a.ctx, *_minimal_rows(np.concatenate((a.matrix, b.matrix)), top))
 
 
 def ideal_sum(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
@@ -831,15 +835,18 @@ def colon_by_monomial(q: MonomialIdeal, u: Monomial) -> MonomialIdeal:
     if u.is_one():
         return q
     shifted = np.maximum(q.matrix - np.asarray(u.exponents, dtype=np.int64), 0)
-    return MonomialIdeal(q.ctx, *_minimal_rows(shifted))
+    return MonomialIdeal(q.ctx, *_minimal_rows(shifted, q.max_generator_degree()))
 
 
 @_kept
 def ideal_intersection(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
-    """Intersection, generated by pairwise lcms of generators."""
+    """Intersection, generated by pairwise lcms of generators.  Raises
+    OverflowError when an lcm's degree would pass int64."""
     _check_ctx(a, b)
     lcms = np.maximum(a.matrix[:, None, :], b.matrix[None, :, :])
-    return MonomialIdeal(a.ctx, *_minimal_rows(lcms.reshape(-1, a.ctx.num_vars)))
+    # An lcm's degree is at most the sum of the two generators' degrees.
+    top = a.max_generator_degree() + b.max_generator_degree()
+    return MonomialIdeal(a.ctx, *_minimal_rows(lcms.reshape(-1, a.ctx.num_vars), top))
 
 
 def colon_by_ideal(q: MonomialIdeal, i: MonomialIdeal) -> MonomialIdeal:
@@ -901,14 +908,6 @@ def _standard_rows(w: MonomialIdeal) -> np.ndarray:
     return rows
 
 
-def standard_monomials(w: MonomialIdeal) -> list[tuple[int, ...]]:
-    """All monomials outside `w`, for `w` containing a power of every variable.
-
-    Enumerated in the global graded lexicographic order.
-    """
-    return list(map(tuple, w.standard_rows.tolist()))
-
-
 def _count_difference(top: MonomialIdeal, bot: MonomialIdeal, colon_floor: MonomialIdeal) -> int:
     """Count monomials lying in `top` but not in `bot`.
 
@@ -930,13 +929,6 @@ def _count_difference(top: MonomialIdeal, bot: MonomialIdeal, colon_floor: Monom
     else:
         pts, degrees = _sum_rows(top.matrix, top.key_tops(), std, std_tops)
     return int(np.count_nonzero(~_members_mask(bot, pts, degrees)))
-
-
-def graded_quotient_length(top: MonomialIdeal, bottom: MonomialIdeal,
-                           q: MonomialIdeal):
-    """The number of monomials in top+q and not in bottom+q, or INFINITE:
-    the length of the module ((top+q) + (bottom+q)) / (bottom+q)."""
-    return QuotientModule(top.ctx, ideal_sum(bottom, q), ideal_sum(top, q)).length()
 
 
 # -- quotient modules ------------------------------------------------------

@@ -46,6 +46,16 @@ without written bytecode does; it includes the interpreter's own start and
 numpy's import.  The record benchmark builds the 133 ``MultiDegree`` points
 of the sample's P fit (its 5^3 window at base 5 and its 2^3 band at base
 10) and hashes the sample's ``IdealFamily``, the key of the fit's memo.
+
+The dedupe benchmark times ``_grlex_unique`` on the rows of the sample's
+largest minimalization, recorded while one parse of the sample runs every
+request: 330 rows, a sum of 329 generators of degree 11 and the unit ideal.
+The membership benchmark times ``_members_mask`` for the sample's largest
+``hf_P`` count, at (11, (11, 11)), the top corner of its fit's band: J is
+the maximal ideal, so the count's candidates are the 2 014 generators of
+the piece X'(11, (11, 11)), tested against the 2 314 of X'(12, (11, 11)).
+Every candidate has a lower degree than every generator, so the degree gate
+answers it, as it answers each of the sample's ``hf_P`` counts.
 """
 
 import json
@@ -54,16 +64,20 @@ import subprocess
 import sys
 from pathlib import Path
 
+from unittest import mock
+
 import pytest
 
 pytest.importorskip("pytest_benchmark")
 
 from oracles import box_members  # noqa: E402
+from multimult.cli import run_instance  # noqa: E402
 from multimult.hilbert import (  # noqa: E402
     BAND_EXTENT,
     IdealFamily,
     MixedType,
     MultiDegree,
+    hf_P,
     interpolate,
     window_points,
 )
@@ -74,6 +88,8 @@ from multimult.monomials import (  # noqa: E402
     QuotientModule,
     RingContext,
     _box_members,
+    _grlex_unique,
+    _members_mask,
     _sum_rows,
     ideal,
     ideal_power,
@@ -230,3 +246,24 @@ def test_sample_fit_records(benchmark):
 
     points, _ = benchmark(records)
     assert len(set(points)) == 133
+
+
+def test_sample_largest_dedupe(benchmark):
+    with mock.patch("multimult.monomials._grlex_unique", wraps=_grlex_unique) as spy:
+        run_instance(fresh_sample())
+    calls = [call.args for call in spy.call_args_list]
+    rows, degree_top = max(calls, key=lambda args: len(args[0]))
+    got, degrees = benchmark(_grlex_unique, rows, degree_top)
+    assert len(rows) == 330
+    assert got.tolist() == sorted(map(list, set(map(tuple, rows.tolist()))),
+                                  key=lambda r: (sum(r), r))
+    assert degrees.tolist() == [sum(r) for r in got.tolist()]
+
+
+def test_sample_count_membership(benchmark):
+    fam = fresh_sample().family
+    top, bot = fam.content_free_piece(11, (11, 11)), fam.content_free_piece(12, (11, 11))
+    mask = benchmark(_members_mask, bot, top.matrix, top.degrees)
+    assert (len(top.matrix), len(bot.matrix)) == (2014, 2314)
+    assert top.max_generator_degree() < bot.degrees[0]
+    assert int((~mask).sum()) == hf_P(fam, MultiDegree(11, (11, 11)))

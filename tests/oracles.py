@@ -8,7 +8,6 @@ from multimult.monomials import (
     MINUS_INFINITY,
     Monomial,
     _count_difference,
-    _grlex_unique,
     _members_mask,
     _row_sums,
     ideal,
@@ -101,8 +100,8 @@ def box_count(top, bot):
         blocks.append(_box(bounds) + g)
     if not blocks:
         return 0
-    pts, degrees = _grlex_unique(np.concatenate(blocks))
-    return int(np.count_nonzero(~_members_mask(bot, pts, degrees)))
+    pts = np.unique(np.concatenate(blocks), axis=0)
+    return int(np.count_nonzero(~_members_mask(bot, pts, _row_sums(pts))))
 
 
 def direct_piece(fam, deg):

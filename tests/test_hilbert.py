@@ -407,7 +407,7 @@ class TestColonFloor:
         families = {inst.fam for inst in build_corpus()}
         standard_sizes = set()
         for fam in families:
-            standard_sizes.add(len(fam.j.standard_rows))
+            standard_sizes.add(len(fam.j.standard[0]))
             for which, hf, floorless in (("P", hf_P, floorless_p), ("F", hf_F, floorless_f)):
                 fit = interpolate(fam, which)
                 for corner in (fit.base, fit.band_base):
@@ -450,7 +450,7 @@ class TestColonFloor:
         b = ideal(C2, [(2, 0), (1, 1)])
         t = ideal(C2, [(3, 0), (1, 2)])
         unit = MonomialIdeal.unit(C2)
-        assert len(unit.standard_rows) == 0
+        assert len(unit.standard[0]) == 0
         assert _count_difference(ideal_sum(t, b), b, unit) == 0
         assert QuotientModule(C2, b, t).annihilator() == unit
         assert QuotientModule(C2, b, t).length() == 0
@@ -459,7 +459,7 @@ class TestColonFloor:
         for w in (ideal(C2, [(3, 0), (1, 1), (0, 2)]),
                   ideal(C3, [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 1)]),
                   ideal(C2, [(1, 0), (0, 1)])):
-            expected = len(w.standard_rows)
+            expected = len(w.standard[0])
             assert _count_difference(MonomialIdeal.unit(w.ctx), w, w) == expected
             assert expected == box_count(MonomialIdeal.unit(w.ctx), w)
 

@@ -5,16 +5,20 @@ different row, removes duplicates, and sorts in grlex order.  Every
 operation is checked on unminimalized inputs, so duplicate rows, the zero
 ideal (no rows), the unit ideal (a zero row), one variable and rows of equal
 degree all reach the minimalizer.  Rows with exponents up to 2**40 (or 2**20
-in eight variables) make the packed grlex keys span several words, and the
-fast paths (principal and zero products, zero sums, containment in a sum
-by parts, the one-degree exit of the divisibility pass) are checked against
-the general arithmetic.  The column-wise kernels (`_row_sums`,
+in eight variables) make the packed grlex keys too wide for one word, and
+the fast paths (principal and zero products, zero sums, containment in a
+sum by parts, the one-degree exit of the divisibility pass) are checked
+against the general arithmetic.  The column-wise kernels (`_row_sums`,
 `_divides_any`) and the membership test are checked against the broadcast
-reductions they replaced, kept here as oracles.  The sum-set kernel behind
-products and count candidates is checked against the pairwise oracle and the
-floor-less box counter, on multi-word keys and on both one-word branches (a
-boolean map of the pair keys, or a sort) in one to eight variables, with a
-spy on the branch taken; products whose degree passes int64 raise.  The
+reductions they replaced, kept here as oracles.  The one-word packing is
+checked against keys packed with Python integers, and every sort and dedupe
+(`_grlex_unique`, the sum-set kernel `_sum_rows` behind products and count
+candidates) against Python's sort on (degree, row), the pairwise oracle and
+the floor-less box counter: on both one-word branches (a boolean map of the
+words, or a sort) and on the wide-key lexsort, in one to eight variables,
+with a spy on the branch taken.  The membership test's exact-match look-up
+is checked with and without one word.  Products, lcms and generators whose
+degree passes int64 raise.  The
 staircase enumeration of standard monomials is checked against the box
 filter, and the box kernel's orthant prefix-OR against the membership test
 on the box's enumerated rows.
@@ -38,18 +42,18 @@ from multimult.monomials import (
     _count_difference,
     _divides,
     _divides_any,
+    _distinct_rows,
     _drop_divisible,
     _grlex_unique,
-    _grlex_words,
     _box_members,
     _ideal_product_cached,
-    _marked_sums,
     _members_mask,
+    _packing,
     _row_sums,
-    _rows_in,
-    _sorted_sums,
     _standard_rows,
     _sum_rows,
+    _wide_unique,
+    colon_by_ideal,
     colon_by_monomial,
     first_outside_sum,
     ideal,
@@ -141,8 +145,13 @@ def as_matrix(rows, m):
     return np.array(rows, dtype=np.int64).reshape(len(rows), m)
 
 
-def words_of(rows):
-    return _grlex_words(rows, rows.sum(axis=1))
+def tops_of(rows, m):
+    """The greatest value of each grlex key column (degree, x1, ..., xm)
+    over a list of rows in m variables, 0 over none."""
+    return (max(map(sum, rows), default=0),
+            *(max((row[j] for row in rows), default=0) for j in range(m)))
+
+
 
 
 def broadcast_row_sums(rows):
@@ -172,6 +181,35 @@ def edge_cases():
         unit = [(0,) * m]
         yield from [(m, [], rows), (m, rows, []), (m, [], []), (m, unit, rows), (m, unit, []),
                     (m, rows, rows)]
+
+
+@st.composite
+def unique_cases(draw):
+    """(m, rows, slack): rows with repeats that are dense (exponents up to
+    2, up to fifteen rows), sparse (exponents up to 1000) or wide (near
+    2**40 in four variables), and a slack that raises the degree bound
+    above the rows' greatest degree."""
+    kind = draw(st.sampled_from(["dense", "sparse", "wide"]))
+    m = 4 if kind == "wide" else draw(st.integers(1, 4))
+    value = {"dense": st.integers(0, 2), "sparse": st.integers(0, 1000),
+             "wide": st.one_of(st.integers(0, 2), st.integers(2**40 - 2, 2**40))}[kind]
+    rows = draw(st.lists(st.tuples(*(value for _ in range(m))), min_size=1,
+                         max_size=12 if kind == "dense" else 5))
+    if kind == "wide":
+        rows.append((2**40,) * 4)
+    rows += draw(st.lists(st.sampled_from(rows), max_size=3))
+    return m, rows, draw(st.sampled_from([0, 0, 5]))
+
+
+def expected_unique_branch(m, rows, degree_top):
+    """The branch `_grlex_unique` takes on rows of degree at most
+    `degree_top`, which bounds every key column: several words, or one
+    word marked in a map of all (degree_top + 1)^m words when that holds at
+    most eight cells per row, or one word sorted."""
+    cells = (degree_top + 1) ** m
+    if cells > 1 << 63:
+        return "several"
+    return "marked" if cells <= 8 * len(rows) else "sorted"
 
 
 class TestAgainstOracle:
@@ -291,8 +329,8 @@ class TestColumnKernels:
         i = ideal(CONTEXTS[m], xs)
         assume(not i.is_zero() and not i.is_unit())
         points = as_matrix([below(p, int(i.degrees[0])) for p in ys + xs], m)
-        # The gate answers before the sort that finds generators among the points.
-        with mock.patch("multimult.monomials._rows_in", side_effect=AssertionError):
+        # The gate answers before the look-up that finds generators among the points.
+        with mock.patch("multimult.monomials._packing", side_effect=AssertionError):
             assert not _members_mask(i, points, broadcast_row_sums(points)).any()
 
     @CASES
@@ -337,27 +375,33 @@ class TestColumnKernels:
 
 
 class TestPackedKeys:
-    """`_grlex_unique` and `_rows_in` sort by packed grlex words."""
+    """`_grlex_unique` and the membership look-up pack grlex keys into one
+    word, and fall back to a lexsort (or no look-up) when they are too wide."""
 
     @CASES
     @given(wide_operands())
     def test_wide_rows_need_several_words(self, case):
+        # In one variable the key is the degree alone.
         m, xs, ys = case
-        assert len(words_of(as_matrix(xs, m))) > 1
-        assert len(words_of(as_matrix(xs + ys, m))) > 1
+        assert (_packing(tops_of(xs, m)) is None) == (m > 1)
+        assert (_packing(tops_of(xs + ys, m)) is None) == (m > 1)
 
     @CASES
-    @given(operands())
-    def test_small_rows_need_one_word(self, case):
+    @given(operands(), st.integers(0, 3))
+    def test_small_rows_need_one_word(self, case, slack):
+        # Any upper bounds pack, as the Python integers of the key do.
         m, xs, ys = case
-        words = words_of(as_matrix(xs + ys, m))
-        assert len(words) == 1 and words[0].shape == (len(xs + ys),)
+        rows = xs + ys
+        tops = [top + slack for top in tops_of(rows, m)]
+        radices, weights = _packing(tops)
+        assert radices == [top + 1 for top in tops[:m]]
+        assert (as_matrix(rows, m) @ weights).tolist() == [row_word(r, radices) for r in rows]
 
     @CASES
     @given(st.one_of(operands(), wide_operands()))
     def test_grlex_unique(self, case):
         m, xs, ys = case
-        rows, degs = _grlex_unique(as_matrix(xs + ys, m))
+        rows, degs = _grlex_unique(as_matrix(xs + ys, m), max(map(sum, xs + ys), default=0))
         expected = sorted(set(xs + ys), key=lambda r: (sum(r), r))
         assert list(map(tuple, rows.tolist())) == expected
         assert degs.tolist() == [sum(r) for r in expected]
@@ -372,17 +416,68 @@ class TestPackedKeys:
         assert kept_degs.tolist() == [sum(r) for r in oracle(xs + ys)]
 
     @CASES
+    @given(unique_cases())
+    @example((2, [(0, 0), (1, 0), (0, 1), (1, 1), (0, 0)], 0))
+    @example((3, [(900, 0, 0), (0, 0, 700), (3, 1, 0), (3, 1, 0)], 5))
+    @example((4, [(2**40, 0, 3, 2**40 - 1), (1, 2**40, 0, 0), (1, 2**40, 0, 0)], 0))
+    def test_grlex_unique_branches(self, case):
+        # Each branch against Python's sort on (degree, row), with a degree
+        # bound that may exceed the greatest degree.
+        m, rows, slack = case
+        degree_top = max(map(sum, rows)) + slack
+        with branch_spy() as taken:
+            got, degs = _grlex_unique(as_matrix(rows, m), degree_top)
+        expected = sorted(set(rows), key=lambda r: (sum(r), r))
+        assert list(map(tuple, got.tolist())) == expected
+        assert degs.tolist() == [sum(r) for r in expected]
+        assert taken() == expected_unique_branch(m, rows, degree_top)
+
+    @pytest.mark.parametrize("m, rows, branch", [
+        (2, [(0, 0), (1, 0), (0, 1), (1, 1), (0, 0)], "marked"),
+        (3, [(900, 0, 0), (0, 0, 700), (3, 1, 0), (3, 1, 0)], "sorted"),
+        (4, [(2**40, 0, 3, 2**40 - 1), (1, 2**40, 0, 0), (1, 2**40, 0, 0)], "several"),
+        (2, [(2**62, 0), (0, 2**62)], "several"),
+    ])
+    def test_each_branch_is_reached(self, m, rows, branch):
+        with branch_spy() as taken:
+            _grlex_unique(as_matrix(rows, m), max(map(sum, rows)))
+        assert taken() == branch
+
+    @CASES
     @given(st.one_of(operands(), wide_operands()))
-    def test_rows_in(self, case):
+    @example((2, [(1, 0), (0, 2)], [(1, 0), (1, 2), (0, 1)]))
+    @example((4, [(2**40,) * 4, (1, 0, 0, 0)], [(2**40,) * 4, (2**40, 1, 0, 0), (0, 1, 0, 0)]))
+    def test_generators_are_matched_by_look_up(self, case):
+        # Points equal to a generator are found before the divisibility
+        # test when the key, with every column bounded by the greatest
+        # degree, fits one word; otherwise that test takes the generators
+        # of equal degree as well.  Either way every generator lies in its
+        # ideal, and the mask equals the broadcast test.
         m, xs, ys = case
-        distinct = sorted(set(xs))
+        i = ideal(CONTEXTS[m], xs)
+
+        def one_word(points):
+            bound = max([sum(p) for p in points] + [i.max_generator_degree()])
+            return (bound + 1) ** m <= 1 << 63
+
+        with mock.patch("multimult.monomials._divides_any", wraps=_divides_any) as spy:
+            mask = _members_mask(i, i.matrix, i.degrees)
+        assert mask.all()
+        assert spy.called == (not one_word(i.gens) and len(xs) > 0)
         points = ys + xs + ys[:2]
-        pts, rows = as_matrix(points, m), as_matrix(distinct, m)
-        mask = _rows_in(pts, rows, pts.sum(axis=1), rows.sum(axis=1))
-        assert mask.tolist() == [p in set(distinct) for p in points]
+        pts = as_matrix(points, m)
+        with mock.patch("multimult.monomials._divides_any", wraps=_divides_any) as spy:
+            mask = _members_mask(i, pts, broadcast_row_sums(pts))
+        assert mask.tolist() == [any(divides(g, p) for g in i.gens) for p in points]
+        assert mask.tolist() == broadcast_divides_any(i.matrix, pts).tolist()
+        if one_word(points):
+            # Each chunk consults only the generators of lower degree.
+            for (gens, chunk), _ in spy.call_args_list:
+                assert _row_sums(gens).max() < _row_sums(chunk).max()
 
     @CASES
     @given(wide_operands())
+    @example((4, [(2**40, 0, 0, 0), (0, 2**40 - 1, 1, 0)], [(2**40, 0, 0, 0), (2**40, 1, 0, 0)]))
     def test_members_mask(self, case):
         m, xs, ys = case
         i = ideal(CONTEXTS[m], xs)
@@ -398,6 +493,54 @@ class TestPackedKeys:
         m, xs, ys = case
         ctx = CONTEXTS[m]
         assert ideal_sum(ideal(ctx, xs), ideal(ctx, ys)).gens == oracle(xs + ys)
+
+    def test_distinct_rows_on_both_sides_of_the_bound(self):
+        # Keys (degree, x1) with radices (3, 2): the words 2, 3 and 5 are
+        # the rows (0, 1), (1, 0) and (1, 1).  The exact span takes the map,
+        # a span past eight cells per word the sort.
+        words = np.array([5, 2, 3, 5, 2])
+        for low in (0, 2):
+            for cells in (6 - low, 8 * len(words) + 1):
+                rows, degrees = _distinct_rows(words - low, low, cells, [3, 2])
+                assert rows.tolist() == [[0, 1], [1, 0], [1, 1]]
+                assert degrees.tolist() == [1, 1, 2]
+
+
+class TestOverflow:
+    """Degrees past int64 raise rather than wrap; those that fit are kept."""
+
+    def test_the_2_62_ideal_builds(self):
+        # Its key needs two words; the degree radix is 2^62 + 1, the greatest
+        # row degree plus one, not the sum of the column maxima.
+        got = ideal(CONTEXTS[2], [(2**62, 0), (0, 2**62)])
+        assert got.gens == ((0, 2**62), (2**62, 0))
+        assert got.degrees.tolist() == [2**62] * 2
+
+    def test_intersection_past_int64_raises(self):
+        ctx = CONTEXTS[2]
+        with pytest.raises(OverflowError):
+            ideal_intersection(ideal(ctx, [(2**62, 0)]), ideal(ctx, [(0, 2**62)]))
+        got = ideal_intersection(ideal(ctx, [(2**62, 0)]), ideal(ctx, [(0, 2**62 - 1)]))
+        assert got.gens == ((2**62, 2**62 - 1),) and got.degrees.tolist() == [2**63 - 1]
+        # Both operands at 2^62: the bound on the lcm degree passes int64,
+        # the lcm does not.
+        same = ideal(ctx, [(2**62, 0)])
+        assert ideal_intersection(same, ideal(ctx, [(2**62, 0), (0, 1)])) == same
+
+    def test_colon_by_ideal_past_int64_raises(self):
+        # The colons by x1 and by x2 meet in the lcm x1^(2^62) x2^(2^62).
+        ctx = CONTEXTS[2]
+        q = ideal(ctx, [(2**62, 0), (0, 2**62)])
+        with pytest.raises(OverflowError):
+            colon_by_ideal(q, ideal(ctx, [(1, 0), (0, 1)]))
+
+    def test_wide_unique_raises_on_a_wrapped_degree(self):
+        # Three exponents whose int64 sum wraps to a positive value.
+        with pytest.raises(OverflowError):
+            _wide_unique(as_matrix([(2**62 + 2**61,) * 3, (0, 0, 1)], 3))
+        rows, degrees = _wide_unique(as_matrix([(2**62, 2**62 - 1, 0), (0, 0, 1)], 3))
+        assert rows.tolist() == [[0, 0, 1], [2**62, 2**62 - 1, 0]]
+        assert degrees.tolist() == [1, 2**63 - 1]
 
 
 def sum_radices(a, b):
@@ -432,25 +575,30 @@ def row_word(row, radices):
 
 
 def multiword_spy():
-    """A spy on `_grlex_unique`, which the sum-set kernel calls only when
-    the keys of the sums need more than one word."""
-    return mock.patch("multimult.monomials._grlex_unique", wraps=_grlex_unique)
+    """A spy on `_wide_unique`, which the sort and dedupe kernels call only
+    when the keys need more than one word."""
+    return mock.patch("multimult.monomials._wide_unique", wraps=_wide_unique)
 
 
 @contextmanager
 def branch_spy():
-    """Spies on the three branches of the sum-set kernel: several words, a
-    boolean map, a sort.  Yields a function naming the branch taken (None
-    when the kernel did not run), which checks that at most one ran, once."""
+    """Spies on the three branches of the sort and dedupe kernels: several
+    words, a boolean map, a sort.  The map is taken exactly when the words'
+    span holds at most eight cells per word.  Yields a function naming the
+    branch taken (None when no kernel ran), which checks that one ran at
+    most once."""
     with multiword_spy() as several, mock.patch(
-        "multimult.monomials._marked_sums", wraps=_marked_sums
-    ) as marked, mock.patch("multimult.monomials._sorted_sums", wraps=_sorted_sums) as ordered:
-        spies = {"several": several, "marked": marked, "sorted": ordered}
+        "multimult.monomials._distinct_rows", wraps=_distinct_rows
+    ) as one_word:
 
         def taken():
-            ran = [name for name, spy in spies.items() if spy.called]
-            assert len(ran) <= 1 and all(spy.call_count <= 1 for spy in spies.values())
-            return ran[0] if ran else None
+            assert several.call_count + one_word.call_count <= 1
+            if several.called:
+                return "several"
+            if not one_word.called:
+                return None
+            offsets, _, cells, _ = one_word.call_args.args
+            return "marked" if cells <= 8 * offsets.size else "sorted"
 
         yield taken
 
@@ -500,8 +648,8 @@ class TestSumKernel:
         assert std_degrees.tolist() == broadcast_row_sums(std).tolist()
         assert std_tops == (max(std_degrees.tolist(), default=0),
                             *std.max(axis=0, initial=0).tolist())
-        # Only the multi-word fallback sums the candidate rows, once; the
-        # membership test takes the degrees it is given.
+        # The kernels return the candidates' degrees, and the membership
+        # test takes the degrees it is given.
         with multiword_spy() as spy, mock.patch(
             "multimult.monomials._row_sums", wraps=_row_sums
         ) as row_sums:
@@ -509,7 +657,7 @@ class TestSumKernel:
         assert got == box_count(top, bot)
         pairs = not (top.is_zero() or top.is_unit() or bot.is_unit()) and len(std) > 1
         assert spy.called == (pairs and several_words(top.matrix, std))
-        assert row_sums.call_count == spy.call_count
+        assert not row_sums.called
 
     def test_product_peak_memory(self):
         # 455 x 78 pairs in four variables: the broadcast pair matrix alone
@@ -655,7 +803,7 @@ class TestMarkedSums:
         ctx = RingContext(m)
         floor, top = ideal(ctx, floor_rows), ideal(ctx, xs)
         bot = ideal_sum(ideal_product(top, floor), ideal(ctx, ys))
-        std = floor.standard_rows
+        std = floor.standard[0]
         pairs = not (top.is_unit() or bot.is_unit()) and len(std) > 1
         with branch_spy() as taken:
             got = _count_difference(top, bot, floor)

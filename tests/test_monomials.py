@@ -1,9 +1,14 @@
 """Unit tests for monomial and monomial-ideal arithmetic."""
 
+import copy
 import itertools
+import pickle
+from pathlib import Path
 
 import pytest
 
+from multimult.cli import run_instance
+from multimult.instances import parse_instance
 from multimult.monomials import (
     INFINITE,
     MINUS_INFINITY,
@@ -14,19 +19,19 @@ from multimult.monomials import (
     RingContext,
     colon_by_ideal,
     colon_by_monomial,
-    graded_quotient_length,
     ideal,
     ideal_intersection,
     ideal_power,
     ideal_product,
+    ideal_sum,
     krull_dim,
     saturation,
-    standard_monomials,
 )
 
 C2 = RingContext(2)
 C3 = RingContext(3)
 C4 = RingContext(4)
+SAMPLE = Path(__file__).resolve().parent.parent / "docs" / "instances" / "dim4_joint_reduction.json"
 
 
 def gens_of(i):
@@ -149,26 +154,28 @@ class TestDimensionAndLength:
     def test_length_point(self):
         top = MonomialIdeal.unit(C2)
         bot = ideal(C2, [(1, 0), (0, 1)])
-        assert graded_quotient_length(top, bot, MonomialIdeal.zero(C2)) == 1
+        zero = MonomialIdeal.zero(C2)
+        assert QuotientModule(C2, ideal_sum(bot, zero), ideal_sum(top, zero)).length() == 1
 
     def test_length_two(self):
         top = MonomialIdeal.unit(C2)
         bot = ideal(C2, [(2, 0), (0, 1)])
-        assert graded_quotient_length(top, bot, MonomialIdeal.zero(C2)) == 2
+        zero = MonomialIdeal.zero(C2)
+        assert QuotientModule(C2, ideal_sum(bot, zero), ideal_sum(top, zero)).length() == 2
 
     def test_length_infinite(self):
         c1 = RingContext(1)
         top = ideal(c1, [(1,)])
         bot = MonomialIdeal.zero(c1)
-        assert graded_quotient_length(top, bot, bot) == INFINITE
+        assert QuotientModule(c1, ideal_sum(bot, bot), ideal_sum(top, bot)).length() == INFINITE
 
     def test_standard_monomials(self):
         w = ideal(C2, [(2, 0), (0, 2), (1, 1)])
-        assert standard_monomials(w) == [(0, 0), (0, 1), (1, 0)]
+        assert w.standard[0].tolist() == [[0, 0], [0, 1], [1, 0]]
 
     def test_standard_monomials_requires_primary(self):
         with pytest.raises(ValueError):
-            standard_monomials(ideal(C2, [(1, 0)]))
+            ideal(C2, [(1, 0)]).standard
 
     def test_minimal_primes(self):
         q = ideal(C2, [(1, 1)])
@@ -205,7 +212,8 @@ class TestLengthOracle:
         zero3 = MonomialIdeal.zero(C3)
         for bot in cases:
             zero = zero2 if bot.ctx == C2 else zero3
-            got = graded_quotient_length(MonomialIdeal.unit(bot.ctx), bot, zero)
+            unit = MonomialIdeal.unit(bot.ctx)
+            got = QuotientModule(bot.ctx, ideal_sum(bot, zero), ideal_sum(unit, zero)).length()
             assert got == brute_force_length(bot)
 
 
@@ -222,3 +230,18 @@ class TestSaturatedDimensionNeverZero:
         for q, i in cases:
             mod = QuotientModule(q.ctx, q).saturate(i)
             assert krull_dim(mod) != 0
+
+
+class TestCopies:
+    def test_used_context_deepcopies_and_pickles(self):
+        # The memo of a used context is keyed by functions and by ideals
+        # that hash their own context; each copy starts with a fresh memo.
+        inst = parse_instance(SAMPLE.read_text(), SAMPLE.name)
+        run_instance(inst)
+        assert inst.family.ctx.memo
+        module = copy.deepcopy(inst.family.module)
+        assert module == inst.family.module and module.ctx.memo == {}
+        assert module.top.ctx is module.ctx
+        family = pickle.loads(pickle.dumps(inst.family))
+        assert family == inst.family and family.ctx.memo == {}
+        assert family.j.ctx is family.ctx

@@ -17,7 +17,6 @@ from multimult.monomials import (
     RingContext,
     colon_by_monomial,
     first_outside_sum,
-    graded_quotient_length,
     ideal,
     ideal_intersection,
     ideal_power,
@@ -139,9 +138,10 @@ class TestLengthOracle:
     @MANY
     @given(ideal_with_ctx(min_gens=1, max_gens=5, max_exp=5, max_vars=4))
     def test_counting_matches_enumeration(self, bot):
-        got = graded_quotient_length(
-            MonomialIdeal.unit(bot.ctx), bot, MonomialIdeal.zero(bot.ctx)
-        )
+        zero = MonomialIdeal.zero(bot.ctx)
+        got = QuotientModule(
+            bot.ctx, ideal_sum(bot, zero), ideal_sum(MonomialIdeal.unit(bot.ctx), zero)
+        ).length()
         assert got == _brute_force_length(bot)
 
 

@@ -21,14 +21,8 @@ import os
 import sys
 import time
 
-from .hilbert import MixedType, MultiDegree, interpolate, mixed_multiplicity
-from .instances import (
-    InstanceFile,
-    InstanceParseError,
-    _parse_type,
-    parse_instance,
-    parse_monomial,
-)
+from .hilbert import MultiDegree, interpolate, mixed_multiplicity
+from .instances import InstanceFile, InstanceParseError, parse_instance, request_args
 from .koszul import euler_char_direct, euler_char_via_difference
 from .multiplicity import (
     NotMultiplicitySystemError,
@@ -36,13 +30,7 @@ from .multiplicity import (
     verify_corollaries,
     verify_theorem_recursion,
 )
-from .reductions import (
-    J_SOURCE,
-    PoolPolicy,
-    is_filter_regular,
-    is_rees_superficial,
-    search_joint_reduction,
-)
+from .reductions import J_SOURCE, is_filter_regular, is_rees_superficial, search_joint_reduction
 from .reports import (
     SCHEMA_VERSION,
     certificate_payload,
@@ -51,58 +39,47 @@ from .reports import (
 )
 
 
-def _request_type(inst: InstanceFile, req: dict) -> MixedType:
-    return _parse_type(req.get("type"), inst.family.d, "request.type")
-
-
-def _recursion_axis(inst: InstanceFile, req: dict, cand) -> int | None:
-    """The named ideal's index, else the first axis with k_i > 0, if any."""
-    if "ideal" in req:
-        return inst.ideal_names.index(req["ideal"])
-    return next((idx for idx, ki in enumerate(cand.declared_type.k) if ki > 0), None)
-
-
 def run_request(inst: InstanceFile, req: dict) -> dict:
-    """Execute one request, validated by parse_instance, and return its
-    deterministic result payload."""
+    """Execute one request on the arguments ``request_args`` makes of it and
+    return its deterministic result payload."""
     fam = inst.family
     command = req["command"]
+    args = request_args(req, "request", inst.variables, fam, inst.ideal_names, inst.candidates)
     out = {"request": req}
 
     if command == "hilbert":
-        which = req.get("which", "P")
-        fit = interpolate(fam, which)
+        fit = interpolate(fam, *args)
         out["polynomial"] = poly_payload(fit.poly)
         out["table"] = {"base": [fit.base] * (fam.d + 1), "values": fit.values.tolist()}
         out["provenance"] = fit.provenance()
     elif command == "mixed":
-        mt = _request_type(inst, req)
-        value, defined = mixed_multiplicity(fam, mt)
+        value, defined = mixed_multiplicity(fam, *args)
         fit = interpolate(fam, "P")
         out["value"] = str(value)
         out["defined"] = defined
         out["provenance"] = fit.provenance()
     elif command == "verify-jr":
-        out["certificate"] = certificate_payload(inst.datum(req["candidate"]).certificate)
+        out["certificate"] = certificate_payload(inst.datum(*args).certificate)
     elif command == "element-props":
-        mono = parse_monomial(req["monomial"], list(inst.variables), fam.ctx, "request")
-        idx = inst.ideal_names.index(req["ideal"])
+        mono, idx = args
         superficial = is_rees_superficial(fam, mono, idx)
         filter_reg = is_filter_regular(fam, mono)
         out["filter_regular"] = filter_reg
         out["rees_superficial"] = certificate_payload(superficial)
         out["weak_fc"] = filter_reg and superficial.holds
     elif command == "mult-symbol":
-        cand = inst.candidates[req["candidate"]]
+        (name,) = args
+        cand = inst.candidates[name]
         try:
             out["value"] = mult_symbol(fam.module, list(cand.monomials()))
         except NotMultiplicitySystemError as exc:
             out["error"] = str(exc)
     elif command == "chi":
-        datum = inst.datum(req["candidate"])
+        name, run_direct = args
+        datum = inst.datum(name)
         diff = euler_char_via_difference(datum)
         out["difference"] = {"value": diff.value, "provenance": diff.provenance}
-        if req.get("direct", False):
+        if run_direct:
             base = interpolate(fam, "P").base
             direct = euler_char_direct(datum, MultiDegree(base, (base,) * fam.d))
             out["direct"] = {
@@ -112,17 +89,13 @@ def run_request(inst: InstanceFile, req: dict) -> dict:
             }
             out["methods_agree"] = (not direct.certified) or direct.value == diff.value
     elif command == "verify-theorem":
-        datum = inst.datum(req["candidate"])
-        idx = _recursion_axis(inst, req, datum.cand)
-        out["report"] = report_payload(verify_theorem_recursion(datum, idx))
+        name, idx = args
+        out["report"] = report_payload(verify_theorem_recursion(inst.datum(name), idx))
     elif command == "verify-corollaries":
-        datum = inst.datum(req["candidate"])
-        idx = _recursion_axis(inst, req, datum.cand)
-        out["reports"] = [report_payload(r) for r in verify_corollaries(datum, idx)]
+        name, idx = args
+        out["reports"] = [report_payload(r) for r in verify_corollaries(inst.datum(name), idx)]
     elif command == "search-jr":
-        mt = _request_type(inst, req)
-        policy = PoolPolicy(**{key: req[key] for key in ("max_degree", "budget") if key in req})
-        cand = search_joint_reduction(fam, mt, policy)
+        cand = search_joint_reduction(fam, *args)
         if cand is None:
             out["found"] = None
         else:

@@ -25,10 +25,13 @@ Monomial syntax is a '*'-separated product of powers like "x1^2*x3", or "1",
 so a variable name must be one that syntax reads back: not empty, not "1",
 and free of whitespace, '*' and '^'.
 Every diagnostic names the JSON path (and the offending token for monomial
-errors) so failures are actionable.  Requests are validated here too, field
-by field, so a malformed one stops the file before any request runs.  A key
-the program does not read, at the top level, in a candidate, an element or
-a request, is an error too: a misspelt key would otherwise be ignored.
+errors) so failures are actionable.  One parser, ``request_args``, turns
+each request into the typed arguments its command runs on: parsing calls
+it, so a malformed request stops the file before any request runs, and the
+run calls it again for its arguments.  A key the program does not read, at
+the top level, in a candidate, an element or a request, is an error too: a
+misspelt key would otherwise be ignored.  Only an absent "candidates" key
+declares no candidates; any value but an object is an error.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import json
 
 from .hilbert import IdealFamily, MixedType
 from .monomials import Monomial, MonomialIdeal, QuotientModule, Record, RingContext, _set, ideal
-from .reductions import J_SOURCE, JointReductionCandidate, ReesDatum
+from .reductions import J_SOURCE, JointReductionCandidate, PoolPolicy, ReesDatum
 
 
 class InstanceParseError(ValueError):
@@ -143,45 +146,67 @@ REQUEST_FIELDS = {
 COMMANDS = tuple(REQUEST_FIELDS)
 
 
-def _check_request(req: dict, loc: str, variables, family, ideal_names, candidates) -> None:
-    """Reject a request whose command or fields the run could not use."""
+def request_args(req: dict, loc: str, variables, family, ideal_names, candidates) -> tuple:
+    """The arguments the request's command runs on, or an InstanceParseError
+    naming the JSON path of the first field the run could not use.
+
+    hilbert: (which,); mixed: (type,); verify-jr and mult-symbol:
+    (candidate,); element-props: (monomial, axis); chi: (candidate, direct);
+    verify-theorem and verify-corollaries: (candidate, axis or None), the
+    axis of the named ideal, else the first with k_i > 0; search-jr:
+    (type, PoolPolicy).
+    """
     command = req["command"]
 
     def fail(field, message):
         raise InstanceParseError(message, f"{loc}.{field}")
 
-    def check_name(field, declared):
-        name = req.get(field)
-        if not isinstance(name, str) or name not in declared:
-            fail(field, f"undeclared {field} {name!r}")
+    def name(field, declared):
+        value = req.get(field)
+        if not isinstance(value, str) or value not in declared:
+            fail(field, f"undeclared {field} {value!r}")
+        return value
 
     if command not in COMMANDS:
         fail("command", f"unknown command {command!r}; expected one of {', '.join(COMMANDS)}")
     fields = REQUEST_FIELDS[command]
     _reject_unknown_keys(req, ("command", *fields), loc)
     if "type" in fields:
-        _parse_type(req.get("type"), len(ideal_names), f"{loc}.type")
+        mt = _parse_type(req.get("type"), len(ideal_names), f"{loc}.type")
     if "candidate" in fields:
-        check_name("candidate", candidates)
-    if command == "hilbert" and req.get("which", "P") not in ("P", "F"):
-        fail("which", "which must be 'P' or 'F'")
-    elif command == "element-props":
-        check_name("ideal", ideal_names)
+        cname = name("candidate", candidates)
+    if command == "hilbert":
+        which = req.get("which", "P")
+        if which not in ("P", "F"):
+            fail("which", "which must be 'P' or 'F'")
+        return (which,)
+    if command == "mixed":
+        return (mt,)
+    if command in ("verify-jr", "mult-symbol"):
+        return (cname,)
+    if command == "element-props":
+        axis = ideal_names.index(name("ideal", ideal_names))
         mono = parse_monomial(req.get("monomial"), variables, family.ctx, f"{loc}.monomial")
-        if not family.ideals[ideal_names.index(req["ideal"])].contains(mono):
+        if not family.ideals[axis].contains(mono):
             fail("monomial", f"{mono} does not lie in {req['ideal']}")
-    elif command == "chi" and not isinstance(req.get("direct", False), bool):
-        fail("direct", "direct must be true or false")
-    elif command == "search-jr":
+        return mono, axis
+    if command == "chi":
+        direct = req.get("direct", False)
+        if not isinstance(direct, bool):
+            fail("direct", "direct must be true or false")
+        return cname, direct
+    if command == "search-jr":
         for key in ("max_degree", "budget"):
             if key in req and not (_is_int(req[key]) and req[key] >= 0):
                 fail(key, f"{key} must be a non-negative integer")
-    elif command in ("verify-theorem", "verify-corollaries"):
-        if "ideal" in req:
-            check_name("ideal", ideal_names)
-        elif command == "verify-theorem":
-            if not any(candidates[req["candidate"]].declared_type.k):
-                fail("candidate", "candidate type has no positive k_i; name the ideal")
+        return mt, PoolPolicy(**{key: req[key] for key in ("max_degree", "budget") if key in req})
+    # verify-theorem and verify-corollaries
+    if "ideal" in req:
+        return cname, ideal_names.index(name("ideal", ideal_names))
+    axis = next((i for i, ki in enumerate(candidates[cname].declared_type.k) if ki > 0), None)
+    if axis is None and command == "verify-theorem":
+        fail("candidate", "candidate type has no positive k_i; name the ideal")
+    return cname, axis
 
 
 class InstanceFile(Record, compared=("name", "variables", "family", "ideal_names", "candidates",
@@ -266,7 +291,7 @@ def parse_instance(text: str, name: str = "<instance>") -> InstanceFile:
         raise InstanceParseError(str(exc), "J") from exc
 
     candidates = {}
-    candidates_obj = raw.get("candidates") or {}
+    candidates_obj = raw.get("candidates", {})
     if not isinstance(candidates_obj, dict):
         raise InstanceParseError("candidates must be an object of named candidates", "candidates")
     for cname, cobj in candidates_obj.items():
@@ -305,7 +330,7 @@ def parse_instance(text: str, name: str = "<instance>") -> InstanceFile:
     for i, req in enumerate(requests):
         if not isinstance(req, dict) or "command" not in req:
             raise InstanceParseError("request needs a 'command'", f"requests[{i}]")
-        _check_request(req, f"requests[{i}]", variables, family, ideal_names, candidates)
+        request_args(req, f"requests[{i}]", variables, family, ideal_names, candidates)
 
     return InstanceFile(
         name=name,

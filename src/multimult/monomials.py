@@ -51,8 +51,9 @@ degree as they are: rows of equal degree cannot properly divide each
 other.  Results that are minimal by construction skip it: the product with
 a principal ideal (x^u) is the other factor's matrix plus u
 (``ideal_shift``), which stays minimal, distinct and grlex-ordered; a sum
-with the zero ideal is the other operand, a product with the zero ideal
-the zero factor and a product with the unit ideal the other factor.
+with the zero ideal is the other operand, a sum with the unit ideal the
+unit operand, a product with the zero ideal the zero factor and a product
+with the unit ideal the other factor.
 Subtracting the column minimum, the content (the gcd of the generators),
 keeps a matrix minimal the same way, so ``split_content`` writes an ideal
 as x^c times a content-free ideal without minimalizing.  Containment in a
@@ -738,11 +739,12 @@ def _ideal_sum_cached(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
 
 def ideal_sum(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
     """The sum ideal a+b, minimalized; the other operand itself when one
-    operand is the zero ideal."""
+    operand is the zero ideal, and the unit operand when one is the unit
+    ideal."""
     _check_ctx(a, b)
-    if a.is_zero():
+    if a.is_zero() or b.is_unit():
         return b
-    if b.is_zero():
+    if b.is_zero() or a.is_unit():
         return a
     return _ideal_sum_cached(a, b)
 

@@ -39,7 +39,6 @@ from .reductions import (
     J_SOURCE,
     ReesDatum,
     is_filter_regular,
-    is_multiplicity_system,
     is_system_of_parameters,
 )
 
@@ -52,7 +51,7 @@ def _symbol(module: QuotientModule, y) -> int:
     if not y:
         n = module.length()
         if n == INFINITE:
-            raise NotMultiplicitySystemError("infinite length at recursion base")
+            raise NotMultiplicitySystemError("elements do not cut M to finite length")
         return int(n)
     head, tail = y[0], y[1:]
     return _symbol(module.quotient_by_elements([head]), tail) - _symbol(
@@ -61,11 +60,13 @@ def _symbol(module: QuotientModule, y) -> int:
 
 
 def mult_symbol(module: QuotientModule, y) -> int:
-    """The recursive multiplicity symbol e(y; M)."""
-    y = list(y)
-    if not is_multiplicity_system(module, y):
-        raise NotMultiplicitySystemError("elements do not cut M to finite length")
-    return _symbol(module, y)
+    """The recursive multiplicity symbol e(y; M).
+
+    Every leaf of the recursion is a subquotient of M killed by each y_i,
+    so it has finite length when M/(y)M has.  M/(y)M is the first leaf, so
+    a y that does not cut M to finite length raises
+    NotMultiplicitySystemError there, before any other count."""
+    return _symbol(module, list(y))
 
 
 # -- verification reports --------------------------------------------------

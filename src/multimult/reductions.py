@@ -226,13 +226,6 @@ def is_system_of_parameters(module: QuotientModule, elems) -> bool:
     return cut == float("-inf") or cut <= 0
 
 
-def is_multiplicity_system(module: QuotientModule, elems) -> bool:
-    """Whether the elements generate an ideal of definition for the module."""
-    if module.is_zero():
-        return True
-    return module.quotient_by_elements(list(elems)).length() != float("inf")
-
-
 # -- search ----------------------------------------------------------------
 
 

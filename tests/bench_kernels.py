@@ -49,7 +49,8 @@ of the sample's P fit (its 5^3 window at base 5 and its 2^3 band at base
 
 The dedupe benchmark times ``_grlex_unique`` on the rows of the sample's
 largest minimalization, recorded while one parse of the sample runs every
-request: 330 rows, a sum of 329 generators of degree 11 and the unit ideal.
+request: 28 rows, the lcms of an intersection in the Rees-superficial test
+of ``element-props``.
 The membership benchmark times ``_members_mask`` for the sample's largest
 ``hf_P`` count, at (11, (11, 11)), the top corner of its fit's band: J is
 the maximal ideal, so the count's candidates are the 2 014 generators of
@@ -254,7 +255,7 @@ def test_sample_largest_dedupe(benchmark):
     calls = [call.args for call in spy.call_args_list]
     rows, degree_top = max(calls, key=lambda args: len(args[0]))
     got, degrees = benchmark(_grlex_unique, rows, degree_top)
-    assert len(rows) == 330
+    assert len(rows) == 28
     assert got.tolist() == sorted(map(list, set(map(tuple, rows.tolist()))),
                                   key=lambda r: (sum(r), r))
     assert degrees.tolist() == [sum(r) for r in got.tolist()]

@@ -32,6 +32,14 @@ def box_members(a, bounds):
     return _members_mask(a, pts, _row_sums(pts)).reshape(bounds)
 
 
+def is_multiplicity_system(module, elems) -> bool:
+    """Whether the elements generate an ideal of definition for the module:
+    M/(elems)M has finite length."""
+    if module.is_zero():
+        return True
+    return module.quotient_by_elements(list(elems)).length() != INFINITE
+
+
 def hilbert_samuel(module, a) -> int:
     """The multiplicity of an ideal of definition: the top binomial-basis
     coefficient of the exactly fitted polynomial n -> length(M / a^(n+1) M)."""

@@ -20,7 +20,7 @@ from corpus import (
     direct_chi_instances,
     recursion_instances,
 )
-from oracles import hilbert_samuel
+from oracles import hilbert_samuel, is_multiplicity_system
 from multimult.hilbert import (
     MixedType,
     MultiDegree,
@@ -43,7 +43,6 @@ from multimult.multiplicity import (
 )
 from multimult.reductions import (
     ReesDatum,
-    is_multiplicity_system,
     is_system_of_parameters,
     verify_joint_reduction,
 )

@@ -12,9 +12,16 @@ import pytest
 
 from multimult import reductions
 from multimult.cli import main, run_instance, run_request
-from multimult.hilbert import table_on_window
-from multimult.instances import COMMANDS, InstanceParseError, parse_instance, parse_monomial
-from multimult.monomials import RingContext
+from multimult.hilbert import MixedType, table_on_window
+from multimult.instances import (
+    COMMANDS,
+    InstanceParseError,
+    parse_instance,
+    parse_monomial,
+    request_args,
+)
+from multimult.monomials import Monomial, RingContext
+from multimult.reductions import PoolPolicy
 
 ROOT = Path(__file__).resolve().parent.parent
 SAMPLE = ROOT / "docs" / "instances" / "dim4_joint_reduction.json"
@@ -154,6 +161,72 @@ class TestRequests:
         first.pop("timing_seconds")
         second.pop("timing_seconds")
         assert first == second
+
+
+class TestRequestArgs:
+    """request_args, the one parser of a request: parsing calls it on every
+    request and run_request takes its arguments from it."""
+
+    @staticmethod
+    def args(req):
+        # The sample, with a candidate "j" whose type has no positive k_i;
+        # candidate x has type (2, (0, 1)).
+        doc = json.loads(SAMPLE.read_text())
+        doc["candidates"]["j"] = {
+            "type": {"k0": 3, "k": [0, 0]},
+            "elements": [{"monomial": f"x{i}", "source": "J"} for i in range(1, 5)],
+        }
+        inst = parse_instance(json.dumps(doc))
+        return request_args(req, "request", inst.variables, inst.family, inst.ideal_names,
+                            inst.candidates)
+
+    def test_each_command_returns_its_arguments(self):
+        sample_type = {"k0": 2, "k": [0, 1]}
+        expected = {
+            "hilbert": ({"which": "F"}, ("F",)),
+            "mixed": ({"type": sample_type}, (MixedType(2, (0, 1)),)),
+            "verify-jr": ({"candidate": "x"}, ("x",)),
+            "element-props": ({"monomial": "x3*x4", "ideal": "I2"},
+                              (Monomial((0, 0, 1, 1)), 1)),
+            "mult-symbol": ({"candidate": "z"}, ("z",)),
+            "chi": ({"candidate": "x", "direct": True}, ("x", True)),
+            "verify-theorem": ({"candidate": "z", "ideal": "I2"}, ("z", 1)),
+            "verify-corollaries": ({"candidate": "x", "ideal": "I1"}, ("x", 0)),
+            "search-jr": ({"type": sample_type, "max_degree": 1, "budget": 20},
+                          (MixedType(2, (0, 1)), PoolPolicy(1, 20))),
+        }
+        assert tuple(expected) == COMMANDS
+        for command, (fields, args) in expected.items():
+            assert self.args({"command": command, **fields}) == args, command
+
+    def test_defaults(self):
+        assert self.args({"command": "hilbert"}) == ("P",)
+        assert self.args({"command": "chi", "candidate": "x"}) == ("x", False)
+        search = {"command": "search-jr", "type": {"k0": 2, "k": [0, 1]}}
+        assert self.args(search)[1] == PoolPolicy() == PoolPolicy(2, 2000)
+        assert self.args({**search, "budget": 5})[1] == PoolPolicy(2, 5)
+        assert self.args({**search, "max_degree": 1})[1] == PoolPolicy(1, 2000)
+
+    def test_recursion_axis(self):
+        for command in ("verify-theorem", "verify-corollaries"):
+            # A named ideal wins over the first k_i > 0, which is I2's.
+            assert self.args({"command": command, "candidate": "x", "ideal": "I1"}) == ("x", 0)
+            assert self.args({"command": command, "candidate": "x"}) == ("x", 1)
+            assert self.args({"command": command, "candidate": "j", "ideal": "I2"}) == ("j", 1)
+        assert self.args({"command": "verify-corollaries", "candidate": "j"}) == ("j", None)
+        with pytest.raises(InstanceParseError, match=re.escape(
+                "request.candidate: candidate type has no positive k_i; name the ideal")):
+            self.args({"command": "verify-theorem", "candidate": "j"})
+
+    def test_run_request_parses_its_request(self):
+        # A request that parse_instance never saw is refused by the same
+        # parser, at the path of its field under "request".
+        inst = parse_instance(MINIMAL)
+        for req, path in [({"command": "mixed", "type": {"k0": 0, "k": [1, 1]}}, "request.type"),
+                          ({"command": "chi", "candidate": "c", "direct": 1}, "request.direct"),
+                          ({"command": "hilbert", "wich": "P"}, "request.wich")]:
+            with pytest.raises(InstanceParseError, match=re.escape(path)):
+                run_request(inst, req)
 
 
 class TestCertifiedOnce:
@@ -494,6 +567,11 @@ class TestCliEntry:
         [
             pytest.param(lambda doc: doc.update(candidates=["c"]), "candidates",
                          id="candidates-list"),
+            # Only an absent key declares no candidates.
+            *(pytest.param(lambda doc, value=value: doc.update(candidates=value), "candidates",
+                           id=f"candidates-{name}")
+              for name, value in [("empty-list", []), ("zero", 0), ("false", False),
+                                  ("empty-string", ""), ("null", None)]),
             pytest.param(lambda doc: doc["candidates"]["c"].update(elements=5),
                          "candidates.c.elements", id="elements-int"),
             pytest.param(lambda doc: doc.update(J=["x1^99999999999999999999", "x2"]), "J[0]",

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from multimult import monomials
 from multimult.cli import run_instance
 from multimult.instances import parse_instance
 from multimult.monomials import (
@@ -92,6 +93,17 @@ class TestIdealArithmetic:
             assert ideal_product(unit, a) is a
         with pytest.raises(ContextMismatchError):
             ideal_product(unit, ideal(C3, [(1, 0, 0)]))
+
+    def test_sum_with_unit_is_the_unit_operand(self):
+        # The sum is (1) by construction: nothing is minimalized or memoized.
+        ctx = RingContext(2)
+        unit = MonomialIdeal.unit(ctx)
+        for a in (ideal(ctx, [(1, 0), (0, 2)]), unit, MonomialIdeal.zero(ctx)):
+            assert ideal_sum(a, unit) is unit
+            assert ideal_sum(unit, a) is unit
+        assert monomials._ideal_sum_cached.__wrapped__ not in ctx.memo
+        assert gens_of(ideal_sum(ideal(ctx, [(1, 0)]), ideal(ctx, [(0, 1)]))) == {(1, 0), (0, 1)}
+        assert monomials._ideal_sum_cached.__wrapped__ in ctx.memo
 
     def test_power(self):
         m = ideal(C2, [(1, 0), (0, 1)])

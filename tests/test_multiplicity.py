@@ -10,7 +10,7 @@ import pytest
 
 from corpus import build_corpus
 from oracles import hilbert_samuel
-from multimult import multiplicity
+from multimult import monomials, multiplicity
 from multimult.hilbert import IdealFamily, MixedType, mixed_multiplicity
 from multimult.monomials import (
     MonomialIdeal,
@@ -105,8 +105,24 @@ class TestMultSymbol:
         assert mult_symbol(mod, [C2.monomial(1, 0), C2.monomial(0, 1)]) == 0
 
     def test_rejects_non_system(self):
-        with pytest.raises(NotMultiplicitySystemError):
-            mult_symbol(QuotientModule.free(C2), [C2.monomial(1, 0)])
+        # The first leaf, M/(y)M, has infinite length: nothing is counted.
+        with mock.patch.object(monomials, "_count_difference",
+                               wraps=monomials._count_difference) as count:
+            with pytest.raises(NotMultiplicitySystemError,
+                               match="^elements do not cut M to finite length$"):
+                mult_symbol(QuotientModule.free(C2), [C2.monomial(1, 0)])
+        assert count.call_count == 0
+
+    def test_counts_the_quotient_once(self):
+        # The sample's candidate z on A: M/(y)M, the first leaf, is the only
+        # module of the recursion that is not zero, and it is counted once.
+        ctx = RingContext(4)
+        y = [ctx.monomial(0, 0, 1, 0), ctx.monomial(2, 0, 0, 0), ctx.monomial(0, 2, 0, 0),
+             ctx.monomial(0, 0, 0, 2)]
+        with mock.patch.object(monomials, "_count_difference",
+                               wraps=monomials._count_difference) as count:
+            assert mult_symbol(QuotientModule.free(ctx), y) == 8
+        assert count.call_count == 1
 
     def test_empty_sequence_is_length(self):
         mod = QuotientModule(C2, ideal(C2, [(2, 0), (0, 1)]))

@@ -9,6 +9,7 @@ from collections import Counter
 import pytest
 
 from corpus import build_corpus
+from oracles import is_multiplicity_system
 from multimult import reductions
 from multimult.cli import run_request
 from multimult.hilbert import IdealFamily, MixedType, MultiDegree
@@ -20,7 +21,6 @@ from multimult.reductions import (
     PoolPolicy,
     _element_pool,
     is_filter_regular,
-    is_multiplicity_system,
     is_rees_superficial,
     is_system_of_parameters,
     search_joint_reduction,

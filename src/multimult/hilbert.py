@@ -116,11 +116,6 @@ class MixedType(Record):
     def as_tuple(self) -> tuple[int, ...]:
         return (self.k0,) + self.k
 
-    @property
-    def size(self) -> int:
-        """Total element count of a candidate of this type: k0 + 1 + |k|."""
-        return self.k0 + 1 + sum(self.k)
-
 
 class IdealFamily(Record, compared=("j", "ideals", "module")):
     """An m-primary ideal J, the ideals I_1..I_d, and the module they act on.
@@ -379,29 +374,24 @@ def _binomial_coefficients(values: np.ndarray, base: int, degree: int):
 
     Forward differences at the box corner give the Newton coefficients on
     products of binom(v - base, j); the box is consistent exactly when every
-    one with |j| > degree vanishes.
+    one with |j| > degree vanishes.  ``_shift_matrix`` then moves them onto
+    products of binom(v + k, k), one contraction per axis.
     """
     newton = values.copy()
     for axis in range(newton.ndim):
         view = np.moveaxis(newton, axis, 0)
         for step in range(1, view.shape[0]):
             view[step:] = view[step:] - view[step - 1 : -1]
-    coeffs = {}
     for idx, c in np.ndenumerate(newton):
-        if c:
-            if sum(idx) > degree:
-                return None
-            coeffs[idx] = c
-    shift = _shift_matrix(base, degree)
-    for axis in range(newton.ndim):
-        moved = {}
-        for idx, c in coeffs.items():
-            for k, t in enumerate(shift[idx[axis]]):
-                if t:
-                    tgt = idx[:axis] + (k,) + idx[axis + 1 :]
-                    moved[tgt] = moved.get(tgt, 0) + c * t
-        coeffs = moved
-    return coeffs
+        if c and sum(idx) > degree:
+            return None
+    coeffs = newton[(slice(degree + 1),) * newton.ndim]
+    shift = np.array(_shift_matrix(base, degree), dtype=object)
+    # Each contraction over the first axis appends its result as the last,
+    # so after one per axis the axes are back in order.
+    for _ in range(coeffs.ndim):
+        coeffs = np.tensordot(coeffs, shift, axes=(0, 0))
+    return {idx: c for idx, c in np.ndenumerate(coeffs) if c}
 
 
 def _fit_window(value, num_axes: int, degree: int, start: int) -> FitResult:

@@ -71,23 +71,31 @@ whose degree would pass int64 raises OverflowError, here, in the principal
 shift, in an lcm of ``ideal_intersection`` and for a generator given to
 ``ideal``, rather than wrap.
 
-Reductions over the exponent axis of many rows run column-wise, through
-two kernels.  Exponent matrices are C-ordered (n, m) with m small, and a
-numpy reduction along that short inner axis (``rows.sum(axis=1)``, or the
-broadcast ``(gens[None] <= pts[:, None]).all(axis=2)``) pays its per-row
-set-up on a handful of elements.  So total degrees are one matrix-vector
-product, ``_row_sums``, and "some generator divides this point" is
+Reductions over the exponent axis of many rows run column-wise.
+Exponent matrices are C-ordered (n, m) with m small, and a numpy reduction
+along that short inner axis (``rows.sum(axis=1)``, or the broadcast
+``(gens[None] <= pts[:, None]).all(axis=2)``) pays its per-row set-up on a
+handful of elements.  So "some generator divides this point" is
 ``_divides_any``, which ANDs one (points, generators) comparison per column
-(``_divides``) and reduces only along the long generator axis; the packed
-grlex words are likewise one matrix-vector product.  Degrees known by
-construction (minimalized rows, shifted ideals) are passed to the
-constructor rather than summed again, and ``_members_mask`` takes the
-points' degrees from its caller, which holds them: an ideal's ``degrees``,
-those ``_sum_rows`` returns, or a floor's standard-row degrees.  It finds
-the points equal to a generator by looking their words up among the
-generators' (``np.searchsorted``), with every key column bounded by the
-greatest degree, and tests the rest for divisibility by the generators of
-lower degree.
+(``_divides``) and reduces only along the long generator axis, and the
+packed grlex words are one matrix-vector product.  No kernel sums rows for
+their degrees: degrees known by construction (minimalized rows, shifted
+ideals, the generators ``ideal`` checks one by one) are passed to the
+constructor, and ``_members_mask`` takes the points' degrees from its
+caller, which holds them: an ideal's ``degrees``, those ``_sum_rows``
+returns, or a floor's standard-row degrees.  It finds the points equal to
+a generator by looking their words up among the generators'
+(``np.searchsorted``), with every key column bounded by the greatest
+degree, and tests the rest for divisibility by the generators of lower
+degree.
+
+The saturation q : i^infinity is one colon ideal q : E, with E generated
+by x^e(g) for each generator g of i, e(g) being q's exponent maxima on the
+support of g and 0 off it.  Proof: q : i^infinity is the intersection of
+the q : g^infinity (a product of r(k-1)+1 of i's r generators repeats one
+k times), q : g^infinity = q : x^e(g) (a colon by x_j^k stops changing
+once k reaches q's largest x_j-exponent), and the intersection of the
+q : x^e(g) is q : E.
 
 Every length is one count, ``_count_difference(top, bot, colon_floor)``, of
 the monomials in `top` outside `bot`.  Its colon floor is an ideal primary to
@@ -256,14 +264,6 @@ class Monomial(Record):
             elif e > 1:
                 parts.append(f"x{i + 1}^{e}")
         return "*".join(parts)
-
-
-def _row_sums(rows: np.ndarray) -> np.ndarray:
-    """The total degrees of the rows of an (n, m) int64 exponent matrix."""
-    # Filled in place: np.ones costs more than the product on small matrices.
-    ones = np.empty(rows.shape[1], dtype=np.int64)
-    ones.fill(1)
-    return rows @ ones
 
 
 def _divides(gens: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -614,7 +614,7 @@ class MonomialIdeal:
 
 def ideal(ctx: RingContext, monomials) -> MonomialIdeal:
     """Build a monomial ideal from any iterable of Monomials or exponent tuples."""
-    rows = []
+    rows, degrees = [], []
     for mono in monomials:
         exps = mono.exponents if isinstance(mono, Monomial) else tuple(int(e) for e in mono)
         if len(exps) != ctx.num_vars:
@@ -623,13 +623,14 @@ def ideal(ctx: RingContext, monomials) -> MonomialIdeal:
             )
         if any(e < 0 for e in exps):
             raise ValueError(f"negative exponent in {exps}")
-        if sum(exps) >= 1 << 63:
+        degrees.append(sum(exps))
+        if degrees[-1] >= 1 << 63:
             raise OverflowError("a generator's degree exceeds the int64 range")
         rows.append(exps)
     matrix = np.array(rows, dtype=np.int64).reshape(len(rows), ctx.num_vars)
     if len(rows) > 1:
-        return MonomialIdeal(ctx, *_minimal_rows(matrix, max(map(sum, rows))))
-    return MonomialIdeal(ctx, matrix, _row_sums(matrix))
+        return MonomialIdeal(ctx, *_minimal_rows(matrix, max(degrees)))
+    return MonomialIdeal(ctx, matrix, np.array(degrees, dtype=np.int64))
 
 
 def _check_ctx(a: MonomialIdeal, b: MonomialIdeal) -> None:
@@ -865,14 +866,12 @@ def colon_by_ideal(q: MonomialIdeal, i: MonomialIdeal) -> MonomialIdeal:
 
 @_kept
 def saturation(q: MonomialIdeal, i: MonomialIdeal) -> MonomialIdeal:
-    """The stable value q : i^infinity of the ascending colon chain."""
+    """The saturation q : i^infinity, as the one colon ideal q : E (see the
+    module docstring): E is generated by x^e(g) for each generator g of i,
+    with e(g) equal to q's maxima on the support of g and 0 off it."""
     _check_ctx(q, i)
-    current = q
-    while True:
-        nxt = colon_by_ideal(current, i)
-        if nxt == current:
-            return current
-        current = nxt
+    powers = np.where(i.matrix > 0, np.asarray(q.maxima, dtype=np.int64), 0)
+    return colon_by_ideal(q, MonomialIdeal(q.ctx, *_minimal_rows(powers, sum(q.maxima))))
 
 
 # -- length counting -------------------------------------------------------

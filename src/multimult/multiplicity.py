@@ -8,7 +8,9 @@ module M is defined by e((); M) = length(M) and
 
 which closes inside the pair presentation of QuotientModule.  It is nonzero
 exactly when y is a system of parameters, and agrees with the Hilbert-Samuel
-multiplicity of the generated ideal.
+multiplicity of the generated ideal.  The recursion stops at a zero module,
+whose symbol is 0: e(y; 0) = 0, since every leaf below it is a quotient or
+an annihilator submodule of 0, which is 0.
 
 Each verify_* claim takes a ReesDatum, whose certificate is its "candidate
 certified" hypothesis, and recomputes both sides of its claim through
@@ -32,7 +34,6 @@ from .monomials import (
     QuotientModule,
     Record,
     _set,
-    colon_by_monomial,
     krull_dim,
 )
 from .reductions import (
@@ -48,6 +49,8 @@ class NotMultiplicitySystemError(ValueError):
 
 
 def _symbol(module: QuotientModule, y) -> int:
+    if module.is_zero():
+        return 0
     if not y:
         n = module.length()
         if n == INFINITE:
@@ -65,7 +68,9 @@ def mult_symbol(module: QuotientModule, y) -> int:
     Every leaf of the recursion is a subquotient of M killed by each y_i,
     so it has finite length when M/(y)M has.  M/(y)M is the first leaf, so
     a y that does not cut M to finite length raises
-    NotMultiplicitySystemError there, before any other count."""
+    NotMultiplicitySystemError there, before any other count.  Stopping at
+    zero modules still reaches that leaf when its length is infinite, since
+    each quotient M/(y_1, ..., y_k)M above it maps onto it and so is not 0."""
     return _symbol(module, list(y))
 
 
@@ -178,9 +183,8 @@ def verify_cor_filter_regular(datum: ReesDatum, i: int) -> VerificationReport:
     if x1 is None:
         return _report("quotient-comparison", datum, 0, 0, hyps)
     fam = datum.fam
-    q = fam.module.relations
-    regular = colon_by_monomial(q, x1) == q and fam.module.top.is_unit()
-    relation = "eq" if regular or is_filter_regular(fam, x1) else "le"
+    # An M-regular x1 (Q : x1 = Q) is I-filter-regular: Q lies in Q : I^infinity.
+    relation = "eq" if is_filter_regular(fam, x1) else "le"
     left, _ = mixed_multiplicity(fam, datum.mixed_type)
     right, _ = mixed_multiplicity(fam.with_module(fam.module.quotient_by_elements([x1])), smaller)
     hyps.append(("regular or filter-regular (equality case)", True))

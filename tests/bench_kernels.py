@@ -57,6 +57,13 @@ the maximal ideal, so the count's candidates are the 2 014 generators of
 the piece X'(11, (11, 11)), tested against the 2 314 of X'(12, (11, 11)).
 Every candidate has a lower degree than every generator, so the degree gate
 answers it, as it answers each of the sample's ``hf_P`` counts.
+
+The symbol benchmark times the sample's two ``mult-symbol`` requests,
+e(y; A) for its candidates x and z, cold: each makes nine recursion calls,
+since the recursion stops at zero modules.  The saturation benchmark times
+the saturations a run of the sample makes (of (0) and of (x3), each by the
+product ideal I1 I2 = (x3^2, x2 x3, x1 x3)), cold, on the ideals of a fresh
+parse; each is one colon ideal, checked against the ascending colon chain.
 """
 
 import json
@@ -71,7 +78,7 @@ import pytest
 
 pytest.importorskip("pytest_benchmark")
 
-from oracles import box_members  # noqa: E402
+from oracles import box_members, saturation_fixpoint  # noqa: E402
 from multimult.cli import run_instance  # noqa: E402
 from multimult.hilbert import (  # noqa: E402
     BAND_EXTENT,
@@ -95,7 +102,9 @@ from multimult.monomials import (  # noqa: E402
     ideal,
     ideal_power,
     ideal_product,
+    saturation,
 )
+from multimult.multiplicity import mult_symbol  # noqa: E402
 from multimult.reductions import (  # noqa: E402
     J_SOURCE,
     JointReductionCandidate,
@@ -268,3 +277,34 @@ def test_sample_count_membership(benchmark):
     assert (len(top.matrix), len(bot.matrix)) == (2014, 2314)
     assert top.max_generator_degree() < bot.degrees[0]
     assert int((~mask).sum()) == hf_P(fam, MultiDegree(11, (11, 11)))
+
+
+def test_sample_mult_symbol(benchmark):
+    def setup():
+        inst = fresh_sample()
+        return (inst.family.module, [list(c.monomials()) for c in inst.candidates.values()]), {}
+
+    def symbols(module, sequences):
+        return [mult_symbol(module, y) for y in sequences]
+
+    assert benchmark.pedantic(symbols, setup=setup, rounds=50) == [1, 8]
+
+
+def test_sample_saturations(benchmark):
+    with mock.patch("multimult.monomials.saturation", wraps=saturation) as module_spy, \
+            mock.patch("multimult.reductions.saturation", wraps=saturation) as family_spy:
+        run_instance(fresh_sample())
+    calls = module_spy.call_args_list + family_spy.call_args_list
+    pairs = sorted({(call.args[0].gens, call.args[1].gens) for call in calls})
+    assert [(q, len(i)) for q, i in pairs] == [((), 3), (((0, 0, 1, 0),), 3)]
+
+    def operands():
+        ctx = fresh_sample().family.ctx
+        return [(ideal(ctx, q), ideal(ctx, i)) for q, i in pairs]
+
+    def saturations(pairs):
+        return [saturation(q, i) for q, i in pairs]
+
+    got = benchmark.pedantic(saturations, setup=lambda: ((operands(),), {}), rounds=50)
+    assert got == [saturation_fixpoint(q, i) for q, i in operands()]
+    assert got[0].is_zero() and got[1].is_unit()

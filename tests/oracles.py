@@ -9,7 +9,7 @@ from multimult.monomials import (
     Monomial,
     _count_difference,
     _members_mask,
-    _row_sums,
+    colon_by_ideal,
     ideal,
     ideal_power,
     ideal_product,
@@ -29,7 +29,7 @@ def box_members(a, bounds):
     """Membership over the box 0 <= v < bounds by the point-list kernel: the
     box's rows through ``_members_mask``, reshaped to `bounds`."""
     pts = _box(bounds)
-    return _members_mask(a, pts, _row_sums(pts)).reshape(bounds)
+    return _members_mask(a, pts, pts.sum(axis=1)).reshape(bounds)
 
 
 def is_multiplicity_system(module, elems) -> bool:
@@ -69,7 +69,7 @@ def box_standard_rows(w):
     """The box filter: the points of the box of pure-power bounds of `w`
     that lie outside `w`, in box order."""
     pts = _box(w.pure_power_bounds())
-    return pts[~_members_mask(w, pts, _row_sums(pts))]
+    return pts[~_members_mask(w, pts, pts.sum(axis=1))]
 
 
 def _colon_pure_bounds(bot, g):
@@ -79,7 +79,7 @@ def _colon_pure_bounds(bot, g):
     A colon row is a power of x_j (or 1) exactly when its degree equals its
     j-th exponent."""
     colon = np.maximum(bot.matrix - np.asarray(g, dtype=np.int64), 0)
-    degs = _row_sums(colon)
+    degs = colon.sum(axis=1)
     bounds = []
     for j in range(bot.ctx.num_vars):
         pure = colon[degs == colon[:, j], j]
@@ -109,7 +109,7 @@ def box_count(top, bot):
     if not blocks:
         return 0
     pts = np.unique(np.concatenate(blocks), axis=0)
-    return int(np.count_nonzero(~_members_mask(bot, pts, _row_sums(pts))))
+    return int(np.count_nonzero(~_members_mask(bot, pts, pts.sum(axis=1))))
 
 
 def direct_piece(fam, deg):
@@ -163,3 +163,29 @@ def window_joint_reduction(fam, cand):
         if witness is not None:
             return ContainmentCertificate(False, base, BAND_EXTENT, (pt, witness))
     return ContainmentCertificate(True, base, BAND_EXTENT)
+
+
+def saturation_fixpoint(q, i):
+    """q : i^infinity as the stable value of the ascending chain q, q : i,
+    (q : i) : i, ...: the iteration that ``saturation`` replaces by one
+    colon ideal."""
+    current = q
+    while True:
+        nxt = colon_by_ideal(current, i)
+        if nxt == current:
+            return current
+        current = nxt
+
+
+def unpruned_symbol(module, y):
+    """e(y; M) by the recursion down to every leaf, zero modules included,
+    where ``multiplicity._symbol`` stops at zero modules."""
+    if not y:
+        n = module.length()
+        if n == INFINITE:
+            raise NotMultiplicitySystemError("elements do not cut M to finite length")
+        return int(n)
+    head, tail = y[0], y[1:]
+    return unpruned_symbol(module.quotient_by_elements([head]), tail) - unpruned_symbol(
+        module.annihilator_of(head), tail
+    )

@@ -8,9 +8,9 @@ degree all reach the minimalizer.  Rows with exponents up to 2**40 (or 2**20
 in eight variables) make the packed grlex keys too wide for one word, and
 the fast paths (principal and zero products, zero sums, containment in a
 sum by parts, the one-degree exit of the divisibility pass) are checked
-against the general arithmetic.  The column-wise kernels (`_row_sums`,
-`_divides_any`) and the membership test are checked against the broadcast
-reductions they replaced, kept here as oracles.  The one-word packing is
+against the general arithmetic.  The column-wise kernel `_divides_any` and
+the membership test are checked against the broadcast reductions they
+replaced, kept here as oracles.  The one-word packing is
 checked against keys packed with Python integers, and every sort and dedupe
 (`_grlex_unique`, the sum-set kernel `_sum_rows` behind products and count
 candidates) against Python's sort on (degree, row), the pairwise oracle and
@@ -49,7 +49,6 @@ from multimult.monomials import (
     _ideal_product_cached,
     _members_mask,
     _packing,
-    _row_sums,
     _standard_rows,
     _sum_rows,
     _wide_unique,
@@ -155,7 +154,7 @@ def tops_of(rows, m):
 
 
 def broadcast_row_sums(rows):
-    """The reduction along the exponent axis that `_row_sums` replaced."""
+    """The total degrees of the rows, by a reduction along the exponent axis."""
     return rows.sum(axis=1)
 
 
@@ -295,17 +294,8 @@ class TestAgainstOracle:
 
 
 class TestColumnKernels:
-    """Both kernels against the broadcast forms, and the degree gate of
-    `_members_mask`."""
-
-    @CASES
-    @given(st.one_of(operands(), wide_operands()))
-    def test_row_sums(self, case):
-        m, xs, ys = case
-        rows = as_matrix(xs + ys, m)
-        got = _row_sums(rows)
-        assert got.dtype == np.int64
-        assert got.tolist() == broadcast_row_sums(rows).tolist()
+    """The divisibility kernel against the broadcast form, and the degree
+    gate of `_members_mask`."""
 
     @CASES
     @given(st.one_of(operands(), wide_operands()))
@@ -317,7 +307,6 @@ class TestColumnKernels:
     @pytest.mark.parametrize("m, xs, ys", list(edge_cases()))
     def test_kernels_on_edge_cases(self, m, xs, ys):
         gens, points = as_matrix(xs, m), as_matrix(ys, m)
-        assert _row_sums(points).tolist() == broadcast_row_sums(points).tolist()
         mask = _divides_any(gens, points)
         assert mask.shape == (len(ys),)
         assert mask.tolist() == broadcast_divides_any(gens, points).tolist()
@@ -473,7 +462,7 @@ class TestPackedKeys:
         if one_word(points):
             # Each chunk consults only the generators of lower degree.
             for (gens, chunk), _ in spy.call_args_list:
-                assert _row_sums(gens).max() < _row_sums(chunk).max()
+                assert broadcast_row_sums(gens).max() < broadcast_row_sums(chunk).max()
 
     @CASES
     @given(wide_operands())
@@ -648,16 +637,11 @@ class TestSumKernel:
         assert std_degrees.tolist() == broadcast_row_sums(std).tolist()
         assert std_tops == (max(std_degrees.tolist(), default=0),
                             *std.max(axis=0, initial=0).tolist())
-        # The kernels return the candidates' degrees, and the membership
-        # test takes the degrees it is given.
-        with multiword_spy() as spy, mock.patch(
-            "multimult.monomials._row_sums", wraps=_row_sums
-        ) as row_sums:
+        with multiword_spy() as spy:
             got = _count_difference(top, bot, floor)
         assert got == box_count(top, bot)
         pairs = not (top.is_zero() or top.is_unit() or bot.is_unit()) and len(std) > 1
         assert spy.called == (pairs and several_words(top.matrix, std))
-        assert not row_sums.called
 
     def test_product_peak_memory(self):
         # 455 x 78 pairs in four variables: the broadcast pair matrix alone

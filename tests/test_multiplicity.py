@@ -4,14 +4,16 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
 
 from corpus import build_corpus
-from oracles import hilbert_samuel
+from oracles import hilbert_samuel, unpruned_symbol
 from multimult import monomials, multiplicity
 from multimult.hilbert import IdealFamily, MixedType, mixed_multiplicity
+from multimult.instances import parse_instance
 from multimult.monomials import (
     MonomialIdeal,
     QuotientModule,
@@ -127,6 +129,56 @@ class TestMultSymbol:
     def test_empty_sequence_is_length(self):
         mod = QuotientModule(C2, ideal(C2, [(2, 0), (0, 1)]))
         assert mult_symbol(mod, []) == 2
+
+
+SAMPLE = Path(__file__).resolve().parent.parent / "docs" / "instances" / "dim4_joint_reduction.json"
+
+
+def symbol_cases():
+    """(label, module, y) for every corpus candidate, the sample's x and z
+    among them: the candidate on M and on its saturation M / (0 : I^inf),
+    and its J-block on the saturated quotient of M/(x_I)M, the modules the
+    claims take the symbol on."""
+    for inst in build_corpus():
+        fam, elements = inst.fam, inst.cand.elements
+        x_i = [u for u, s in elements if s != J_SOURCE]
+        u_j = [u for u, s in elements if s == J_SOURCE]
+        y = list(inst.cand.monomials())
+        yield inst.label, fam.module, y
+        yield f"{inst.label}-saturated", fam.saturated_module(), y
+        target = fam.module.quotient_by_elements(x_i).saturate(fam.product_ideal())
+        yield f"{inst.label}-transition", target, u_j
+
+
+class TestZeroModuleStop:
+    """The recursion that stops at zero modules against the one that
+    descends to every leaf."""
+
+    @staticmethod
+    def _outcome(symbol, module, y):
+        try:
+            return symbol(module, y)
+        except NotMultiplicitySystemError as exc:
+            return str(exc)
+
+    def test_agrees_with_unpruned_recursion(self):
+        outcomes = set()
+        for label, module, y in symbol_cases():
+            got = self._outcome(mult_symbol, module, y)
+            assert got == self._outcome(unpruned_symbol, module, y), label
+            outcomes.add(type(got))
+        # Both values and refusals occur.
+        assert outcomes == {int, str}
+
+    def test_sample_candidates_make_nine_calls(self):
+        # Four elements: the unpruned recursion makes 1 + 2 + 4 + 8 + 16 = 31
+        # calls, 26 of them on a zero module.
+        inst = parse_instance(SAMPLE.read_text(), SAMPLE.name)
+        for name, cand in inst.candidates.items():
+            with mock.patch.object(multiplicity, "_symbol",
+                                   wraps=multiplicity._symbol) as spy:
+                mult_symbol(inst.family.module, list(cand.monomials()))
+            assert spy.call_count == 9, name
 
 
 class TestHilbertSamuel:

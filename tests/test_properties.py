@@ -6,7 +6,7 @@ exact; no tolerances appear anywhere.
 
 import itertools
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from multimult.hilbert import IdealFamily, MixedType, MultiDegree, initial_offset
 from multimult.monomials import (
@@ -31,7 +31,7 @@ from multimult.reductions import (
     _rhs_parts,
     verify_joint_reduction,
 )
-from oracles import window_joint_reduction
+from oracles import saturation_fixpoint, window_joint_reduction
 
 MANY = settings(
     max_examples=1000,
@@ -91,6 +91,36 @@ class TestSaturationIdempotence:
         sat = saturation(q, i)
         assert sat.contains_ideal(q)
         assert saturation(sat, i) == sat
+
+
+@st.composite
+def saturation_rows(draw):
+    """A variable count and generator rows for q and i, either possibly
+    empty, with i sometimes the unit ideal."""
+    m = draw(st.integers(1, 4))
+    q_rows = draw(st.lists(exponent_vectors(m, 4), max_size=4))
+    i_rows = draw(st.one_of(st.just([(0,) * m]),
+                            st.lists(exponent_vectors(m, 3), max_size=4)))
+    return m, q_rows, i_rows
+
+
+class TestSaturationClosedForm:
+    """saturation, one colon ideal, against the ascending colon chain."""
+
+    @MANY
+    @given(saturation_rows())
+    @example((2, [], [(1, 0)]))  # zero q
+    @example((2, [(1, 1)], []))  # zero i
+    @example((1, [], []))  # both zero
+    @example((2, [(1, 1)], [(0, 0)]))  # unit i
+    @example((2, [(3, 1), (0, 2)], [(2, 1), (1, 2)]))  # generators sharing a support
+    @example((3, [(4, 0, 1), (0, 3, 2)], [(1, 1, 0), (2, 3, 0)]))  # ... of two variables
+    @example((2, [(2, 0)], [(0, 1)]))  # q's maxima zero on supp(g)
+    @example((3, [(2, 0, 0), (0, 1, 0)], [(0, 0, 1), (1, 0, 0)]))  # ... on one of them
+    def test_matches_the_fixpoint(self, case):
+        m, q_rows, i_rows = case
+        q, i = ideal(CONTEXTS[m], q_rows), ideal(CONTEXTS[m], i_rows)
+        assert saturation(q, i) == saturation_fixpoint(q, i)
 
 
 def _is_minimal(q: MonomialIdeal) -> bool:

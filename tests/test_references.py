@@ -12,7 +12,8 @@ objects with, and nothing a refactor left behind.
 The scan matches by spelling alone, so it cannot see a method that only the
 tests call when `src` refers to another method or attribute of the same name
 (`JointReductionCandidate.monomials` kept a `MonomialIdeal.monomials` alive
-that way).  Such a pair has to be found by reading.
+that way, and numpy arrays' `.size` kept `MixedType.size`).  Such a pair has
+to be found by reading.
 """
 
 import ast

@@ -37,12 +37,18 @@ c(n) = c(T) * c(I_1)^{n_1} * ... * c(I_d)^{n_d}.
 For Y' inside X' and any monomial c, the monomials of cX' + Q outside
 cY' + Q are c times those of X' outside Y' + (Q : c).  So each P value is
 one length count of X'(n0, n) outside X'(n0 + 1, n) modulo Q : c(n), with J
-as its colon floor.  A principal I_i has I_i' = (1), and its n_i then
-enters a count only through Q : c(n), which is Q when Q = 0 and stops
-changing once c(n) passes Q's exponents.  Each family keeps its P values in
-a memo keyed by (n0, the n_i of the other axes, Q : c(n)), so those axes
-reuse one count, and the F values read theirs from it.  ``IdealFamily``
-checks that J contains a power of every variable, so every value is finite.
+as its colon floor.  When J is the maximal ideal m (its one standard
+monomial is 1), X'(n0 + 1, n) = m X'(n0, n) and the length is the number of
+minimal generators of X'(n0, n) + Q : c(n) outside Q : c(n) (Nakayama), so
+the count takes Q : c(n) alone as its bottom and the next piece is never
+built.
+
+A principal I_i has I_i' = (1), and its n_i then enters a count only
+through Q : c(n), which is Q when Q = 0 and stops changing once c(n) passes
+Q's exponents.  Each family keeps its P values in a memo keyed by (n0, the
+n_i of the other axes, Q : c(n)), so those axes reuse one count, and the F
+values read theirs from it.  ``IdealFamily`` checks that J contains a power
+of every variable, so every value is finite.
 """
 
 from __future__ import annotations
@@ -242,6 +248,14 @@ def hf_P(fam: IdealFamily, deg: MultiDegree) -> int:
     Q : c(n)).  The colon is taken by c(n) clipped to Q's exponent maxima,
     which gives the same ideal: it stops changing once c(n) passes them,
     and is Q itself when Q = 0.
+
+    When J is the maximal ideal m, exactly when its one standard monomial
+    is 1, X'(n0 + 1, n) = m X'(n0, n), and the count's bottom is Q : c(n)
+    alone: with q = Q : c(n), a minimal generator of X'(n0, n) + q lies in
+    m X'(n0, n) + q only when it lies in q, since otherwise a proper divisor
+    of it would lie in X'(n0, n).  ``_count_difference`` counts top's
+    generators outside its bottom at that floor, so it counts them.  Any
+    other J takes the next piece X'(n0 + 1, n) + q as the bottom.
     """
     if len(deg.n) != fam.d:
         raise ValueError("multidegree has wrong axis count")
@@ -256,11 +270,16 @@ def hf_P(fam: IdealFamily, deg: MultiDegree) -> int:
     value = memo.get(key)
     if value is None:
         top = fam.content_free_piece(deg.n0, deg.n)
-        # J * top is the piece at the next point in n0, built from the
-        # cached J^(n0+1) * I_1'^(n1) product rather than by minimalizing
-        # top x J.
-        bottom = fam.content_free_piece(deg.n0 + 1, deg.n)
-        value = memo[key] = _count_difference(ideal_sum(top, q), ideal_sum(bottom, q), fam.j)
+        if len(fam.j.standard[0]) == 1:
+            # J = m: the count is that of top's generators outside q
+            # (Nakayama, see above), so the next piece is never built.
+            bottom = q
+        else:
+            # J * top is the piece at the next point in n0, built from the
+            # cached J^(n0+1) * I_1'^(n1) product rather than by
+            # minimalizing top x J.
+            bottom = ideal_sum(fam.content_free_piece(deg.n0 + 1, deg.n), q)
+        value = memo[key] = _count_difference(ideal_sum(top, q), bottom, fam.j)
     return value
 
 

@@ -89,13 +89,14 @@ a generator by looking their words up among the generators'
 degree, and tests the rest for divisibility by the generators of lower
 degree.
 
-The saturation q : i^infinity is one colon ideal q : E, with E generated
-by x^e(g) for each generator g of i, e(g) being q's exponent maxima on the
-support of g and 0 off it.  Proof: q : i^infinity is the intersection of
-the q : g^infinity (a product of r(k-1)+1 of i's r generators repeats one
-k times), q : g^infinity = q : x^e(g) (a colon by x_j^k stops changing
-once k reaches q's largest x_j-exponent), and the intersection of the
-q : x^e(g) is q : E.
+The saturation q : i^infinity is the intersection of the colons
+q : x^e(g) over the generators g of i, e(g) being q's exponent maxima on
+the support of g and 0 off it.  Proof: q : i^infinity is the intersection
+of the q : g^infinity (a product of r(k-1)+1 of i's r generators repeats
+one k times), and q : g^infinity = q : x^e(g) (a colon by x_j^k stops
+changing once k reaches q's largest x_j-exponent).  Each colon is a column
+cut of q's matrix, so no monomial x^e(g), whose degree may pass int64, is
+ever made into an ideal.
 
 Every length is one count, ``_count_difference(top, bot, colon_floor)``, of
 the monomials in `top` outside `bot`.  Its colon floor is an ideal primary to
@@ -107,7 +108,12 @@ kept on it in grlex order with their degrees and key maxima (``standard``),
 the way ``gens`` is.  The Hilbert values take J as the floor, and
 ``QuotientModule.length`` takes the module's annihilator B : T.
 That method is the one place that decides finiteness: the module has finite
-length exactly when B : T contains a power of every variable.
+length exactly when B : T contains a power of every variable.  At the
+floor m, whose one standard monomial is 1, the count is that of the
+generators of `top` outside `bot`, the length of top / (m * top + bot) for
+any `bot`; so when J = m the Hilbert values pass the relations alone as
+`bot` and never build J * top (Nakayama: the length is the number of
+minimal generators).
 
 The package's immutable records derive from :class:`Record`, written out
 rather than generated: a generated class compiles its methods from source
@@ -852,26 +858,31 @@ def ideal_intersection(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
     return MonomialIdeal(a.ctx, *_minimal_rows(lcms.reshape(-1, a.ctx.num_vars), top))
 
 
+def _meet_of_colons(q: MonomialIdeal, exponents) -> MonomialIdeal:
+    """The intersection of the colons q : x^e over the exponent tuples e;
+    the unit ideal when there is none."""
+    out = None
+    for e in exponents:
+        c = colon_by_monomial(q, Monomial(e))
+        out = c if out is None else ideal_intersection(out, c)
+    return MonomialIdeal.unit(q.ctx) if out is None else out
+
+
 def colon_by_ideal(q: MonomialIdeal, i: MonomialIdeal) -> MonomialIdeal:
     """q : i, the intersection of the colons by each generator of i."""
     _check_ctx(q, i)
-    if i.is_zero():
-        return MonomialIdeal.unit(q.ctx)
-    out = None
-    for g in i.gens:
-        c = colon_by_monomial(q, Monomial(g))
-        out = c if out is None else ideal_intersection(out, c)
-    return out
+    return _meet_of_colons(q, i.gens)
 
 
 @_kept
 def saturation(q: MonomialIdeal, i: MonomialIdeal) -> MonomialIdeal:
-    """The saturation q : i^infinity, as the one colon ideal q : E (see the
-    module docstring): E is generated by x^e(g) for each generator g of i,
-    with e(g) equal to q's maxima on the support of g and 0 off it."""
+    """The saturation q : i^infinity, the intersection of the colons
+    q : x^e(g) over the distinct rows e(g) (see the module docstring), e(g)
+    being q's maxima on the support of the generator g of i and 0 off it;
+    the unit ideal when i is zero."""
     _check_ctx(q, i)
     powers = np.where(i.matrix > 0, np.asarray(q.maxima, dtype=np.int64), 0)
-    return colon_by_ideal(q, MonomialIdeal(q.ctx, *_minimal_rows(powers, sum(q.maxima))))
+    return _meet_of_colons(q, sorted(set(map(tuple, powers.tolist()))))
 
 
 # -- length counting -------------------------------------------------------
@@ -916,9 +927,14 @@ def _count_difference(top: MonomialIdeal, bot: MonomialIdeal, colon_floor: Monom
     colon_floor * top contained in bot.  Every monomial of `top` outside
     `bot` then factors as g*v with g a minimal generator of `top` and v a
     standard monomial of the floor, so the count is that of the distinct
-    candidates g*v outside `bot`.  When 1 is the only standard monomial the
-    candidates are the generators of `top`, and when `top` is the unit ideal
-    they are the standard monomials; both are already distinct.
+    candidates g*v outside `bot`.  When `top` is the unit ideal the
+    candidates are the standard monomials, already distinct.
+
+    When 1 is the only standard monomial, the floor is the maximal ideal m
+    and the candidates are the generators of `top`.  The count is then the
+    length of top / (m * top + bot) for any `bot`, whether or not it holds
+    m * top: the monomials of `top` outside m * top are its minimal
+    generators.  ``hf_P`` passes the relations alone as `bot` there.
     """
     if top.is_zero() or bot.is_unit():
         return 0

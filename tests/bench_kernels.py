@@ -17,8 +17,11 @@ instance keeps the ideal arithmetic and the fits, and each family its
 content split and values.  So a benchmark that runs cold makes a fresh
 parse each round, and nothing else.
 
-The fit benchmark times ``interpolate(family, "P")`` on the shipped dim4
-sample, the fit behind its ``mixed`` request, cold.
+The fit benchmarks time ``interpolate(family, "P")`` cold: on the shipped
+dim4 sample, the fit behind its ``mixed`` request, and at the shape of the
+``koszul`` workload's first family (three variables, J maximal,
+I1 = (x1, x2)), the fit behind the first ``chi`` of such a file.  In both J
+is the maximal ideal, so each count takes the relations as its bottom.
 
 The F fit benchmark times ``interpolate(family, "F")`` on the first family
 of perfbench's ``counting`` workload (``COUNTING_SLOTS[0]`` before the
@@ -63,7 +66,8 @@ e(y; A) for its candidates x and z, cold: each makes nine recursion calls,
 since the recursion stops at zero modules.  The saturation benchmark times
 the saturations a run of the sample makes (of (0) and of (x3), each by the
 product ideal I1 I2 = (x3^2, x2 x3, x1 x3)), cold, on the ideals of a fresh
-parse; each is one colon ideal, checked against the ascending colon chain.
+parse; the three generators share one e(g), so each is one colon by a
+monomial, checked against the ascending colon chain.
 """
 
 import json
@@ -159,6 +163,24 @@ def test_sample_fit(benchmark):
     fit = benchmark.pedantic(interpolate, setup=setup, rounds=50)
     assert fit.poly.coefficient((2, 0, 1)) == 0
     assert len(fit.values.ravel()) == 125
+
+
+KOSZUL_FAMILY = json.dumps({
+    "variables": ["x1", "x2", "x3"],
+    "J": ["x1", "x2", "x3"],
+    "ideals": {"I1": ["x1", "x2"]},
+    "candidates": {},
+    "requests": [],
+})
+
+
+def test_koszul_shaped_fit(benchmark):
+    def setup():
+        return (parse_instance(KOSZUL_FAMILY).family, "P"), {}
+
+    fit = benchmark.pedantic(interpolate, setup=setup, rounds=50)
+    assert fit.poly.coeffs == {(1, 0): -1, (1, 1): 1, (2, 0): 1}
+    assert fit.base == 4 and int(fit.values[0, 0]) == 35
 
 
 COUNTING_FAMILY = json.dumps({

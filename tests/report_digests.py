@@ -18,6 +18,14 @@ their reports agree byte for byte apart from the timing, so the outputs of
 two checkouts are compared with ``diff``.  The run takes a few seconds.
 pytest does not collect this file: its name does not start with
 ``test_``.
+
+``tests/data/report_digests.txt`` holds these lines for the current code,
+and ``tests/test_report_digests.py`` recomputes them in the suite.  A change
+that alters a report re-pins that file with
+
+    python3 tests/report_digests.py > tests/data/report_digests.txt
+
+and says which reports changed and why.
 """
 
 import contextlib
@@ -63,8 +71,9 @@ def digest(path: Path, report: Path) -> str:
     return f"{code} {hashlib.sha256(rendered.encode()).hexdigest()}"
 
 
-def run() -> int:
-    count = 0
+def digests():
+    """One line per file, in the order of ``FILE_SETS``: its name and its
+    ``digest``."""
     with tempfile.TemporaryDirectory() as tmp:
         for workload, seed, direct in FILE_SETS:
             label = workload if workload == "sample" else f"{workload}-{seed}"
@@ -75,9 +84,14 @@ def run() -> int:
             for path in paths:
                 if direct:
                     set_direct(path)
-                print(f"{label}/{path.name} {digest(path, Path(tmp) / 'report.json')}",
-                      flush=True)
-                count += 1
+                yield f"{label}/{path.name} {digest(path, Path(tmp) / 'report.json')}"
+
+
+def run() -> int:
+    count = 0
+    for line in digests():
+        print(line, flush=True)
+        count += 1
     print(f"{count} files", file=sys.stderr)
     return 0
 

@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from corpus import build_corpus
 from oracles import box_count, direct_piece, j_power_floor_f
@@ -337,9 +337,10 @@ class TestIntegerFit:
 
 
 class TestNextTopBottom:
-    """hf_P takes J * top as the piece at the next point in n0; it must be
-    the same ideal, and hf_P must equal the count with the bottom built as
-    top * J."""
+    """When J is not the maximal ideal, hf_P takes the piece at the next
+    point in n0 as J * top; it must be the same ideal.  When J = m, hf_P
+    counts top's generators outside the relations and builds no next piece.
+    Either way hf_P must equal the count with the bottom built as top * J."""
 
     @staticmethod
     def _check(fam, deg):
@@ -482,22 +483,26 @@ def spy_counts(monkeypatch):
 
 
 @st.composite
-def content_families(draw):
+def content_families(draw, maximal_j=False, max_ideals=3):
     """A family in 2-4 variables whose ideals carry contents.  J holds a
-    power of every variable; each I_i is principal, has a common factor, or
-    is drawn freely; the top is sometimes not the unit ideal; the relations
-    are zero, drawn freely (so Q : c(n) stabilizes), or hold the generator
-    of a principal I_i (so Q : c(n) becomes the unit ideal)."""
+    power of every variable, and is the maximal ideal when `maximal_j` is
+    set; each of 1 to `max_ideals` ideals I_i is principal, has a common
+    factor, or is drawn freely; the top is sometimes not the unit ideal; the
+    relations are zero, drawn freely (so Q : c(n) stabilizes), or hold the
+    generator of a principal I_i (so Q : c(n) becomes the unit ideal)."""
     m = draw(st.integers(2, 4))
     ctx = RingContext(m)
 
     def rows(top, **kwargs):
         return st.lists(st.tuples(*(st.integers(0, top) for _ in range(m))), **kwargs)
 
-    pure = [tuple(draw(st.integers(1, 2)) if j == i else 0 for j in range(m)) for i in range(m)]
-    j = ideal(ctx, pure + draw(rows(1, max_size=2)))
+    if maximal_j:
+        j = ideal(ctx, [tuple(int(i == k) for k in range(m)) for i in range(m)])
+    else:
+        pure = [tuple(draw(st.integers(1, 2)) if j == i else 0 for j in range(m)) for i in range(m)]
+        j = ideal(ctx, pure + draw(rows(1, max_size=2)))
     ideals = []
-    for _ in range(draw(st.integers(1, 3))):
+    for _ in range(draw(st.integers(1, max_ideals))):
         kind = draw(st.sampled_from(["principal", "common", "drawn"]))
         if kind == "principal":
             gens = draw(rows(2, min_size=1, max_size=1))
@@ -514,6 +519,33 @@ def content_families(draw):
     if relations_kind == "principal" and principal:
         relations = [draw(st.sampled_from(principal))]
     return IdealFamily(j, tuple(ideals), QuotientModule(ctx, ideal(ctx, relations), top))
+
+
+class TestMaximalJCount:
+    """When J = m, hf_P counts the generators of top + q outside q, with
+    q = Q : c(n), and builds no next piece (Nakayama).  It must equal the
+    count whose bottom is built as top * J and the floor-less count."""
+
+    C3_M = ideal(C3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+
+    @settings(max_examples=150, deadline=None)
+    @given(content_families(maximal_j=True, max_ideals=2), st.integers(0, 2))
+    # Principal relations equal to a principal I_2, a top with content x1.
+    @example(IdealFamily(C3_M, (ideal(C3, [(0, 1, 1), (0, 2, 0)]), ideal(C3, [(0, 0, 2)])),
+                         QuotientModule(C3, ideal(C3, [(0, 0, 2)]), ideal(C3, [(1, 1, 0), (1, 0, 1)]))),
+             1)
+    # Drawn relations, content x2 on I_1, a principal top.
+    @example(IdealFamily(C3_M, (ideal(C3, [(1, 1, 0), (0, 1, 1)]),),
+                         QuotientModule(C3, ideal(C3, [(2, 1, 0), (0, 0, 3)]), ideal(C3, [(0, 0, 1)]))),
+             0)
+    # Zero relations, a unit top, I_1 of two variables (the koszul shape).
+    @example(IdealFamily(C3_M, (ideal(C3, [(1, 0, 0), (0, 1, 0)]),), QuotientModule.free(C3)), 2)
+    def test_against_the_next_top_bottom(self, fam, base):
+        assert len(fam.j.standard[0]) == 1
+        for pt in window_points(fam.d + 1, base, 2):
+            deg = MultiDegree(pt[0], pt[1:])
+            TestNextTopBottom._check(fam, deg)
+            assert hf_P(fam, deg) == floorless_p(fam, deg), deg
 
 
 class TestFAsSumOfP:
@@ -595,6 +627,17 @@ class TestContentFreeCounts:
         assert len(evals) == 133
         assert len(calls) == 29
         assert len({(deg.n0, deg.n[0]) for deg in evals}) == 29
+
+    def test_sample_mixed_builds_no_next_piece(self, monkeypatch):
+        # J = m: the counts take the relations as their bottom, so the
+        # products are those of the tops alone, each J^n0 * I_1'^n1 once.
+        calls = []
+        sum_rows = monomials._sum_rows
+        monkeypatch.setattr(monomials, "_sum_rows", lambda *args: calls.append(args) or sum_rows(*args))
+        inst = parse_instance(SAMPLE.read_text(), SAMPLE.name)
+        assert len(inst.family.j.standard[0]) == 1
+        run_request(inst, next(r for r in inst.requests if r["command"] == "mixed"))
+        assert len(calls) == 49
 
     def test_two_parses_keep_their_own_memo(self, monkeypatch):
         first, second = (parse_instance(SAMPLE.read_text(), SAMPLE.name).family for _ in range(2))

@@ -105,7 +105,8 @@ def saturation_rows(draw):
 
 
 class TestSaturationClosedForm:
-    """saturation, one colon ideal, against the ascending colon chain."""
+    """saturation, an intersection of colons by monomials, against the
+    ascending colon chain."""
 
     @MANY
     @given(saturation_rows())
@@ -121,6 +122,18 @@ class TestSaturationClosedForm:
         m, q_rows, i_rows = case
         q, i = ideal(CONTEXTS[m], q_rows), ideal(CONTEXTS[m], i_rows)
         assert saturation(q, i) == saturation_fixpoint(q, i)
+
+    def test_colon_monomial_past_int64(self):
+        # x^e(g) = x1^(2^62) x2^(2^62) has degree 2^63, past int64, while
+        # each colon q : x^e(g) is representable.  The ascending chain would
+        # take 2^62 steps, so the answers are checked by hand.
+        ctx2, ctx3 = CONTEXTS[2], CONTEXTS[3]
+        q = ideal(ctx2, [(2**62, 0), (0, 2**62)])
+        assert saturation(q, ideal(ctx2, [(1, 1)])) == MonomialIdeal.unit(ctx2)
+        q = ideal(ctx3, [(2**62, 0, 1), (0, 2**62, 1)])
+        assert saturation(q, ideal(ctx3, [(1, 1, 0)])) == ideal(ctx3, [(0, 0, 1)])
+        # q : x3 = (x1^(2^62), x2^(2^62)), and its meet with (x3) is q.
+        assert saturation(q, ideal(ctx3, [(1, 1, 0), (0, 0, 1)])) == q
 
 
 def _is_minimal(q: MonomialIdeal) -> bool:

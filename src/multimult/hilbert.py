@@ -15,10 +15,12 @@ on the binomial-coefficient basis
 
     binom(n0 + k0, k0) * binom(n1 + k1, k1) * ... * binom(nd + kd, kd),
 
-and certify the fit on a disjoint verification band of grid values.  The
-change of basis from binom(v - base, j) to binom(v + k, k) is unitriangular
-over the integers, one closed-form binomial per entry, so every coefficient
-is a Python int.  A fit carries its window of values as an int64 array.  The
+and certify the fit on a disjoint verification band of grid values.  A
+function whose saturated module is zero is fitted as the zero polynomial
+from one value per tried base instead (``_fit_zero``): by Nakayama one 0 on
+the diagonal makes every value above it 0.  The change of basis from
+binom(v - base, j) to binom(v + k, k) is unitriangular over the integers,
+one closed-form binomial per entry, so every coefficient is a Python int.  A fit carries its window of values as an int64 array.  The
 mixed multiplicity of type (k0, k) is the basis coefficient at (k0, k); it is
 *defined* exactly when every coefficient at a componentwise-larger index
 vanishes.  On this basis a difference only reads indices: the (k0, k)-th
@@ -127,9 +129,11 @@ class IdealFamily(Record, compared=("j", "ideals", "module")):
     """An m-primary ideal J, the ideals I_1..I_d, and the module they act on.
 
     Each instance keeps the content split of I_1..I_d and T, made on first
-    use, and the contents c(n) and the Hilbert values it has counted, and
-    its ring context keeps its fits; equal families from two parses share
-    none."""
+    use, the contents c(n) with their degrees, and the Hilbert values it has
+    counted; its ring context keeps its fits; equal families from two
+    parses share none.  Every family reads its contents the same way: one
+    without content has c(n) = 0 of degree 0, and its pieces are not
+    shifted."""
 
     __slots__ = ("j", "ideals", "module", "_split", "_contents", "_hilbert_values")
 
@@ -186,40 +190,35 @@ class IdealFamily(Record, compared=("j", "ideals", "module")):
     def _content_split(self):
         """I_i = x^(c_i) I_i' and T = x^(c_T) T', split on first use: the
         axes whose part I_i' is not the unit ideal, with their parts; T';
-        and the content vectors, None when all of them are 0, else c_T with
-        the axes whose c_i is not 0 and their c_i."""
+        c_T; and the axes whose c_i is not 0, with their c_i."""
         if self._split is None:
             splits = [split_content(i) for i in self.ideals]
             top_content, top_part = split_content(self.module.top)
             factors = tuple((i, part) for i, (_, part) in enumerate(splits) if not part.is_unit())
             contents = tuple((i, c) for i, (c, _) in enumerate(splits) if any(c))
-            vectors = (top_content, contents) if contents or any(top_content) else None
-            _set(self, "_split", (factors, top_part, vectors))
+            _set(self, "_split", (factors, top_part, top_content, contents))
         return self._split
 
-    def content(self, n: tuple[int, ...]) -> tuple[tuple[int, ...], np.ndarray, int]:
+    def content(self, n: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
         """c(n) = c_T + n_1 c_1 + ... + n_d c_d, the content of the piece at
-        (n0, n) for every n0: as a tuple, as a read-only int64 row, and its
-        total degree; made once per n.  Raises OverflowError when the degree
-        passes int64."""
+        (n0, n) for every n0, and its total degree; made once per n.  Raises
+        OverflowError when the degree passes int64."""
         found = self._contents.get(n)
         if found is None:
-            out, contents = self._content_split[2] or ((0,) * self.ctx.num_vars, ())
+            _, _, out, contents = self._content_split
             for i, ci in contents:
                 out = tuple(a + n[i] * b for a, b in zip(out, ci))
             degree = sum(out)
             if degree >= 1 << 63:
                 raise OverflowError("a product's degree exceeds the int64 range")
-            row = np.array(out, dtype=np.int64)
-            row.flags.writeable = False
-            found = self._contents[n] = out, row, degree
+            found = self._contents[n] = out, degree
         return found
 
     def content_free_piece(self, n0: int, n: tuple[int, ...]) -> MonomialIdeal:
         """X'(n0, n) = J^n0 * I_1'^{n_1} * ... * I_d'^{n_d} * T', the piece at
         (n0, n) with its content c(n) divided out.  The n_i of an axis with
         I_i' = (1) does not enter it."""
-        factors, top, _ = self._content_split
+        factors, top, _, _ = self._content_split
         out = ideal_power(self.j, n0)
         for i, part in factors:
             out = ideal_product(out, ideal_power(part, n[i]))
@@ -228,12 +227,9 @@ class IdealFamily(Record, compared=("j", "ideals", "module")):
     def piece(self, deg: MultiDegree) -> MonomialIdeal:
         """The ideal J^n0 * I_1^{n_1} * ... * I_d^{n_d} * T presenting
         J^n0 I^n M inside A, without the relations: c(n) * X'(n0, n), one
-        row shift of the content-free piece."""
-        out = self.content_free_piece(deg.n0, deg.n)
-        if self._content_split[2] is None:
-            return out
-        _, row, degree = self.content(deg.n)
-        return ideal_shift(out, row, degree)
+        row shift of the content-free piece (none when c(n) = 0)."""
+        content, degree = self.content(deg.n)
+        return ideal_shift(self.content_free_piece(deg.n0, deg.n), content, degree)
 
 
 def hf_P(fam: IdealFamily, deg: MultiDegree) -> int:
@@ -260,12 +256,10 @@ def hf_P(fam: IdealFamily, deg: MultiDegree) -> int:
     if len(deg.n) != fam.d:
         raise ValueError("multidegree has wrong axis count")
     q = fam.module.relations
-    factors, _, vectors = fam._content_split
-    if vectors is not None:
-        content, _, degree = fam.content(deg.n)
-        if degree and not q.is_zero():
-            q = colon_by_monomial(q, Monomial(tuple(map(min, content, q.maxima))))
-    key = (deg.n0, tuple(deg.n[i] for i, _ in factors), q)
+    content, degree = fam.content(deg.n)
+    if degree and not q.is_zero():
+        q = colon_by_monomial(q, Monomial(tuple(map(min, content, q.maxima))))
+    key = (deg.n0, tuple(deg.n[i] for i, _ in fam._content_split[0]), q)
     memo = fam._hilbert_values
     value = memo.get(key)
     if value is None:
@@ -479,24 +473,34 @@ def interpolate(fam: IdealFamily, which: str = "P") -> FitResult:
 
 
 def _fit_zero(fam: IdealFamily, which: str, num_axes: int) -> FitResult:
-    """The zero fit of an eventually-zero Hilbert function.
+    """The zero fit of an eventually-zero Hilbert function, read off one
+    value per base.
 
-    Only the window of 2^(d+1) values at the initial offset is checked to
-    be zero; the band fields record where a band would sit, and nothing
-    evaluates the function there.
+    From ``initial_offset(fam)``, doubling up to WINDOW_CAP_FACTOR times it
+    as ``_fit_window`` does, the function is evaluated at (b, ..., b) alone,
+    and the zero fit is returned at the first b where that value is 0.  This
+    is exact.  J = (1) makes both functions 0 everywhere.  Otherwise J lies
+    in m, and by Nakayama P(b, ..., b) = 0 gives J^b I^b M = J^(b+1) I^b M,
+    so J^b I^b M = 0, and F(b, ..., b) = 0 gives I^b M = J^b I^b M, so
+    I^b M = 0.  Every point above (b, ..., b) then has value 0, the whole
+    window and band among them, so the window is stored as zeros and the
+    band is not evaluated.  StabilizationError is raised when no base up to
+    the cap reads 0.
     """
-    base = initial_offset(fam)
-    extent = 2
-    values = table_on_window(fam, which, base, extent)
-    residuals = [
-        (tuple(base + i for i in idx), int(v))
-        for idx, v in np.ndenumerate(values)
-        if v != 0
-    ]
-    if residuals:
-        raise StabilizationError("zero module produced nonzero Hilbert values", residuals)
-    poly = BinomialBasisPolynomial(num_axes, {})
-    return FitResult(poly, base, extent, base + extent, BAND_EXTENT, values)
+    value = _hilbert_function(fam, which)
+    start = initial_offset(fam)
+    base = start
+    residuals = []
+    while base <= WINDOW_CAP_FACTOR * start:
+        point = (base,) * num_axes
+        got = value(point)
+        if not got:
+            window = np.zeros((2,) * num_axes, dtype=np.int64)
+            poly = BinomialBasisPolynomial(num_axes, {})
+            return FitResult(poly, base, 2, base + 2, BAND_EXTENT, window)
+        residuals.append((point, got))
+        base *= 2
+    raise StabilizationError("zero module produced nonzero Hilbert values", residuals)
 
 
 def table_on_window(fam: IdealFamily, which: str, base: int, extent: int) -> np.ndarray:

@@ -52,7 +52,7 @@ from .hilbert import (
     table_on_window,
 )
 from .monomials import Record, _box_members, _set, _sorted_runs
-from .reductions import J_SOURCE, JointReductionCandidate, ReesDatum
+from .reductions import ReesDatum
 
 #: Internal-degree band doubles at most this many times before giving up.
 BAND_DOUBLINGS = 3
@@ -80,18 +80,6 @@ class EulerValue(Record):
 def _require_certified(datum: ReesDatum) -> None:
     if not datum.certificate.holds:
         raise ValueError("candidate failed joint-reduction certification")
-
-
-def _koszul_shifts(cand: JointReductionCandidate, d: int):
-    """Per element: the (n0, n) bidegree shift and the exponent shift."""
-    shifts = []
-    for u, src in cand.elements:
-        if src == J_SOURCE:
-            bidegree = (1,) + (0,) * d
-        else:
-            bidegree = (0,) + tuple(1 if i == src else 0 for i in range(d))
-        shifts.append((bidegree, u.exponents))
-    return shifts
 
 
 def _rank_exact(rows: list[list[int]]) -> int:
@@ -130,8 +118,10 @@ def _support_patterns(datum: ReesDatum, deg: MultiDegree, bounds: tuple[int, ...
     (cells, 2^n) matrix whose rows follow the box's cells in C order.
 
     Subset S sits at (deg, a) minus the shifts of its elements, (n0', n')
-    and a - e_S.  The piece of I^n * M at multidegree (n0', n') and internal
-    degree b is spanned by the single monomial x^b when (n0', n') and b are
+    and a - e_S: an element shifts (n0, n) by the row of np.eye(d + 1) at
+    its axis (``JointReductionCandidate.axes``) and the internal degree by
+    its exponent vector.  The piece of I^n * M at multidegree (n0', n') and
+    internal degree b is spanned by the single monomial x^b when (n0', n') and b are
     componentwise non-negative and x^b lies in I^n' * T but not in B, and is
     empty otherwise; the tower does not cut by powers of J.  Since a - e_S
     stays in the box, one membership mask per distinct n' (and one for B)
@@ -140,12 +130,13 @@ def _support_patterns(datum: ReesDatum, deg: MultiDegree, bounds: tuple[int, ...
     ideal's generators alone (``_box_members``), with no list of points.
     """
     fam = datum.fam
-    shifts = _koszul_shifts(datum.cand, fam.d)
+    cand = datum.cand
     # Columns: every subset of the elements, by size and then lexicographically.
-    count = len(shifts)
+    count = len(cand.elements)
     subsets = [s for p in range(count + 1) for s in itertools.combinations(range(count), p)]
-    bide_shift = np.array([b for b, _ in shifts], dtype=np.int64).reshape(-1, fam.d + 1)
-    exp_shift = np.array([e for _, e in shifts], dtype=np.int64).reshape(-1, fam.ctx.num_vars)
+    bide_shift = np.eye(fam.d + 1, dtype=np.int64)[cand.axes()]
+    exp_shift = np.array([u.exponents for u in cand.monomials()], dtype=np.int64)
+    exp_shift = exp_shift.reshape(-1, fam.ctx.num_vars)
     point = np.array(deg.as_tuple(), dtype=np.int64)
     outside = ~_box_members(fam.module.relations, bounds)
     in_piece = {}

@@ -204,11 +204,11 @@ class RingContext(Record, compared=("num_vars",)):
 
     __slots__ = ("num_vars", "memo")
 
-    def __init__(self, num_vars: int, memo: dict | None = None):
+    def __init__(self, num_vars: int):
         if num_vars < 1:
             raise ValueError("need at least one variable")
         _set(self, "num_vars", num_vars)
-        _set(self, "memo", {} if memo is None else memo)
+        _set(self, "memo", {})
 
     def __reduce__(self):
         # A copy starts with a fresh memo: pickle cannot name the functions
@@ -786,10 +786,11 @@ def ideal_product(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
 
 
 def ideal_shift(a: MonomialIdeal, u, degree) -> MonomialIdeal:
-    """The product x^u * a, for an exponent vector `u` of total degree
-    `degree` (at most 2^63 - 1): the rows of `a` plus u, which stay minimal,
-    distinct and in grlex order; `a` itself when u is 0 or `a` is the zero
-    ideal.  Raises OverflowError when a degree would pass int64."""
+    """The product x^u * a, for any exponent sequence `u` (a tuple or an
+    int64 row, so a monomial's exponents or a content vector) of total
+    degree `degree` (at most 2^63 - 1): the rows of `a` plus u, which stay
+    minimal, distinct and in grlex order; `a` itself when u is 0 or `a` is
+    the zero ideal.  Raises OverflowError when a degree would pass int64."""
     if not degree or a.is_zero():
         return a
     # The array add wraps silently: past int64, the greatest degree turns

@@ -29,8 +29,6 @@ from __future__ import annotations
 
 import itertools
 
-import numpy as np
-
 from .hilbert import (
     BAND_EXTENT,
     IdealFamily,
@@ -89,6 +87,11 @@ class JointReductionCandidate(Record):
         _set(self, "elements", elements)
         _set(self, "declared_type", declared_type)
 
+    def axes(self) -> list[int]:
+        """The axis of (n0, n1, ..., nd) each element steps along: 0 for a
+        J-element, i + 1 for an I_i-element."""
+        return [0 if src == J_SOURCE else src + 1 for _, src in self.elements]
+
     @property
     def is_pure(self) -> bool:
         return all(src != J_SOURCE for _, src in self.elements)
@@ -127,15 +130,18 @@ class ContainmentCertificate(Record):
 
 def _rhs_parts(fam: IdealFamily, cand: JointReductionCandidate, deg: MultiDegree) -> list[MonomialIdeal]:
     """The parts of the right side at `deg`: the relations, then u * piece
-    for each element u."""
+    for each element u, the piece at `deg` stepped down one along u's axis;
+    each distinct axis's piece is built once."""
+    axes = cand.axes()
+    pieces = {}
+    for axis in axes:
+        if axis not in pieces:
+            step = list(deg.as_tuple())
+            step[axis] -= 1
+            pieces[axis] = fam.piece(MultiDegree(step[0], tuple(step[1:])))
     parts = [fam.module.relations]
-    for u, src in cand.elements:
-        if src == J_SOURCE:
-            piece = fam.piece(MultiDegree(deg.n0 - 1, deg.n))
-        else:
-            shifted = tuple(ni - (1 if i == src else 0) for i, ni in enumerate(deg.n))
-            piece = fam.piece(MultiDegree(deg.n0, shifted))
-        parts.append(ideal_shift(piece, np.array(u.exponents, dtype=np.int64), u.degree))
+    for (u, _), axis in zip(cand.elements, axes):
+        parts.append(ideal_shift(pieces[axis], u.exponents, u.degree))
     return parts
 
 
@@ -200,13 +206,12 @@ def is_rees_superficial(fam: IdealFamily, u: Monomial, i: int) -> ContainmentCer
     if not fam.ideals[i].contains(u):
         raise ValueError("element must lie in the indexed ideal")
     q = fam.module.relations
-    row = np.array(u.exponents, dtype=np.int64)
-    multiples = ideal_sum(ideal_shift(fam.module.top, row, u.degree), q)
+    multiples = ideal_sum(ideal_shift(fam.module.top, u.exponents, u.degree), q)
     base = initial_offset(fam)
     for n in window_points(fam.d, base, BAND_EXTENT):
         blob = fam.piece(MultiDegree(0, n))
         lhs = ideal_intersection(multiples, ideal_sum(ideal_product(blob, fam.ideals[i]), q))
-        witness = first_outside_sum([q, ideal_shift(blob, row, u.degree)], lhs)
+        witness = first_outside_sum([q, ideal_shift(blob, u.exponents, u.degree)], lhs)
         if witness is not None:
             return ContainmentCertificate(False, base, BAND_EXTENT, (n, witness))
     return ContainmentCertificate(True, base, BAND_EXTENT)

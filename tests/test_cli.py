@@ -406,6 +406,22 @@ class TestCliEntry:
         report2.pop("timing_seconds")
         assert report == report2
 
+    def test_zero_f_fit_past_the_initial_offset(self, tmp_path, capsys):
+        # M = A/(x1^2, x2^3) is killed by saturating with I1 = m, and
+        # F(3, 3) = 1 at the initial offset 3: I^n M = 0 from n = 4 on, so
+        # F is fitted as zero at the first doubled base, 6.
+        doc = {"variables": ["x1", "x2"], "module_relations": ["x1^2", "x2^3"],
+               "J": ["x2", "x1^2"], "ideals": {"I1": ["x2", "x1"]},
+               "requests": [{"command": "hilbert", "which": "F"}]}
+        f = tmp_path / "inst.json"
+        f.write_text(json.dumps(doc))
+        out_path = tmp_path / "report.json"
+        assert main(["run", str(f), "--json", str(out_path)]) == 0
+        (result,) = json.loads(out_path.read_text())["results"]
+        assert result["polynomial"]["coefficients"] == {}
+        assert result["provenance"]["window_base"] == 6
+        assert result["table"] == {"base": [6, 6], "values": [[0, 0], [0, 0]]}
+
     def test_failed_requests_exit_3(self, tmp_path, capsys):
         doc = json.loads(MINIMAL)
         doc["candidates"]["u"] = {

@@ -19,6 +19,7 @@ from oracles import box_count, direct_piece, j_power_floor_f
 from multimult import hilbert, monomials
 from multimult.cli import run_request
 from multimult.hilbert import (
+    BAND_EXTENT,
     BinomialBasisPolynomial,
     IdealFamily,
     MixedType,
@@ -29,6 +30,7 @@ from multimult.hilbert import (
     interpolate,
     hf_F,
     hf_P,
+    initial_offset,
     mixed_multiplicity,
     table_on_window,
     window_points,
@@ -289,6 +291,85 @@ class TestStabilization:
         first, *rest = caught.value.residuals
         assert first == (1, [((4,), 16 - 4), ((5,), 32 - 5)])
         assert rest == [(2**k, "inconsistent fit system") for k in range(1, 7)]
+
+
+def zero_fit_families():
+    """Every corpus family, and its M/xM and 0 :_M x for each candidate
+    element x, whose saturated module is zero: distinct families, in corpus
+    order."""
+    found = {}
+    for inst in build_corpus():
+        fam = inst.fam
+        found.setdefault(fam)
+        for u in inst.cand.monomials():
+            for module in (fam.module.quotient_by_elements([u]), fam.module.annihilator_of(u)):
+                found.setdefault(fam.with_module(module))
+    return [fam for fam in found if fam.saturated_dim() == MINUS_INFINITY]
+
+
+class TestZeroFit:
+    """An eventually-zero Hilbert function is fitted from one value per
+    tried base: the first base b from ``initial_offset`` on, doubling, where
+    the value at (b, ..., b) is 0, after which every value is 0 (Nakayama)."""
+
+    @staticmethod
+    def _spy(monkeypatch, which):
+        calls = []
+        name = "hf_P" if which == "P" else "hf_F"
+        evaluate = getattr(hilbert, name)
+        monkeypatch.setattr(hilbert, name, lambda fam, deg: calls.append(deg) or evaluate(fam, deg))
+        return calls
+
+    def test_corpus_window_and_band_are_zero(self, monkeypatch):
+        families = zero_fit_families()
+        assert len(families) == 210
+        for fam in families:
+            start = initial_offset(fam)
+            for which in ("P", "F"):
+                calls = self._spy(monkeypatch, which)
+                fit = hilbert._fit_zero(fam, which, fam.d + 1)
+                monkeypatch.undo()
+                # One evaluation per tried base, on the diagonal.
+                tried = [start << k for k in range(len(calls))]
+                assert [deg.as_tuple() for deg in calls] == [(b,) * (fam.d + 1) for b in tried]
+                assert tried[-1] == fit.base
+                assert not fit.poly.coeffs and fit.extent == 2
+                assert fit.band_base == fit.base + 2 and fit.band_extent == BAND_EXTENT
+                window = table_on_window(fam, which, fit.base, fit.extent)
+                band = table_on_window(fam, which, fit.band_base, fit.band_extent)
+                assert window.dtype == fit.values.dtype == np.int64
+                assert not window.any() and not band.any(), (fam, which)
+                assert (window == fit.values).all()
+                # A window that is zero at the initial offset keeps it as
+                # the base.
+                if not table_on_window(fam, which, start, 2).any():
+                    assert fit.base == start
+
+    def test_f_past_the_initial_offset(self):
+        # 2v-max-wt-cub-t01 with M/x1^2 M = A/(x1^2, x2^3) and I1 = m:
+        # I^3 M is spanned by x1 x2^2, so F(3, 3) = 1 at the initial offset
+        # 3, and I^n M = 0 from n = 4 on, so the fit is made at base 6.
+        (inst,) = [c for c in build_corpus() if c.label == "2v-max-wt-cub-t01"]
+        fam = inst.fam.with_module(inst.fam.module.quotient_by_elements([C2.monomial(2, 0)]))
+        assert fam.j == ideal(C2, [(2, 0), (0, 1)])
+        assert fam.module.relations == ideal(C2, [(2, 0), (0, 3)])
+        assert initial_offset(fam) == 3 and hf_F(fam, MultiDegree(3, (3,))) == 1
+        fit = hilbert._fit_zero(fam, "F", 2)
+        assert (fit.base, fit.values.tolist(), fit.poly.coeffs) == (6, [[0, 0], [0, 0]], {})
+        assert not table_on_window(fam, "F", 8, 2).any()
+        assert hilbert._fit_zero(fam, "P", 2).base == 3
+
+    def test_never_zero_raises_after_the_cap(self, monkeypatch):
+        m = ideal(C2, [(1, 0), (0, 1)])
+        fam = IdealFamily(m, (m,), QuotientModule(C2, MonomialIdeal.unit(C2)))
+        monkeypatch.setattr(hilbert, "hf_P", lambda fam, deg: 1)
+        message = "zero module produced nonzero Hilbert values"
+        with pytest.raises(StabilizationError, match=message) as caught:
+            hilbert._fit_zero(fam, "P", 2)
+        start = initial_offset(fam)
+        bases = [start << k for k in range(7)]
+        assert bases[-1] == hilbert.WINDOW_CAP_FACTOR * start
+        assert caught.value.residuals == [((b, b), 1) for b in bases]
 
 
 class TestIntegerFit:
@@ -663,7 +744,7 @@ class TestContentFreeCounts:
         # c(n) = (2^62, 2^62): each exponent fits int64 and the degree does
         # not, so the Hilbert values there raise as the piece does.
         fam = IdealFamily(j, (ideal(C2, [(2**61, 2**61)]),), QuotientModule.free(C2))
-        assert fam.content((1,))[2] == 2**62
+        assert fam.content((1,))[1] == 2**62
         for evaluate in (fam.piece, partial(hf_P, fam), partial(hf_F, fam)):
             with pytest.raises(OverflowError):
                 evaluate(MultiDegree(1, (2,)))
@@ -687,7 +768,7 @@ class TestContentFreeCounts:
         # never reaches IdealFamily.content.
         unit_axis = IdealFamily(ideal(C2, [(1, 0), (0, 1)]), (MonomialIdeal.unit(C2),),
                                 QuotientModule.free(C2))
-        assert unit_axis._content_split[2] is None
+        assert unit_axis._content_split[2:] == ((0, 0), ())
         cases = [(family_dim4(), pt) for pt in ((1, 1, -1), (1, -1, 1), (-1, 1, 1), (0, -1, 1))]
         cases += [(unit_axis, pt) for pt in ((1, -1), (-1, 1), (-1, 0))]
         for fam, pt in cases:

@@ -221,8 +221,15 @@ def _oracle_rank(rows):
 
 def _oracle_complex(datum, deg, a):
     """One strand built point by point: a rees_piece_basis call per exterior
-    subset at its shifted multidegree and exponent."""
-    shifts = koszul._koszul_shifts(datum.cand, datum.fam.d)
+    subset at its shifted multidegree and exponent, each element's
+    multidegree shift read off its source tag."""
+    d = datum.fam.d
+    shifts = []
+    for u, src in datum.cand.elements:
+        if src == J_SOURCE:
+            shifts.append(((1,) + (0,) * d, u.exponents))
+        else:
+            shifts.append(((0,) + tuple(int(i == src) for i in range(d)), u.exponents))
     n = len(shifts)
     chains = []
     for p in range(n + 1):

@@ -6,15 +6,16 @@ import json
 import tracemalloc
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from corpus import build_corpus
 from oracles import is_multiplicity_system
 from multimult import reductions
 from multimult.cli import run_request
-from multimult.hilbert import IdealFamily, MixedType, MultiDegree
+from multimult.hilbert import IdealFamily, MixedType, MultiDegree, initial_offset
 from multimult.instances import parse_instance
-from multimult.monomials import QuotientModule, RingContext, ideal
+from multimult.monomials import QuotientModule, RingContext, ideal, ideal_shift
 from multimult.reductions import (
     J_SOURCE,
     JointReductionCandidate,
@@ -155,6 +156,59 @@ class TestVerifyJointReduction:
             cand.declared_type,
         )
         assert verify_joint_reduction(fam, swapped).holds
+
+
+def two_branch_rhs_parts(fam, cand, deg):
+    """The right side's parts read off each element's source tag: a
+    J-element steps n0 down, an I_i-element n_i; the reference for
+    ``_rhs_parts``."""
+    parts = [fam.module.relations]
+    for u, src in cand.elements:
+        if src == J_SOURCE:
+            piece = fam.piece(MultiDegree(deg.n0 - 1, deg.n))
+        else:
+            shifted = tuple(ni - (1 if i == src else 0) for i, ni in enumerate(deg.n))
+            piece = fam.piece(MultiDegree(deg.n0, shifted))
+        parts.append(ideal_shift(piece, np.array(u.exponents, dtype=np.int64), u.degree))
+    return parts
+
+
+class TestStepAxes:
+    """Each element steps along one axis of (n0, n1, ..., nd), which
+    ``JointReductionCandidate.axes`` reads off its source."""
+
+    def test_axes(self):
+        assert dim4_candidate().axes() == [2, 0, 0, 0]
+        mixed = JointReductionCandidate(
+            ((C4.monomial(1, 0, 0, 0), 0), (C4.monomial(0, 0, 1, 0), 1),
+             (C4.monomial(0, 1, 0, 0), 0), (C4.monomial(0, 0, 0, 1), J_SOURCE)),
+            MixedType(0, (2, 1)),
+        )
+        assert mixed.axes() == [1, 2, 1, 0]
+        pure = JointReductionCandidate(
+            ((C2.monomial(1, 0), 0), (C2.monomial(0, 1), 1)), MixedType(0, (1, 1))
+        )
+        assert pure.is_pure and pure.axes() == [1, 2]
+        assert JointReductionCandidate((), MixedType(0, (0,))).axes() == []
+
+    def test_rhs_parts_against_the_source_branches(self):
+        # Every corpus candidate at its base point and one step above, and
+        # pure candidates, whose n0 stays 0.
+        cases = []
+        for c in build_corpus():
+            b = initial_offset(c.fam)
+            cases += [(c.fam, c.cand, MultiDegree(b, (b,) * c.fam.d)),
+                      (c.fam, c.cand, MultiDegree(b + 1, (b,) * c.fam.d))]
+        m = ideal(C2, [(1, 0), (0, 1)])
+        fam = IdealFamily(m, (m, ideal(C2, [(1, 1)])), QuotientModule(C2, ideal(C2, [(0, 3)])))
+        pure = JointReductionCandidate(
+            ((C2.monomial(1, 0), 0), (C2.monomial(0, 1), 0), (C2.monomial(1, 1), 1)),
+            MixedType(0, (2, 1)),
+        )
+        cases += [(fam, pure, MultiDegree(0, (3, 2))), (fam, pure, MultiDegree(0, (1, 1)))]
+        for fam, cand, deg in cases:
+            assert reductions._rhs_parts(fam, cand, deg) == two_branch_rhs_parts(fam, cand, deg)
+        assert len(cases) == 2 * len(build_corpus()) + 2
 
 
 def element_props(doc, monomial, ideal_name):
